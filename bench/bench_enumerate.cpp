@@ -1,19 +1,14 @@
-//===- bench_enumerate.cpp - Enumerate-throughput gate -------------------------===//
+//===- bench_enumerate.cpp - Enumerate-throughput benchmarks -------------------===//
 //
 // Part of POSE. MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// The gate for the copy-on-write hot-path memory architecture: identical
-// bounded enumerations run with the default COW working copies and with
-// EnumeratorConfig::DeepCopyInstances (the retained pre-COW baseline that
-// deep-copies every frontier instance and pays the identical-instance
-// scan per dormant attempt). Both modes produce byte-identical DAGs, so
-// the ratio BM_EnumerateDeepCopy / BM_EnumerateCow is a pure memory-
-// architecture speedup; check_regression.py gates it via the
-// enumerate-cow-speedup entry of baseline_ratios.json.
-//
-// A deep-vs-COW instance copy microbenchmark isolates the mechanism.
+// Bounded enumeration throughput over a spread of suite functions, and the
+// copy-on-write working-copy mechanism in isolation: a COW instance copy
+// against a deep copy. check_regression.py gates the copy ratio
+// BM_InstanceCopyDeep / BM_InstanceCopyCow via the
+// instance-copy-cow-speedup entry of baseline_ratios.json.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,15 +43,13 @@ std::vector<Function> enumerationTargets() {
 
 constexpr uint64_t NodeCap = 1200;
 
-/// Enumerates every target with a node cap. The cap is a deterministic
-/// stop, so the DAG (and therefore the work done) is identical whichever
-/// working-copy strategy is in effect.
-void runEnumerate(benchmark::State &State, bool DeepCopy) {
+/// Enumerates every target with a node cap, a deterministic stop, so the
+/// work done is identical on every run.
+void BM_EnumerateCow(benchmark::State &State) {
   const std::vector<Function> Fns = enumerationTargets();
   PhaseManager PM;
   EnumeratorConfig Cfg;
   Cfg.MaxTotalNodes = NodeCap;
-  Cfg.DeepCopyInstances = DeepCopy;
   const Enumerator E(PM, Cfg);
   uint64_t Nodes = 0, Attempts = 0;
   for (auto _ : State) {
@@ -76,14 +69,7 @@ void runEnumerate(benchmark::State &State, bool DeepCopy) {
       static_cast<double>(Attempts * State.iterations()),
       benchmark::Counter::kIsRate);
 }
-
-void BM_EnumerateCow(benchmark::State &State) { runEnumerate(State, false); }
 BENCHMARK(BM_EnumerateCow)->Unit(benchmark::kMillisecond);
-
-void BM_EnumerateDeepCopy(benchmark::State &State) {
-  runEnumerate(State, true);
-}
-BENCHMARK(BM_EnumerateDeepCopy)->Unit(benchmark::kMillisecond);
 
 /// The mechanism in isolation: a COW working copy bumps one refcount per
 /// block; a deep copy clones every block and instruction.

@@ -47,7 +47,7 @@ void BM_AttemptGuardDisarmed(benchmark::State &State) {
   for (auto _ : State) {
     Function Copy = F;
     benchmark::DoNotOptimize(
-        Guard.attempt(PhaseId::InstructionSelection, Copy));
+        Guard.attemptNth(PhaseId::InstructionSelection, Copy, 1));
   }
 }
 BENCHMARK(BM_AttemptGuardDisarmed);
@@ -61,7 +61,7 @@ void BM_AttemptGuardVerify(benchmark::State &State) {
   for (auto _ : State) {
     Function Copy = F;
     benchmark::DoNotOptimize(
-        Guard.attempt(PhaseId::InstructionSelection, Copy));
+        Guard.attemptNth(PhaseId::InstructionSelection, Copy, 1));
   }
 }
 BENCHMARK(BM_AttemptGuardVerify);
@@ -71,7 +71,7 @@ void BM_EnumerateGuardDisarmed(benchmark::State &State) {
   PhaseManager PM;
   // The guard always sits on the enumeration path now; with no deadline,
   // memory budget, verification, or faults configured this measures the
-  // pass-through cost (counter increment + governor bookkeeping).
+  // pass-through cost (plus governor bookkeeping).
   EnumeratorConfig Cfg;
   Enumerator E(PM, Cfg);
   for (auto _ : State)
@@ -93,7 +93,7 @@ BENCHMARK(BM_EnumerateVerifyIr);
 void BM_EnumerateWithGovernor(benchmark::State &State) {
   Function F = workloadFunction("fft", "make_sine");
   PhaseManager PM;
-  // Armed but never-tripping limits: the per-level governor check cost.
+  // Armed but never-tripping limits: the per-node governor check cost.
   EnumeratorConfig Cfg;
   Cfg.DeadlineMs = 3'600'000;
   Cfg.MaxMemoryBytes = uint64_t(1) << 40;

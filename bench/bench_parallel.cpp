@@ -4,12 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the level-parallel enumerator against the sequential engine at
-// 1/2/4/8 jobs, on real workload functions large enough for a level to
-// amortize the barrier. The engines produce byte-identical DAGs (enforced
-// by tests/core/parallel_enumerator_test.cpp), so this benchmark is a
-// pure wall-clock comparison; speedup is bounded by the host's core count
-// and by Amdahl on the single-threaded barrier commit.
+// Measures the level-synchronous enumerator at 1/2/4/8 jobs (1 expands
+// inline with no worker threads), on real workload functions large
+// enough for a level to amortize the barrier. Every job count produces a
+// byte-identical DAG (enforced by tests/core/parallel_enumerator_test.cpp),
+// so this benchmark is a pure wall-clock comparison; speedup is bounded
+// by the host's core count and by Amdahl on the single-threaded commit.
 //
 //===----------------------------------------------------------------------===//
 

@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -26,7 +28,7 @@ namespace {
 /// charged once — but the key has to be *content*, never an address:
 /// pointer sharing does not survive a checkpoint resume, and the
 /// accounting is part of the byte-identical determinism contract across
-/// sequential/parallel/interrupted runs. Content hashing is deterministic
+/// job counts and interrupted runs. Content hashing is deterministic
 /// by construction; a (vanishingly rare) 64-bit collision merely
 /// undercounts the approximate charge and does so identically everywhere.
 uint64_t footprintMix(uint64_t H, uint64_t V) {
@@ -92,36 +94,6 @@ uint64_t entryFootprint(const FrontierEntry &E, FootprintDedup &Seen) {
   return Bytes;
 }
 
-/// Exact instance equality, allocation counters included. The deep-copy
-/// baseline mode's working-copy reuse depends on it: an attempt that
-/// reports dormant can still have mutated the copy (PhaseManager::attempt performs the implicit
-/// register assignment before phases that require it, and a phase may
-/// allocate a pseudo or label it never uses), and a reused copy that
-/// silently diverged from its parent would corrupt every later attempt on
-/// the same frontier entry.
-bool identicalInstance(const Function &A, const Function &B) {
-  if (A.pseudoLimit() != B.pseudoLimit() ||
-      A.labelLimit() != B.labelLimit() || !(A.State == B.State) ||
-      A.NumParams != B.NumParams || A.ReturnsValue != B.ReturnsValue ||
-      A.Blocks.size() != B.Blocks.size() || A.Slots.size() != B.Slots.size())
-    return false;
-  for (size_t I = 0; I != A.Slots.size(); ++I) {
-    const StackSlot &SA = A.Slots[I], &SB = B.Slots[I];
-    if (SA.SizeWords != SB.SizeWords || SA.IsArray != SB.IsArray ||
-        SA.IsParam != SB.IsParam || SA.Name != SB.Name)
-      return false;
-  }
-  for (size_t I = 0; I != A.Blocks.size(); ++I) {
-    const BasicBlock &BA = A.Blocks[I], &BB = B.Blocks[I];
-    if (BA.Label != BB.Label || BA.Insts.size() != BB.Insts.size())
-      return false;
-    for (size_t J = 0; J != BA.Insts.size(); ++J)
-      if (BA.Insts[J] != BB.Insts[J])
-        return false;
-  }
-  return true;
-}
-
 /// "Len": the largest active sequence length is the longest path in the
 /// DAG (cross edges can make it exceed the BFS depth). Valid only when
 /// the space is acyclic.
@@ -151,17 +123,90 @@ uint32_t longestPathLength(const EnumerationResult &R) {
   return Longest;
 }
 
+//===----------------------------------------------------------------------===//
+// The level-synchronous engine
+//===----------------------------------------------------------------------===//
+//
+// Within one BFS level every frontier entry expands independently: the
+// phases it attempts depend only on its own state and on masks resolved
+// *before* the level started (a node enters the frontier exactly once,
+// and its expander is the only one to touch its masks). The only shared
+// mutable structures are the instance table and the DAG itself — so
+// workers do the expensive part (phase application + canonicalization)
+// into private buffers, consulting a sharded concurrent table for
+// read-only hits against committed nodes, and one thread at a time
+// commits the buffered discoveries in exact frontier order, each entry
+// as soon as every earlier one is committed. Node ids, edge order,
+// statistics and memory charges are all assigned by the commit in that
+// order, so the result is byte-identical for any thread count. Jobs == 1
+// is a pool with no workers: every entry expands inline on the calling
+// thread and commits right after its expansion.
+//
+// Three details need care:
+//  * FaultPlan coordinates ("fail the Nth application of P") must not
+//    depend on which worker wins a race. Attempts are predictable from
+//    pre-level state (legal && !incoming), so per-entry application
+//    numbers are precomputed as prefix sums over the frontier and passed
+//    to PhaseGuard::attemptNth.
+//  * Independence pruning predicts an edge from edges committed earlier
+//    in the *same* level, which a worker cannot rely on seeing. Workers
+//    skip every trained-pair attempt and leave it to the commit, which
+//    resolves it in frontier and phase order — when exactly the edges a
+//    prediction reads are committed — and runs the attempt itself only
+//    when the prediction misses. A deferred attempt keeps its
+//    precomputed ordinal whether it is predicted or run.
+//  * Deadline/Cancelled stops are polled per node (the whole point of
+//    stopping promptly); when one fires the in-flight level is discarded
+//    entirely, committed entries included, leaving the self-consistent
+//    DAG of the previous level barrier. Budget stops (Level/Node/Memory)
+//    are evaluated only at the level barrier.
+
+/// One buffered active edge discovered by an attempt.
+struct ActiveResult {
+  PhaseId P = PhaseId::BranchChaining;
+  /// Resolved target when the instance hit the table (a node committed
+  /// before the attempt ran); UINT32_MAX when the commit must resolve it.
+  uint32_t KnownTarget = UINT32_MAX;
+  /// The resulting instance, kept only for a target the commit resolves:
+  /// it is either new at this level or a same-level duplicate.
+  Function Instance;
+  CanonicalForm CF;
+};
+
+/// Everything the attempts on one frontier entry produced. Slots are
+/// reused across levels, so steady-state expansion allocates nothing here.
+struct TaskResult {
+  uint16_t DormantBits = 0;
+  uint16_t AttemptedBits = 0;
+  /// Trained-pair attempts left to the commit (independence pruning).
+  uint16_t DeferredBits = 0;
+  uint64_t Attempted = 0;
+  uint64_t PhaseApplications = 0;
+  std::vector<ActiveResult> Active;
+  std::vector<PhaseDiagnostic> Diags;
+
+  void reset() {
+    DormantBits = AttemptedBits = DeferredBits = 0;
+    Attempted = PhaseApplications = 0;
+    Active.clear();
+    Diags.clear();
+  }
+};
+
+/// The calling thread's canonicalization scratch: every attempt a thread
+/// runs, expanding or committing, reuses the same remap arrays and byte
+/// buffer.
+CanonicalScratch &threadScratch() {
+  static thread_local CanonicalScratch Scratch;
+  return Scratch;
+}
+
 } // namespace
 
 EnumerationResult
 Enumerator::enumerate(const Function &Root,
                       EnumerationCheckpoint *Checkpoint) const {
-  // Independence pruning predicts edges from edges committed earlier in
-  // the *same* level, an intrinsically sequential dependence; everything
-  // else parallelizes.
-  if (Config.Jobs > 1 && !Config.UseIndependencePruning)
-    return runParallel(Root, nullptr, Checkpoint);
-  return runSequential(Root, nullptr, Checkpoint);
+  return run(Root, nullptr, Checkpoint);
 }
 
 EnumerationResult
@@ -169,33 +214,28 @@ Enumerator::resume(const Function &Root, EnumerationCheckpoint From,
                    EnumerationCheckpoint *Checkpoint) const {
   // An unfilled checkpoint resumes as a fresh run, so callers can use one
   // code path whether or not a prior session left state behind.
-  if (!From.Valid)
-    return enumerate(Root, Checkpoint);
-  if (Config.Jobs > 1 && !Config.UseIndependencePruning)
-    return runParallel(Root, &From, Checkpoint);
-  return runSequential(Root, &From, Checkpoint);
+  return run(Root, From.Valid ? &From : nullptr, Checkpoint);
 }
 
-EnumerationResult
-Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
-                          EnumerationCheckpoint *Out) const {
+EnumerationResult Enumerator::run(const Function &Root,
+                                  EnumerationCheckpoint *From,
+                                  EnumerationCheckpoint *Out) const {
   EnumerationResult R;
   ResourceGovernor Gov;
   Gov.setDeadline(Config.DeadlineMs);
   Gov.setMemoryBudget(Config.MaxMemoryBytes);
   Gov.setStopToken(Config.Stop);
-  PhaseGuard Guard(PM, {Config.VerifyIr, Config.Faults});
-  // Shared with the parallel engine: triple -> node id, plus the
-  // hash-consed canonical byte storage for paranoid exact comparison
-  // (one arena-backed buffer per distinct instance).
-  InstanceTable Table(1);
+  const unsigned Threads = std::max(Config.Jobs, 1u);
+  // Shards only pay for themselves against lock contention: one for a
+  // lone thread, about sixteen per additional one.
+  InstanceTable Table(16 * (Threads - 1) + 1);
+  ThreadPool Pool(Threads - 1);
+  const PhaseGuard::Options GuardOpts{Config.VerifyIr, Config.Faults};
 
-  // Seals the result: collects guard diagnostics, resolves the stop
-  // reason (a run that finished but pruned edges after rollbacks is not
-  // the complete space), and weights the — possibly partial — DAG.
+  // Seals the result: resolves the stop reason (a run that finished but
+  // pruned edges after rollbacks is not the complete space) and weights
+  // the — possibly partial — DAG.
   auto Finish = [&](StopReason Why) {
-    for (PhaseDiagnostic &D : Guard.takeDiagnostics())
-      R.Diagnostics.push_back(std::move(D));
     if (Why == StopReason::Complete && !R.Diagnostics.empty())
       Why = StopReason::VerifierFailure;
     R.Stop = Why;
@@ -203,46 +243,30 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
     computeWeights(R);
   };
 
-  CanonicalScratch Scratch;
-  auto Intern = [&](const Function &F) -> std::pair<uint32_t, bool> {
-    CanonicalForm CF = canonicalize(F, Scratch, Config.ParanoidCompare,
-                                    Config.RemapRegisters);
-    auto [Id, Inserted] =
-        Table.tryEmplace(CF.Hash, static_cast<uint32_t>(R.Nodes.size()));
-    if (Inserted) {
-      DagNode N;
-      N.Hash = CF.Hash;
-      N.CodeSize = CF.Hash.InstCount;
-      N.CfHash = controlFlowHash(F);
-      R.Nodes.push_back(N);
-      Gov.charge(sizeof(DagNode) + CF.Bytes.size());
-      if (Config.ParanoidCompare)
-        Table.recordBytes(Id, CF.Bytes);
-      return {Id, true};
-    }
-    if (Config.ParanoidCompare && !(Table.bytesFor(Id) == CF.Bytes))
-      ++R.HashCollisions;
-    return {Id, false};
-  };
+  // Per-phase application counts so far: the FaultPlan coordinate space.
+  // Persisted across levels and sessions.
+  uint64_t AppCount[NumPhases] = {};
 
   std::vector<FrontierEntry> Frontier;
   uint64_t FrontierBytes = 0;
   uint32_t Level = 0;
 
   // Captures the continuation for a transient stop: the pending frontier,
-  // the level counter, the guard's application numbering, and (paranoid
-  // mode) the canonical bytes. Call after Finish() so Partial carries the
-  // final stop reason and weights.
+  // the level counter, the application numbering valid at that barrier
+  // (a discarded in-flight level hands back the pre-level snapshot), and
+  // (paranoid mode) the canonical bytes. Call after Finish() so Partial
+  // carries the final stop reason and weights.
   auto Capture = [&](std::vector<FrontierEntry> &&Pending,
-                     uint64_t PendingBytes) {
+                     uint64_t PendingBytes, uint32_t LevelCounter,
+                     const uint64_t (&Counts)[NumPhases]) {
     if (!Out)
       return;
     Out->Valid = true;
     Out->Partial = R;
     Out->Frontier = std::move(Pending);
-    Out->LevelCounter = Level;
+    Out->LevelCounter = LevelCounter;
     for (int P = 0; P != NumPhases; ++P)
-      Out->AppCount[P] = Guard.applications(phaseByIndex(P));
+      Out->AppCount[P] = Counts[P];
     Out->FrontierBytes = PendingBytes;
     Out->Paranoid = Config.ParanoidCompare;
     // The checkpoint codec predates the arena: flatten the hash-consed
@@ -273,30 +297,39 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
     Level = From->LevelCounter;
     FrontierBytes = From->FrontierBytes;
     Gov.charge(R.ApproxMemoryBytes);
-    Guard.seedApplications(From->AppCount);
+    for (int P = 0; P != NumPhases; ++P)
+      AppCount[P] = From->AppCount[P];
     // A still-violated limit (e.g. resuming under the same memory budget)
     // must stop here, exactly where the interrupted run stopped.
     if (StopReason Why = Gov.check(); Why != StopReason::Complete) {
       Finish(Why);
       if (isResumableStop(Why))
-        Capture(std::move(Frontier), FrontierBytes);
+        Capture(std::move(Frontier), FrontierBytes, Level, AppCount);
       return R;
     }
   } else {
-    Function RootCopy = Root;
-    auto [RootId, RootNew] = Intern(RootCopy);
-    (void)RootNew;
-    R.Nodes[RootId].Level = 0;
-    {
-      FrontierEntry E;
-      E.Node = RootId;
-      E.Instance = RootCopy;
-      E.State = RootCopy.State;
-      FootprintDedup Seen;
-      FrontierBytes = entryFootprint(E, Seen);
-      Gov.charge(FrontierBytes);
-      Frontier.push_back(std::move(E));
-    }
+    CanonicalForm CF = canonicalize(Root, threadScratch(),
+                                    Config.ParanoidCompare,
+                                    Config.RemapRegisters);
+    DagNode N;
+    N.Hash = CF.Hash;
+    N.CodeSize = CF.Hash.InstCount;
+    N.CfHash = controlFlowHash(Root);
+    R.Nodes.push_back(N);
+    Gov.charge(sizeof(DagNode) + CF.Bytes.size());
+    Table.tryEmplace(CF.Hash, 0);
+    if (Config.ParanoidCompare)
+      Table.recordBytes(0, CF.Bytes);
+
+    FrontierEntry E;
+    E.Node = 0;
+    E.Instance = Root;
+    E.State = Root.State;
+    FootprintDedup Seen;
+    FrontierBytes = entryFootprint(E, Seen);
+    Gov.charge(FrontierBytes);
+    Frontier.push_back(std::move(E));
+
     LevelStat L0;
     L0.Level = 0;
     L0.NewNodes = 1;
@@ -304,158 +337,346 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
     R.Levels.push_back(L0);
   }
 
+  // One guarded attempt of phase \p PI on \p E with application ordinal
+  // \p Nth, recorded in \p T. \p Work is the caller's reusable working
+  // copy. Workers run these; so does the commit, for a deferred attempt
+  // whose prediction missed.
+  auto Attempt = [&](const FrontierEntry &E, int PI, uint64_t Nth,
+                     PhaseGuard &Guard, Function &Work, TaskResult &T) {
+    const PhaseId P = phaseByIndex(PI);
+    const uint16_t Bit = static_cast<uint16_t>(1u << PI);
+    // The working copy is a refcounted handle copy of the parent's blocks
+    // — a dormant attempt unshares nothing, an active one materializes
+    // only the blocks it rewrote. Naive mode replays the whole prefix
+    // from the root instead.
+    if (Config.NaiveReapply) {
+      Work = Root;
+      for (PhaseId Prev : E.Path) {
+        PM.attempt(Prev, Work);
+        ++T.PhaseApplications;
+      }
+    } else {
+      Work = E.Instance;
+    }
+    ++T.Attempted;
+    ++T.PhaseApplications;
+    T.AttemptedBits |= Bit;
+    if (Guard.attemptNth(P, Work, Nth) != PhaseGuard::Outcome::Active) {
+      // Dormant — or rolled back after a verifier failure, which prunes
+      // the edge and ends this branch of the space the same way (the
+      // guard recorded the diagnostic).
+      T.DormantBits |= Bit;
+      return;
+    }
+    ActiveResult A;
+    A.P = P;
+    A.CF = canonicalize(Work, threadScratch(), Config.ParanoidCompare,
+                        Config.RemapRegisters);
+    // Only committed nodes are in the table, so a hit is final.
+    if (std::optional<uint32_t> Hit = Table.lookup(A.CF.Hash))
+      A.KnownTarget = *Hit;
+    else
+      A.Instance = std::move(Work);
+    T.Active.push_back(std::move(A));
+  };
+
+  // Working storage reused across levels; the commit's own attempts use
+  // CommitGuard, CommitWork and Inline.
+  std::vector<uint64_t> Base;
+  std::vector<TaskResult> Results;
+  std::vector<uint8_t> Done;
+  PhaseGuard CommitGuard(PM, GuardOpts);
+  Function CommitWork;
+  TaskResult Inline;
+
   while (!Frontier.empty()) {
     ++Level;
     LevelStat LS;
     LS.Level = Level;
 
-    // Next-level frontier keyed by node id (merging sequence counts and
-    // incoming-phase masks when several edges reach the same instance).
+    const size_t N = Frontier.size();
+
+    // Pre-level snapshot of the application numbering: a Deadline or
+    // Cancelled stop discards the in-flight level, and its checkpoint
+    // must restart the numbering from here.
+    uint64_t AppSnapshot[NumPhases];
+    for (int P = 0; P != NumPhases; ++P)
+      AppSnapshot[P] = AppCount[P];
+
+    // Precompute the application number every would-be attempt gets in
+    // frontier order: entry I attempts phase P iff P is legal for its
+    // state and not on an incoming edge.
+    Base.resize(N * NumPhases);
+    for (size_t I = 0; I != N; ++I)
+      for (int PI = 0; PI != NumPhases; ++PI) {
+        Base[I * NumPhases + PI] = AppCount[PI];
+        if (PM.isLegal(phaseByIndex(PI), Frontier[I].State) &&
+            !(Frontier[I].IncomingMask & (1u << PI)))
+          ++AppCount[PI];
+      }
+
+    // Independence pruning (Section 7 future work) can predict this
+    // attempt from committed edges, so it waits for the commit.
+    auto Deferred = [&](const FrontierEntry &E, int PI) {
+      return Config.UseIndependencePruning && E.Parent != UINT32_MAX &&
+             Config.TrainedIndependence[static_cast<int>(E.ViaPhase)][PI];
+    };
+
+    // The commit, in exact frontier order. The next-level frontier is
+    // keyed by node id, merging sequence counts and incoming-phase masks
+    // when several edges reach the same instance.
     std::unordered_map<uint32_t, size_t> NextIndex;
     std::vector<FrontierEntry> Next;
 
-    for (FrontierEntry &E : Frontier) {
-      // Copy-on-write mode (the default): every attempt starts from a
-      // fresh working copy, which is a refcounted handle copy of the
-      // parent's blocks — a dormant attempt unshares nothing, an active
-      // one materializes only the blocks it rewrote. The deep-copy
-      // baseline (Config.DeepCopyInstances) retains the old protocol:
-      // one deep copy serves consecutive attempts and is rebuilt only
-      // after a phase consumed it (active) or mutated it while reporting
-      // dormant.
-      Function Work;
-      bool WorkValid = false;
-      for (int PI = 0; PI != NumPhases; ++PI) {
-        PhaseId P = phaseByIndex(PI);
-        const uint16_t Bit = static_cast<uint16_t>(1u << PI);
-        // NOTE: R.Nodes may reallocate inside Intern; always re-index.
-        if (!PM.isLegal(P, E.State)) {
-          R.Nodes[E.Node].DormantMask |= Bit;
-          continue;
-        }
-        if (E.IncomingMask & Bit) {
-          // Known dormant: the phase was just active producing this node
-          // and no phase succeeds twice consecutively.
-          R.Nodes[E.Node].DormantMask |= Bit;
-          continue;
-        }
-        if ((R.Nodes[E.Node].ActiveMask | R.Nodes[E.Node].DormantMask) &
-            Bit) {
-          // Already resolved through an earlier sequence arriving at the
-          // same node.
-          continue;
-        }
-
-        // Independence-based prediction (Section 7 future work): if the
-        // incoming phase x and the candidate phase y always commute, the
-        // result of y here equals the result of x after y at the parent —
-        // both edges of which may already be known.
-        if (Config.UseIndependencePruning && E.Parent != UINT32_MAX &&
-            Config.TrainedIndependence[static_cast<int>(E.ViaPhase)][PI]) {
-          uint32_t D = R.Nodes[E.Parent].childVia(P);
-          if (D != UINT32_MAX) {
-            uint32_t Predicted = R.Nodes[D].childVia(E.ViaPhase);
-            if (Predicted != UINT32_MAX) {
-              ++R.PredictedEdges;
-              ++LS.Active;
-              R.Nodes[E.Node].ActiveMask |= Bit;
-              R.Nodes[E.Node].Edges.push_back({P, Predicted});
-              Gov.charge(sizeof(DagEdge));
-              if (R.Nodes[Predicted].Level == Level) {
-                auto It = NextIndex.find(Predicted);
-                if (It != NextIndex.end()) {
-                  Next[It->second].IncomingMask |= Bit;
-                  Next[It->second].Sequences += E.Sequences;
-                }
-              }
-              continue;
-            }
-          }
-        }
-
-        // Produce the working copy: COW mode shares the parent's blocks,
-        // the deep-copy baseline reuses the copy left by the previous
-        // (dormant) attempt, and naive mode replays the whole prefix from
-        // the root.
+    // Appends the edge E --P--> Child. A child interned by this edge
+    // (\p New, carrying its instance) joins the next frontier; one already
+    // discovered at this level merges into its entry. Returns false after
+    // recording a diagnostic on a broken internal invariant.
+    auto Link = [&](const FrontierEntry &E, PhaseId P, uint32_t Child,
+                    ActiveResult *New) {
+      const uint16_t Bit = static_cast<uint16_t>(1u << static_cast<int>(P));
+      ++LS.Active;
+      R.Nodes[E.Node].ActiveMask |= Bit;
+      R.Nodes[E.Node].Edges.push_back({P, Child});
+      Gov.charge(sizeof(DagEdge));
+      if (New) {
+        FrontierEntry NE;
+        NE.Node = Child;
+        NE.State = New->Instance.State;
         if (Config.NaiveReapply) {
-          Work = Root;
-          WorkValid = false;
-          for (PhaseId Prev : E.Path) {
-            PM.attempt(Prev, Work);
-            ++R.PhaseApplications;
-          }
-        } else if (!Config.DeepCopyInstances) {
-          Work = E.Instance;
-        } else if (!WorkValid) {
-          Work = E.Instance.deepCopy();
-          WorkValid = true;
+          NE.Path = E.Path;
+          NE.Path.push_back(P);
+        } else {
+          NE.Instance = std::move(New->Instance);
         }
+        NE.IncomingMask = Bit;
+        NE.Parent = E.Node;
+        NE.ViaPhase = P;
+        NE.Sequences = E.Sequences;
+        NextIndex[Child] = Next.size();
+        Next.push_back(std::move(NE));
+        return true;
+      }
+      // A cross edge to an earlier-level node is already expanded;
+      // nothing to enqueue. Any cycle it may close is detected during
+      // weight computation.
+      if (R.Nodes[Child].Level != Level)
+        return true;
+      auto It = NextIndex.find(Child);
+      if (It == NextIndex.end()) {
+        // A same-level node must be in the frontier. A release-mode
+        // assert would silently read garbage here; surface it as a
+        // diagnosed partial result instead.
+        PhaseDiagnostic D;
+        D.Phase = P;
+        D.Func = Root.Name;
+        D.Message =
+            "internal error: same-level node missing from the frontier";
+        R.Diagnostics.push_back(std::move(D));
+        return false;
+      }
+      Next[It->second].IncomingMask |= Bit;
+      Next[It->second].Sequences += E.Sequences;
+      return true;
+    };
 
-        ++R.AttemptedPhases;
-        ++R.PhaseApplications;
-        ++LS.Attempted;
-        R.Nodes[E.Node].AttemptedMask |= Bit;
-        PhaseGuard::Outcome Out = Guard.attempt(P, Work);
-        if (Out != PhaseGuard::Outcome::Active) {
-          // Dormant — or rolled back after a verifier failure, which
-          // prunes the edge and ends this branch of the space the same
-          // way (the diagnostic is already recorded in the guard).
-          R.Nodes[E.Node].DormantMask |= Bit;
-          if (Config.DeepCopyInstances && WorkValid &&
-              !identicalInstance(Work, E.Instance))
-            WorkValid = false;
+    // Resolves a buffered active result to its node, interning an
+    // instance first seen at this level, and links the edge.
+    auto Commit = [&](const FrontierEntry &E, ActiveResult &A) {
+      uint32_t Child = A.KnownTarget;
+      bool Inserted = false;
+      if (Child == UINT32_MAX) {
+        auto [Id, IsNew] = Table.tryEmplace(
+            A.CF.Hash, static_cast<uint32_t>(R.Nodes.size()));
+        Child = Id;
+        Inserted = IsNew;
+      }
+      if (Inserted) {
+        DagNode Nd;
+        Nd.Hash = A.CF.Hash;
+        Nd.CodeSize = A.CF.Hash.InstCount;
+        Nd.CfHash = controlFlowHash(A.Instance);
+        Nd.Level = Level;
+        R.Nodes.push_back(Nd);
+        Gov.charge(sizeof(DagNode) + A.CF.Bytes.size());
+        if (Config.ParanoidCompare)
+          Table.recordBytes(Child, A.CF.Bytes);
+      } else if (Config.ParanoidCompare &&
+                 !(Table.bytesFor(Child) == A.CF.Bytes)) {
+        ++R.HashCollisions;
+      }
+      return Link(E, A.P, Child, Inserted ? &A : nullptr);
+    };
+
+    // Resolves a deferred attempt of phase \p PI on entry \p I. The
+    // incoming phase x and the candidate y always commute, so y here
+    // reaches what x reaches from the parent's y-child — once both of
+    // those edges are committed. Otherwise the attempt runs here.
+    auto ResolveDeferred = [&](size_t I, int PI, TaskResult &T) {
+      const FrontierEntry &E = Frontier[I];
+      const PhaseId P = phaseByIndex(PI);
+      const uint32_t D = R.Nodes[E.Parent].childVia(P);
+      const uint32_t Predicted =
+          D == UINT32_MAX ? UINT32_MAX : R.Nodes[D].childVia(E.ViaPhase);
+      if (Predicted != UINT32_MAX) {
+        ++R.PredictedEdges;
+        return Link(E, P, Predicted, nullptr);
+      }
+      Inline.reset();
+      Attempt(E, PI, Base[I * NumPhases + PI] + 1, CommitGuard, CommitWork,
+              Inline);
+      T.DormantBits |= Inline.DormantBits;
+      T.AttemptedBits |= Inline.AttemptedBits;
+      T.Attempted += Inline.Attempted;
+      T.PhaseApplications += Inline.PhaseApplications;
+      for (PhaseDiagnostic &Diag : CommitGuard.takeDiagnostics())
+        T.Diags.push_back(std::move(Diag));
+      return Inline.Active.empty() || Commit(E, Inline.Active.front());
+    };
+
+    // Commits everything entry \p I produced. Returns false on a broken
+    // internal invariant.
+    auto CommitEntry = [&](size_t I) {
+      const FrontierEntry &E = Frontier[I];
+      TaskResult &T = Results[I];
+      // Edges are appended in phase order: buffered results interleave
+      // with deferred phases.
+      size_t K = 0;
+      for (uint16_t Left = T.DeferredBits; Left; Left &= Left - 1) {
+        const int PI = std::countr_zero(Left);
+        for (; K != T.Active.size() && static_cast<int>(T.Active[K].P) < PI;
+             ++K)
+          if (!Commit(E, T.Active[K]))
+            return false;
+        if (!ResolveDeferred(I, PI, T))
+          return false;
+      }
+      for (; K != T.Active.size(); ++K)
+        if (!Commit(E, T.Active[K]))
+          return false;
+
+      R.Nodes[E.Node].DormantMask |= T.DormantBits;
+      R.Nodes[E.Node].AttemptedMask |= T.AttemptedBits;
+      R.AttemptedPhases += T.Attempted;
+      R.PhaseApplications += T.PhaseApplications;
+      LS.Attempted += T.Attempted;
+      // Diagnostics in attempt order; those of inline attempts arrived
+      // after the worker's.
+      if (T.DeferredBits)
+        std::stable_sort(T.Diags.begin(), T.Diags.end(),
+                         [](const PhaseDiagnostic &A,
+                            const PhaseDiagnostic &B) {
+                           return A.Phase < B.Phase;
+                         });
+      for (PhaseDiagnostic &D : T.Diags)
+        R.Diagnostics.push_back(std::move(D));
+      return true;
+    };
+
+    // What a discarded level must restore.
+    const size_t NodesBefore = R.Nodes.size();
+    const size_t DiagsBefore = R.Diagnostics.size();
+    const uint64_t AttemptedBefore = R.AttemptedPhases;
+    const uint64_t ApplicationsBefore = R.PhaseApplications;
+    const uint64_t PredictedBefore = R.PredictedEdges;
+    const uint64_t CollisionsBefore = R.HashCollisions;
+    const uint64_t ChargedBefore = Gov.chargedBytes();
+
+    // Entries are committed as soon as every earlier one is, by whichever
+    // thread completes the prefix — so with one thread each entry commits
+    // right after its expansion, and with several the commit overlaps the
+    // expansion. One thread commits at a time; the hand-over goes through
+    // CommitMutex.
+    std::mutex CommitMutex;
+    Done.assign(N, 0);
+    size_t Cursor = 0;
+    bool Committing = false;
+    bool Broken = false;
+    // First stop observed by any worker this level (Deadline/Cancelled
+    // only); Complete means the level ran through.
+    std::atomic<uint8_t> LevelStop{
+        static_cast<uint8_t>(StopReason::Complete)};
+
+    Results.resize(N);
+    Pool.parallelFor(N, [&](size_t I) {
+      // Node-granularity stop poll: one in-flight stop discards the rest
+      // of the level cheaply. A skipped entry is never committed.
+      if (LevelStop.load(std::memory_order_relaxed) !=
+          static_cast<uint8_t>(StopReason::Complete))
+        return;
+      if (StopReason Why = Gov.check(); Why == StopReason::Cancelled ||
+                                        Why == StopReason::Deadline) {
+        LevelStop.store(static_cast<uint8_t>(Why),
+                        std::memory_order_relaxed);
+        return;
+      }
+
+      const FrontierEntry &E = Frontier[I];
+      TaskResult &T = Results[I];
+      T.reset();
+      PhaseGuard Guard(PM, GuardOpts);
+      Function Work;
+      for (int PI = 0; PI != NumPhases; ++PI) {
+        const uint16_t Bit = static_cast<uint16_t>(1u << PI);
+        // Illegal phases count as dormant, and so does the phase on the
+        // incoming edge: it was just active producing this node, and no
+        // phase succeeds twice consecutively.
+        if (!PM.isLegal(phaseByIndex(PI), E.State) ||
+            (E.IncomingMask & Bit)) {
+          T.DormantBits |= Bit;
           continue;
         }
-        ++LS.Active;
-        // The phase consumed the working copy either way; the next attempt
-        // on this entry starts from a fresh copy of the parent.
-        WorkValid = false;
-        auto [Child, IsNew] = Intern(Work);
-        R.Nodes[E.Node].ActiveMask |= Bit;
-        R.Nodes[E.Node].Edges.push_back({P, Child});
-        Gov.charge(sizeof(DagEdge));
-        if (IsNew) {
-          R.Nodes[Child].Level = Level;
-          FrontierEntry NE;
-          NE.Node = Child;
-          NE.State = Work.State;
-          if (Config.NaiveReapply) {
-            NE.Path = E.Path;
-            NE.Path.push_back(P);
-          } else {
-            NE.Instance = std::move(Work);
-          }
-          NE.IncomingMask = Bit;
-          NE.Parent = E.Node;
-          NE.ViaPhase = P;
-          NE.Sequences = E.Sequences;
-          NextIndex[Child] = Next.size();
-          Next.push_back(std::move(NE));
-        } else if (R.Nodes[Child].Level == Level) {
-          // Rediscovered at the current level before expansion: merge the
-          // sequence counts and the known-dormant information.
-          auto It = NextIndex.find(Child);
-          if (It == NextIndex.end()) {
-            // Broken internal invariant (a same-level node must be in
-            // the frontier). A release-mode assert would silently read
-            // garbage here; surface it as a diagnosed partial result
-            // instead.
-            PhaseDiagnostic D;
-            D.Phase = P;
-            D.Func = Root.Name;
-            D.Message =
-                "internal error: same-level node missing from the frontier";
-            R.Diagnostics.push_back(std::move(D));
-            Finish(StopReason::InternalError);
-            return R;
-          }
-          Next[It->second].IncomingMask |= Bit;
-          Next[It->second].Sequences += E.Sequences;
+        if (Deferred(E, PI)) {
+          T.DeferredBits |= Bit;
+          continue;
         }
-        // Otherwise: a cross edge to an earlier-level node, which is
-        // already expanded (or being expanded); nothing to enqueue. Any
-        // cycle this may close is detected during weight computation.
+        Attempt(E, PI, Base[I * NumPhases + PI] + 1, Guard, Work, T);
       }
+      T.Diags = Guard.takeDiagnostics();
+
+      std::unique_lock<std::mutex> Lock(CommitMutex);
+      Done[I] = 1;
+      if (Committing)
+        return;
+      Committing = true;
+      while (!Broken && Cursor != N && Done[Cursor]) {
+        const size_t C = Cursor;
+        Lock.unlock();
+        const bool Ok = CommitEntry(C);
+        Lock.lock();
+        Broken = !Ok;
+        ++Cursor;
+      }
+      Committing = false;
+    });
+
+    if (Broken) {
+      Finish(StopReason::InternalError);
+      return R;
+    }
+    if (StopReason Why = static_cast<StopReason>(
+            LevelStop.load(std::memory_order_relaxed));
+        Why != StopReason::Complete) {
+      // Discard the in-flight level wholesale, committed entries
+      // included: the DAG goes back to the previous barrier, where it is
+      // self-consistent (frontier nodes have no edges or masks before
+      // their expansion), and the checkpoint re-expands this level.
+      R.Nodes.resize(NodesBefore);
+      for (const FrontierEntry &E : Frontier) {
+        DagNode &Nd = R.Nodes[E.Node];
+        Nd.Edges.clear();
+        Nd.ActiveMask = Nd.DormantMask = Nd.AttemptedMask = 0;
+      }
+      R.Diagnostics.resize(DiagsBefore);
+      R.AttemptedPhases = AttemptedBefore;
+      R.PhaseApplications = ApplicationsBefore;
+      R.PredictedEdges = PredictedBefore;
+      R.HashCollisions = CollisionsBefore;
+      Gov.release(Gov.chargedBytes() - ChargedBefore);
+      Finish(Why);
+      if (isResumableStop(Why))
+        Capture(std::move(Frontier), FrontierBytes, Level - 1, AppSnapshot);
+      return R;
     }
 
     LS.NewNodes = Next.size();
@@ -489,434 +710,6 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
     if (Why != StopReason::Complete) {
       Finish(Why);
       if (isResumableStop(Why))
-        Capture(std::move(Next), NextBytes);
-      return R;
-    }
-    Frontier = std::move(Next);
-  }
-
-  Finish(StopReason::Complete);
-
-  // Keep the BFS depth when the space is cyclic.
-  if (!R.Cyclic)
-    R.MaxActiveLength = longestPathLength(R);
-  return R;
-}
-
-//===----------------------------------------------------------------------===//
-// Level-parallel engine
-//===----------------------------------------------------------------------===//
-//
-// Within one BFS level every frontier entry expands independently: the
-// phases it attempts depend only on its own state and on masks resolved
-// *before* the level started. The only shared mutable structure the
-// sequential engine touches per attempt is the instance table and the DAG
-// itself — so workers here do the expensive part (phase application +
-// canonicalization) into private buffers, consulting a sharded concurrent
-// table for read-only hits against earlier levels, and a single-threaded
-// barrier then commits buffered discoveries in exact frontier order.
-// Because node ids, edge order, statistics and memory charges are all
-// assigned at the barrier in that order, the result is byte-identical to
-// the sequential engine for any thread count.
-//
-// Two details need care:
-//  * FaultPlan coordinates ("fail the Nth application of P") must not
-//    depend on which worker wins a race. Attempts are predictable from
-//    pre-level state (legal && !incoming && !resolved-at-level-start), so
-//    per-entry application numbers are precomputed as prefix sums and
-//    passed to PhaseGuard::attemptNth.
-//  * Deadline/Cancelled stops are polled by workers at node granularity
-//    (the whole point of stopping promptly); when one fires the in-flight
-//    level is discarded entirely, leaving the self-consistent DAG of the
-//    previous barrier. Budget stops (Level/Node/Memory) are evaluated
-//    only at the barrier, in the sequential order, and match exactly.
-
-namespace {
-
-/// One buffered active edge discovered by a worker.
-struct ActiveResult {
-  PhaseId P = PhaseId::BranchChaining;
-  /// Resolved target when the instance hit the table (an earlier-level
-  /// node); UINT32_MAX when the instance is new-at-this-level and must be
-  /// resolved at the barrier.
-  uint32_t KnownTarget = UINT32_MAX;
-  uint64_t CfHash = 0;
-  PhaseState State{};
-  /// The instance (prefix-sharing mode only; naive mode replays paths).
-  Function Instance;
-  CanonicalForm CF;
-};
-
-/// Everything one worker produced for one frontier entry.
-struct TaskResult {
-  uint16_t DormantBits = 0;
-  uint16_t AttemptedBits = 0;
-  uint64_t Attempted = 0;
-  uint64_t PhaseApplications = 0;
-  std::vector<ActiveResult> Active;
-  std::vector<PhaseDiagnostic> Diags;
-  /// Set when the entry was skipped because a worker observed a stop.
-  bool Skipped = false;
-};
-
-} // namespace
-
-EnumerationResult
-Enumerator::runParallel(const Function &Root, EnumerationCheckpoint *From,
-                        EnumerationCheckpoint *Out) const {
-  EnumerationResult R;
-  ResourceGovernor Gov;
-  Gov.setDeadline(Config.DeadlineMs);
-  Gov.setMemoryBudget(Config.MaxMemoryBytes);
-  Gov.setStopToken(Config.Stop);
-  InstanceTable Table;
-  ThreadPool Pool(Config.Jobs - 1);
-
-  auto Finish = [&](StopReason Why) {
-    if (Why == StopReason::Complete && !R.Diagnostics.empty())
-      Why = StopReason::VerifierFailure;
-    R.Stop = Why;
-    R.ApproxMemoryBytes = Gov.chargedBytes();
-    computeWeights(R);
-  };
-
-  // Per-phase application counts so far, in sequential numbering (the
-  // FaultPlan coordinate space). Persisted across levels.
-  uint64_t AppCount[NumPhases] = {};
-  const PhaseGuard::Options GuardOpts{Config.VerifyIr, Config.Faults};
-
-  std::vector<FrontierEntry> Frontier;
-  uint64_t FrontierBytes = 0;
-  uint32_t Level = 0;
-
-  // Checkpoint capture, mirroring the sequential engine. \p Counts is the
-  // application numbering valid at the \p LevelCounter barrier (a
-  // discarded in-flight level must hand back the pre-level snapshot).
-  auto Capture = [&](std::vector<FrontierEntry> &&Pending,
-                     uint64_t PendingBytes, uint32_t LevelCounter,
-                     const uint64_t (&Counts)[NumPhases]) {
-    if (!Out)
-      return;
-    Out->Valid = true;
-    Out->Partial = R;
-    Out->Frontier = std::move(Pending);
-    Out->LevelCounter = LevelCounter;
-    for (int P = 0; P != NumPhases; ++P)
-      Out->AppCount[P] = Counts[P];
-    Out->FrontierBytes = PendingBytes;
-    Out->Paranoid = Config.ParanoidCompare;
-    // Flatten the hash-consed spans back into per-node byte vectors; the
-    // checkpoint serialization format is unchanged.
-    Out->NodeBytes.clear();
-    if (Config.ParanoidCompare) {
-      Out->NodeBytes.reserve(R.Nodes.size());
-      for (uint32_t I = 0; I != R.Nodes.size(); ++I) {
-        ByteSpan S = Table.bytesFor(I);
-        Out->NodeBytes.emplace_back(S.Data, S.Data + S.Size);
-      }
-    }
-  };
-
-  if (From) {
-    R = std::move(From->Partial);
-    for (uint32_t I = 0; I != R.Nodes.size(); ++I)
-      Table.tryEmplace(R.Nodes[I].Hash, I);
-    if (Config.ParanoidCompare)
-      for (uint32_t I = 0;
-           I != R.Nodes.size() && I != From->NodeBytes.size(); ++I)
-        Table.recordBytes(I, From->NodeBytes[I]);
-    Frontier = std::move(From->Frontier);
-    Level = From->LevelCounter;
-    FrontierBytes = From->FrontierBytes;
-    Gov.charge(R.ApproxMemoryBytes);
-    for (int P = 0; P != NumPhases; ++P)
-      AppCount[P] = From->AppCount[P];
-    if (StopReason Why = Gov.check(); Why != StopReason::Complete) {
-      Finish(Why);
-      if (isResumableStop(Why))
-        Capture(std::move(Frontier), FrontierBytes, Level, AppCount);
-      return R;
-    }
-  } else {
-    // Root interning, mirroring the sequential Intern() path.
-    Function RootCopy = Root;
-    {
-      CanonicalForm CF = canonicalize(RootCopy, Config.ParanoidCompare,
-                                      Config.RemapRegisters);
-      DagNode N;
-      N.Hash = CF.Hash;
-      N.CodeSize = CF.Hash.InstCount;
-      N.CfHash = controlFlowHash(RootCopy);
-      R.Nodes.push_back(N);
-      Gov.charge(sizeof(DagNode) + CF.Bytes.size());
-      Table.tryEmplace(CF.Hash, 0);
-      if (Config.ParanoidCompare)
-        Table.recordBytes(0, CF.Bytes);
-    }
-    {
-      FrontierEntry E;
-      E.Node = 0;
-      E.Instance = RootCopy;
-      E.State = RootCopy.State;
-      FootprintDedup Seen;
-      FrontierBytes = entryFootprint(E, Seen);
-      Gov.charge(FrontierBytes);
-      Frontier.push_back(std::move(E));
-    }
-    LevelStat L0;
-    L0.Level = 0;
-    L0.NewNodes = 1;
-    L0.ActiveSequences = 1;
-    R.Levels.push_back(L0);
-  }
-
-  while (!Frontier.empty()) {
-    ++Level;
-    LevelStat LS;
-    LS.Level = Level;
-
-    const size_t N = Frontier.size();
-
-    // Pre-level snapshot of the application numbering: a Deadline or
-    // Cancelled stop discards the in-flight level, and its checkpoint
-    // must restart the numbering from here.
-    uint64_t AppSnapshot[NumPhases];
-    for (int P = 0; P != NumPhases; ++P)
-      AppSnapshot[P] = AppCount[P];
-
-    // Precompute the application number every would-be attempt gets in
-    // sequential order: entry I attempts phase P iff P is legal for its
-    // state and not on an incoming edge (a node is expanded exactly once
-    // per run, so no mask is ever partially resolved at level start).
-    std::vector<uint64_t> Base(N * NumPhases);
-    for (size_t I = 0; I != N; ++I)
-      for (int PI = 0; PI != NumPhases; ++PI) {
-        Base[I * NumPhases + PI] = AppCount[PI];
-        if (PM.isLegal(phaseByIndex(PI), Frontier[I].State) &&
-            !(Frontier[I].IncomingMask & (1u << PI)))
-          ++AppCount[PI];
-      }
-
-    std::vector<TaskResult> Results(N);
-    // First stop observed by any worker this level (Deadline/Cancelled
-    // only); Complete means the level ran through.
-    std::atomic<uint8_t> LevelStop{
-        static_cast<uint8_t>(StopReason::Complete)};
-
-    Pool.parallelFor(N, [&](size_t I) {
-      // Node-granularity stop poll: one in-flight stop discards the rest
-      // of the level cheaply.
-      if (LevelStop.load(std::memory_order_relaxed) !=
-          static_cast<uint8_t>(StopReason::Complete)) {
-        Results[I].Skipped = true;
-        return;
-      }
-      if (StopReason Why = Gov.check(); Why == StopReason::Cancelled ||
-                                        Why == StopReason::Deadline) {
-        LevelStop.store(static_cast<uint8_t>(Why),
-                        std::memory_order_relaxed);
-        Results[I].Skipped = true;
-        return;
-      }
-
-      const FrontierEntry &E = Frontier[I];
-      TaskResult &T = Results[I];
-      PhaseGuard Guard(PM, GuardOpts);
-      // Per-worker-thread scratch: canonicalization of every attempt this
-      // thread ever runs reuses the same remap arrays and byte buffer.
-      static thread_local CanonicalScratch Scratch;
-      // Same working-copy protocol as the sequential engine: COW handle
-      // copies per attempt by default, the retained deep-copy baseline
-      // under Config.DeepCopyInstances.
-      Function Work;
-      bool WorkValid = false;
-      for (int PI = 0; PI != NumPhases; ++PI) {
-        PhaseId P = phaseByIndex(PI);
-        const uint16_t Bit = static_cast<uint16_t>(1u << PI);
-        if (!PM.isLegal(P, E.State)) {
-          T.DormantBits |= Bit;
-          continue;
-        }
-        if (E.IncomingMask & Bit) {
-          T.DormantBits |= Bit;
-          continue;
-        }
-        // The sequential engine's already-resolved check is a no-op here:
-        // each node enters the frontier exactly once, and this worker is
-        // its only expander.
-
-        if (Config.NaiveReapply) {
-          Work = Root;
-          WorkValid = false;
-          for (PhaseId Prev : E.Path) {
-            PM.attempt(Prev, Work);
-            ++T.PhaseApplications;
-          }
-        } else if (!Config.DeepCopyInstances) {
-          Work = E.Instance;
-        } else if (!WorkValid) {
-          Work = E.Instance.deepCopy();
-          WorkValid = true;
-        }
-
-        ++T.Attempted;
-        ++T.PhaseApplications;
-        T.AttemptedBits |= Bit;
-        PhaseGuard::Outcome Out =
-            Guard.attemptNth(P, Work, Base[I * NumPhases + PI] + 1);
-        if (Out != PhaseGuard::Outcome::Active) {
-          T.DormantBits |= Bit;
-          if (Config.DeepCopyInstances && WorkValid &&
-              !identicalInstance(Work, E.Instance))
-            WorkValid = false;
-          continue;
-        }
-        WorkValid = false;
-        ActiveResult A;
-        A.P = P;
-        A.CF = canonicalize(Work, Scratch, Config.ParanoidCompare,
-                            Config.RemapRegisters);
-        if (std::optional<uint32_t> Hit = Table.lookup(A.CF.Hash)) {
-          // An earlier-level (or root) node: ids already published. Nodes
-          // discovered *this* level are not in the table yet, so this can
-          // never alias an uncommitted id.
-          A.KnownTarget = *Hit;
-          if (!Config.ParanoidCompare)
-            A.CF.Bytes.clear();
-        } else {
-          A.CfHash = controlFlowHash(Work);
-          A.State = Work.State;
-          if (!Config.NaiveReapply)
-            A.Instance = std::move(Work);
-        }
-        T.Active.push_back(std::move(A));
-      }
-      T.Diags = Guard.takeDiagnostics();
-    });
-
-    if (StopReason Why = static_cast<StopReason>(
-            LevelStop.load(std::memory_order_relaxed));
-        Why != StopReason::Complete) {
-      // Discard the in-flight level wholesale: the DAG still describes
-      // the space up to the previous barrier, self-consistently. (The
-      // sequential engine, polling only at barriers, would have finished
-      // this level first — the documented Deadline/Cancelled deviation.)
-      // The checkpoint re-expands this level from the previous barrier.
-      Finish(Why);
-      if (isResumableStop(Why))
-        Capture(std::move(Frontier), FrontierBytes, Level - 1, AppSnapshot);
-      return R;
-    }
-
-    // Barrier commit, in exact frontier order.
-    std::unordered_map<uint32_t, size_t> NextIndex;
-    std::vector<FrontierEntry> Next;
-    for (size_t I = 0; I != N; ++I) {
-      const FrontierEntry &E = Frontier[I];
-      TaskResult &T = Results[I];
-      R.Nodes[E.Node].DormantMask |= T.DormantBits;
-      R.Nodes[E.Node].AttemptedMask |= T.AttemptedBits;
-      R.AttemptedPhases += T.Attempted;
-      R.PhaseApplications += T.PhaseApplications;
-      LS.Attempted += T.Attempted;
-      for (ActiveResult &A : T.Active) {
-        const uint16_t Bit =
-            static_cast<uint16_t>(1u << static_cast<int>(A.P));
-        ++LS.Active;
-        uint32_t Child;
-        bool IsNew = false;
-        if (A.KnownTarget != UINT32_MAX) {
-          Child = A.KnownTarget;
-          if (Config.ParanoidCompare &&
-              !(Table.bytesFor(Child) == A.CF.Bytes))
-            ++R.HashCollisions;
-        } else {
-          auto [Id, Inserted] = Table.tryEmplace(
-              A.CF.Hash, static_cast<uint32_t>(R.Nodes.size()));
-          Child = Id;
-          IsNew = Inserted;
-          if (Inserted) {
-            DagNode Nd;
-            Nd.Hash = A.CF.Hash;
-            Nd.CodeSize = A.CF.Hash.InstCount;
-            Nd.CfHash = A.CfHash;
-            Nd.Level = Level;
-            R.Nodes.push_back(Nd);
-            Gov.charge(sizeof(DagNode) + A.CF.Bytes.size());
-            if (Config.ParanoidCompare)
-              Table.recordBytes(Child, A.CF.Bytes);
-          } else if (Config.ParanoidCompare &&
-                     !(Table.bytesFor(Child) == A.CF.Bytes)) {
-            ++R.HashCollisions;
-          }
-        }
-        R.Nodes[E.Node].ActiveMask |= Bit;
-        R.Nodes[E.Node].Edges.push_back({A.P, Child});
-        Gov.charge(sizeof(DagEdge));
-        if (IsNew) {
-          FrontierEntry NE;
-          NE.Node = Child;
-          if (Config.NaiveReapply) {
-            NE.Path = E.Path;
-            NE.Path.push_back(A.P);
-          } else {
-            NE.Instance = std::move(A.Instance);
-          }
-          NE.State = A.State;
-          NE.IncomingMask = Bit;
-          NE.Parent = E.Node;
-          NE.ViaPhase = A.P;
-          NE.Sequences = E.Sequences;
-          NextIndex[Child] = Next.size();
-          Next.push_back(std::move(NE));
-        } else if (R.Nodes[Child].Level == Level) {
-          auto It = NextIndex.find(Child);
-          if (It == NextIndex.end()) {
-            PhaseDiagnostic D;
-            D.Phase = A.P;
-            D.Func = Root.Name;
-            D.Message =
-                "internal error: same-level node missing from the frontier";
-            R.Diagnostics.push_back(std::move(D));
-            Finish(StopReason::InternalError);
-            return R;
-          }
-          Next[It->second].IncomingMask |= Bit;
-          Next[It->second].Sequences += E.Sequences;
-        }
-      }
-      for (PhaseDiagnostic &D : T.Diags)
-        R.Diagnostics.push_back(std::move(D));
-    }
-
-    LS.NewNodes = Next.size();
-    uint64_t NextBytes = 0;
-    {
-      FootprintDedup Seen;
-      for (const FrontierEntry &E : Next) {
-        LS.ActiveSequences += E.Sequences;
-        NextBytes += entryFootprint(E, Seen);
-      }
-    }
-    if (LS.Attempted || LS.NewNodes)
-      R.Levels.push_back(LS);
-    if (!Next.empty())
-      R.MaxActiveLength = Level;
-
-    Gov.release(FrontierBytes);
-    Gov.charge(NextBytes);
-    FrontierBytes = NextBytes;
-
-    StopReason Why = StopReason::Complete;
-    if (LS.ActiveSequences > Config.MaxLevelSequences)
-      Why = StopReason::LevelBudget;
-    else if (R.Nodes.size() > Config.MaxTotalNodes)
-      Why = StopReason::NodeBudget;
-    else
-      Why = Gov.check();
-    if (Why != StopReason::Complete) {
-      Finish(Why);
-      if (isResumableStop(Why))
         Capture(std::move(Next), NextBytes, Level, AppCount);
       return R;
     }
@@ -924,6 +717,7 @@ Enumerator::runParallel(const Function &Root, EnumerationCheckpoint *From,
   }
 
   Finish(StopReason::Complete);
+  // Keep the BFS depth when the space is cyclic.
   if (!R.Cyclic)
     R.MaxActiveLength = longestPathLength(R);
   return R;

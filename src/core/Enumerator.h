@@ -23,10 +23,10 @@
 ///
 /// Enumeration is embarrassingly parallel within a BFS level: every
 /// frontier instance attempts its phases independently, the only shared
-/// state being the instance table. EnumeratorConfig::Jobs > 1 enables the
-/// level-parallel engine, which is guaranteed to produce a DAG
-/// byte-identical to the sequential one (workers buffer their
-/// discoveries; a deterministic barrier commits them in frontier order).
+/// state being the instance table. The one engine expands each level on
+/// EnumeratorConfig::Jobs threads (one runs everything inline); workers
+/// buffer their discoveries and one thread at a time commits them in
+/// frontier order, so the DAG is byte-identical for every job count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,13 +122,6 @@ struct EnumeratorConfig {
   /// the entire phase prefix to a fresh copy of the unoptimized function
   /// (Figure 6's "naive" column).
   bool NaiveReapply = false;
-  /// Retain the pre-COW working-copy strategy: deep-copy every frontier
-  /// instance before attempting phases on it (with the identical-instance
-  /// reuse protocol), instead of the default copy-on-write handle copies.
-  /// Execution-only — the DAG is identical either way, so the knob is
-  /// excluded from configFingerprint. Kept as the honest baseline for
-  /// bench_enumerate's throughput ratio.
-  bool DeepCopyInstances = false;
   /// Disable the Section 4.2.1 register remapping, so instances that
   /// differ only in register numbering count as distinct (ablation of the
   /// "more aggressive pruning" claim; see bench_ablation).
@@ -142,20 +135,28 @@ struct EnumeratorConfig {
   /// is already known to reach E, the y edge from C is completed to E
   /// directly. Predictions are counted in PredictedEdges; correctness is
   /// validated against ground truth in the tests.
+  ///
+  /// A prediction reads edges committed earlier in the same level, so
+  /// workers defer trained-pair attempts to the commit, which predicts
+  /// them in frontier order and runs the attempt itself only when the
+  /// prediction misses. The result is the same for every Jobs. A
+  /// deferred attempt keeps its application ordinal (the FaultPlan
+  /// coordinate) whether it is predicted or run.
   bool UseIndependencePruning = false;
   /// Pairs treated as independent when UseIndependencePruning is on:
   /// Trained[x][y] true means x and y always commute. Symmetric.
   bool TrainedIndependence[NumPhases][NumPhases] = {};
   /// Wall-clock deadline in milliseconds, measured from the start of
-  /// enumerate(); 0 = unlimited. Checked at level boundaries, so the
-  /// overrun is bounded by one level's work.
+  /// enumerate(); 0 = unlimited. Polled before expanding each node; when
+  /// it fires, the in-flight level is discarded and the result (and
+  /// checkpoint) is the DAG of the previous level boundary.
   uint64_t DeadlineMs = 0;
   /// Approximate memory budget in bytes, tracked by node, canonical-byte
   /// and frontier-instance accounting; 0 = unlimited. Checked at level
   /// boundaries.
   uint64_t MaxMemoryBytes = 0;
-  /// Cooperative cancellation (not owned; may be nullptr). Polled at
-  /// level boundaries.
+  /// Cooperative cancellation (not owned; may be nullptr). Polled like
+  /// DeadlineMs.
   const StopToken *Stop = nullptr;
   /// Run the IR verifier after every active phase application; a failure
   /// rolls the instance back, records a diagnostic, and marks the phase
@@ -164,18 +165,13 @@ struct EnumeratorConfig {
   /// Deterministic fault injection for testing the rollback path (not
   /// owned; may be nullptr).
   const FaultPlan *Faults = nullptr;
-  /// Threads used to expand each BFS level (1 = the sequential engine).
-  /// The parallel engine buffers per-worker discoveries and commits them
-  /// in sequential frontier order at the level barrier, through a sharded
-  /// concurrent instance table, so the resulting DAG — node ids, edges,
-  /// statistics, stop reason, diagnostics, accounted memory — is
-  /// byte-identical to Jobs == 1 for every deterministic stop condition
-  /// (see docs/ROBUSTNESS.md for the exact contract; Deadline and
-  /// Cancelled stops are polled at node granularity instead of level
-  /// granularity, so only their partial DAGs may be smaller).
-  /// UseIndependencePruning has an inherently sequential intra-level
-  /// dependence (predictions read edges committed earlier in the same
-  /// level) and forces the sequential engine regardless of Jobs.
+  /// Threads used to expand each BFS level; 1 (or 0) expands inline on
+  /// the calling thread. Per-entry discoveries are buffered and committed
+  /// in frontier order, through a sharded concurrent instance table, so
+  /// the resulting DAG — node ids, edges, statistics,
+  /// stop reason, diagnostics, accounted memory — is byte-identical for
+  /// every job count and every deterministic stop condition (see
+  /// docs/ROBUSTNESS.md for the exact contract). Execution-only.
   unsigned Jobs = 1;
 };
 
@@ -220,7 +216,7 @@ struct EnumerationResult {
 
 /// Frontier entry: a node discovered at the current BFS level, waiting to
 /// be expanded, with enough state to (re)produce its function instance.
-/// Exposed (rather than kept private to the engines) because the
+/// Exposed (rather than kept private to the engine) because the
 /// checkpoint/resume machinery must persist the committed frontier across
 /// process lifetimes (see EnumerationCheckpoint and src/store).
 struct FrontierEntry {
@@ -244,13 +240,13 @@ struct FrontierEntry {
 };
 
 /// A resumable continuation of an interrupted enumeration: everything the
-/// engines need to pick up at the last committed level barrier and produce
+/// engine needs to pick up at the last committed level barrier and produce
 /// a DAG byte-identical to an uninterrupted run. Checkpoints are taken
 /// only for *transient* stops (Deadline, MemoryBudget, Cancelled) — a
 /// budget stop (LevelBudget/NodeBudget) is a final verdict about the
 /// configured space and resuming past it would change its meaning.
 struct EnumerationCheckpoint {
-  /// True once an engine has filled the checkpoint in.
+  /// True once the engine has filled the checkpoint in.
   bool Valid = false;
   /// The partial result as returned to the caller (stop reason set,
   /// weights computed). Node hashes double as the instance table: resume
@@ -258,11 +254,11 @@ struct EnumerationCheckpoint {
   EnumerationResult Partial;
   /// The committed-but-unexpanded frontier at the stop barrier.
   std::vector<FrontierEntry> Frontier;
-  /// Value of the engines' level counter at the barrier; the resumed loop
+  /// Value of the engine's level counter at the barrier; the resumed loop
   /// continues with LevelCounter + 1.
   uint32_t LevelCounter = 0;
-  /// Per-phase application counts in sequential numbering (the FaultPlan
-  /// and diagnostic coordinate space).
+  /// Per-phase application counts in frontier order (the FaultPlan and
+  /// diagnostic coordinate space).
   uint64_t AppCount[NumPhases] = {};
   /// Governor accounting of the saved frontier (already included in
   /// Partial.ApproxMemoryBytes; split out so the resumed engine can
@@ -288,9 +284,8 @@ public:
 
   /// Enumerates all reachable instances of \p Root (which is copied;
   /// typically the unoptimized function straight out of the front end).
-  /// Dispatches to the sequential or the parallel engine according to
-  /// Config.Jobs; both produce identical results (differentially tested
-  /// in tests/core/parallel_enumerator_test.cpp).
+  /// The result does not depend on Config.Jobs (differentially tested in
+  /// tests/core/parallel_enumerator_test.cpp).
   EnumerationResult enumerate(const Function &Root) const {
     return enumerate(Root, nullptr);
   }
@@ -312,12 +307,8 @@ public:
                            EnumerationCheckpoint *Checkpoint = nullptr) const;
 
 private:
-  EnumerationResult runSequential(const Function &Root,
-                                  EnumerationCheckpoint *From,
-                                  EnumerationCheckpoint *Out) const;
-  EnumerationResult runParallel(const Function &Root,
-                                EnumerationCheckpoint *From,
-                                EnumerationCheckpoint *Out) const;
+  EnumerationResult run(const Function &Root, EnumerationCheckpoint *From,
+                        EnumerationCheckpoint *Out) const;
 
   const PhaseManager &PM;
   EnumeratorConfig Config;

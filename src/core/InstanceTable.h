@@ -11,13 +11,11 @@
 /// lock contention falls off with the shard count while a given triple
 /// always resolves through the same shard.
 ///
-/// Concurrency contract (this is what makes the parallel DAG
-/// byte-identical to the sequential one): while a BFS level is being
-/// expanded, worker threads only *look up* — every insert happens on the
-/// commit thread at the level barrier, in sequential frontier order.
-/// Lookups therefore race only with other lookups, any id a worker reads
-/// is final, and a miss can only mean "first seen at the current level",
-/// which the deterministic commit resolves.
+/// Concurrency contract (this is what makes the DAG byte-identical for
+/// every job count): worker threads only *look up* — every insert is made
+/// by the one thread committing at the time, in frontier order. Any id a
+/// lookup returns is therefore final, and a miss can only mean "not
+/// committed yet", which the deterministic commit resolves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,13 +61,13 @@ public:
 
   /// Hash-consed canonical byte storage (ParanoidCompare mode): one
   /// immutable arena-backed buffer per distinct instance, keyed by node
-  /// id. This replaces the per-engine NodeBytes side-maps — every copy of
-  /// an instance's canonical form shares the single stored buffer.
+  /// id, so every copy of an instance's canonical form shares the single
+  /// stored buffer.
   ///
   /// Same determinism contract as tryEmplace: record and read only on the
-  /// commit thread (workers never consult stored bytes — paranoid
-  /// comparison happens at the level barrier), so the arena needs no
-  /// lock and spans stay stable for the table's lifetime.
+  /// committing thread (workers never consult stored bytes — paranoid
+  /// comparison is part of the commit), so the arena needs no lock and
+  /// spans stay stable for the table's lifetime.
   void recordBytes(uint32_t Id, const std::vector<uint8_t> &Bytes);
   ByteSpan bytesFor(uint32_t Id) const;
 

@@ -249,8 +249,7 @@ public:
   /// True when block \p I is not shared with any other list.
   bool uniqueAt(size_t I) const { return H[I].unique(); }
 
-  /// Materializes every shared block (the deep-copy baseline the
-  /// enumerate-throughput bench compares against).
+  /// Materializes every shared block (see Function::deepCopy).
   void unshareAll() {
     for (BlockHandle &X : H)
       X.mut();
@@ -432,9 +431,7 @@ public:
   }
 
   /// Materializes every shared block and the slot vector, so this
-  /// instance aliases no storage with any other. The deep-copy baseline
-  /// path of the enumerator (bench_enumerate) uses this to reproduce the
-  /// historical per-attempt full-copy cost.
+  /// instance aliases no storage with any other.
   void unshareAll() {
     Blocks.unshareAll();
     Slots.unshare();

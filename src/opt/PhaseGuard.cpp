@@ -109,12 +109,6 @@ namespace {
 }
 } // namespace
 
-PhaseGuard::Outcome PhaseGuard::attempt(PhaseId P, Function &F) {
-  const uint64_t Nth =
-      Counts[static_cast<int>(P)].fetch_add(1, std::memory_order_relaxed) + 1;
-  return attemptNth(P, F, Nth);
-}
-
 PhaseGuard::Outcome PhaseGuard::attemptNth(PhaseId P, Function &F,
                                            uint64_t Nth) {
   if (!guarding())

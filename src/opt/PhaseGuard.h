@@ -26,7 +26,6 @@
 
 #include "src/opt/Phase.h"
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -42,8 +41,8 @@ struct PhaseDiagnostic {
   PhaseId Phase = PhaseId::BranchChaining;
   std::string Func;    ///< Name of the function being optimized.
   std::string Message; ///< Verifier message (or injected-fault note).
-  /// 1-based count of applications of Phase through this guard when the
-  /// failure happened (the FaultPlan coordinate).
+  /// 1-based application ordinal of Phase that failed (the FaultPlan
+  /// coordinate).
   uint64_t Application = 0;
   bool Injected = false; ///< True when produced by a FaultPlan.
 };
@@ -78,7 +77,8 @@ inline bool isCrashKind(FaultKind K) {
 }
 
 /// Deterministic fault injection: fail the Nth application of phase P.
-/// Counts are per phase and 1-based, matching PhaseGuard::applications().
+/// Counts are per phase and 1-based, matching the ordinals callers pass
+/// to PhaseGuard::attemptNth().
 struct FaultPlan {
   struct Fault {
     PhaseId Phase = PhaseId::BranchChaining;
@@ -152,18 +152,16 @@ struct FaultPlan {
 bool applyWrongCodeFault(Function &F);
 
 /// Guarded phase application. With verification and fault injection both
-/// off the guard is a pass-through over PhaseManager::attempt (one counter
-/// increment); with either on, it snapshots the function before the
-/// attempt so a failure can be rolled back exactly.
+/// off the guard is a pass-through over PhaseManager::attempt; with either
+/// on, it snapshots the function before the attempt so a failure can be
+/// rolled back exactly.
 ///
-/// A guard may be shared by several threads: application counts are
-/// atomic and diagnostics collection is mutex-protected, so concurrent
-/// attempt() calls are safe. The *numbering* of concurrent attempts is
-/// whatever order the threads win the counter, though — callers that need
-/// deterministic application numbers across thread counts (the parallel
-/// enumerator's FaultPlan coordinates) precompute them and use
-/// attemptNth() instead. diagnostics()/takeDiagnostics() must only be
-/// called once attempts have quiesced.
+/// The caller numbers the applications: the enumerator precomputes them
+/// in frontier order, so FaultPlan coordinates do not depend on which
+/// thread runs an attempt. A guard may be shared by several threads
+/// (diagnostics collection is mutex-protected), but
+/// diagnostics()/takeDiagnostics() must only be called once attempts have
+/// quiesced.
 class PhaseGuard {
 public:
   enum class Outcome : uint8_t {
@@ -183,35 +181,14 @@ public:
   explicit PhaseGuard(const PhaseManager &PM) : PM(PM) {}
   PhaseGuard(const PhaseManager &PM, Options Opts) : PM(PM), Opts(Opts) {}
 
-  /// Attempts \p P on \p F under the guard. \p P must be legal for \p F.
-  Outcome attempt(PhaseId P, Function &F);
-
-  /// Same as attempt(), but with a caller-supplied 1-based application
-  /// number (the FaultPlan coordinate) instead of the internal counter,
-  /// which is left untouched. This is how the parallel enumerator keeps
-  /// fault injection deterministic: it numbers applications in sequential
-  /// frontier order regardless of which worker performs them.
+  /// Attempts \p P on \p F under the guard as the \p Nth (1-based)
+  /// application of \p P — the FaultPlan coordinate, and the number a
+  /// diagnostic reports. \p P must be legal for \p F.
   Outcome attemptNth(PhaseId P, Function &F, uint64_t Nth);
 
   /// True when attempts snapshot and can roll back.
   bool guarding() const {
     return Opts.Verify || (Opts.Faults && !Opts.Faults->empty());
-  }
-
-  /// 1-based count of applications of \p P so far through this guard
-  /// (attempt() only; attemptNth() does not count).
-  uint64_t applications(PhaseId P) const {
-    return Counts[static_cast<int>(P)].load(std::memory_order_relaxed);
-  }
-
-  /// Seeds the per-phase application counters so the next attempt() of a
-  /// phase P numbers as Counts[P] + 1. Checkpoint resume uses this to
-  /// keep FaultPlan coordinates and diagnostic application numbers
-  /// continuous across process lifetimes. Not synchronized — seed before
-  /// sharing the guard.
-  void seedApplications(const uint64_t (&Seed)[NumPhases]) {
-    for (int I = 0; I != NumPhases; ++I)
-      Counts[I].store(Seed[I], std::memory_order_relaxed);
   }
 
   const std::vector<PhaseDiagnostic> &diagnostics() const { return Diags; }
@@ -225,7 +202,6 @@ public:
 private:
   const PhaseManager &PM;
   Options Opts{};
-  std::atomic<uint64_t> Counts[NumPhases] = {};
   std::mutex DiagsMutex;
   std::vector<PhaseDiagnostic> Diags;
 };

@@ -1,22 +1,30 @@
-//===- parallel_enumerator_test.cpp - Parallel vs sequential differentials -----===//
+//===- parallel_enumerator_test.cpp - Job-count determinism differentials ------===//
 //
 // Part of POSE. MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// The parallel engine's whole contract is "byte-identical to the
-// sequential engine": node ids, edge order, every statistic, every
-// diagnostic, the accounted memory and the stop reason, for any job
-// count. This suite enforces that differentially — over every workload
-// function under enumeration budgets, under paranoid comparison, in naive
-// re-apply mode, and with injected verifier faults — and checks that the
-// one documented deviation (node-granularity Deadline/Cancelled polling)
-// still yields self-consistent partial DAGs.
+// The enumerator's whole contract is "byte-identical for every job count":
+// node ids, edge order, every statistic, every diagnostic, the accounted
+// memory and the stop reason. This suite enforces that differentially —
+// over every workload function under enumeration budgets, under paranoid
+// comparison, in naive re-apply mode, with injected verifier faults and
+// with independence pruning — and checks that Deadline/Cancelled stops,
+// which discard the in-flight level, still yield self-consistent partial
+// DAGs.
+//
+// The Jobs=1 results are also pinned to recorded digests. They were taken
+// from the separate sequential engine the enumerator had before the
+// level-synchronous engine became its only one, so every comparison below
+// stays anchored to that independent implementation, not only to the job
+// counts agreeing with each other. The digests include the accounted
+// memory, whose per-object sizes are those of an LP64 libstdc++ build.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/core/Enumerator.h"
 
+#include "src/core/Interaction.h"
 #include "src/frontend/Compile.h"
 #include "src/opt/PhaseManager.h"
 #include "src/workloads/Workloads.h"
@@ -102,6 +110,180 @@ void expectIdentical(const EnumerationResult &A, const EnumerationResult &B,
   }
 }
 
+/// FNV-1a over every field expectIdentical() compares, so one recorded
+/// value pins a whole result.
+uint64_t resultDigest(const EnumerationResult &R) {
+  uint64_t H = 0xCBF29CE484222325ull;
+  auto Mix = [&H](uint64_t V) {
+    for (int K = 0; K != 8; ++K) {
+      H ^= (V >> (8 * K)) & 0xFF;
+      H *= 0x100000001B3ull;
+    }
+  };
+  auto MixText = [&Mix](const std::string &S) {
+    Mix(S.size());
+    for (char C : S)
+      Mix(static_cast<uint8_t>(C));
+  };
+  Mix(static_cast<uint64_t>(R.Stop));
+  Mix(R.Cyclic);
+  Mix(R.AttemptedPhases);
+  Mix(R.PhaseApplications);
+  Mix(R.MaxActiveLength);
+  Mix(R.HashCollisions);
+  Mix(R.PredictedEdges);
+  Mix(R.ApproxMemoryBytes);
+  Mix(R.Nodes.size());
+  for (const DagNode &N : R.Nodes) {
+    Mix(N.Hash.InstCount);
+    Mix(N.Hash.ByteSum);
+    Mix(N.Hash.Crc);
+    Mix(N.Level);
+    Mix(N.CodeSize);
+    Mix(N.CfHash);
+    Mix(N.ActiveMask);
+    Mix(N.DormantMask);
+    Mix(N.AttemptedMask);
+    Mix(N.Weight);
+    Mix(N.Edges.size());
+    for (const DagEdge &E : N.Edges) {
+      Mix(static_cast<uint64_t>(E.Phase));
+      Mix(E.To);
+    }
+  }
+  Mix(R.Levels.size());
+  for (const LevelStat &L : R.Levels) {
+    Mix(L.Level);
+    Mix(L.NewNodes);
+    Mix(L.ActiveSequences);
+    Mix(L.Attempted);
+    Mix(L.Active);
+  }
+  Mix(R.Diagnostics.size());
+  for (const PhaseDiagnostic &D : R.Diagnostics) {
+    Mix(static_cast<uint64_t>(D.Phase));
+    MixText(D.Func);
+    MixText(D.Message);
+    Mix(D.Application);
+    Mix(D.Injected);
+  }
+  return H;
+}
+
+/// A recorded Jobs=1 result: "program/function" (or a function name) and
+/// its resultDigest().
+struct Golden {
+  const char *Key;
+  uint64_t Digest;
+};
+
+/// Every workload function under cappedConfig(), in allWorkloads() order.
+const Golden CappedGoldens[] = {
+    {"bitcount/bit_count", 0x0328e1635a8daaaeull},
+    {"bitcount/bit_shifter", 0x3de716f77b8d003cull},
+    {"bitcount/ntbl_bitcount", 0xd0f8a3214bc41aebull},
+    {"bitcount/btbl_init", 0xf606e8a367054df0ull},
+    {"bitcount/btbl_bitcount", 0x5ed6e66899ac2c0dull},
+    {"bitcount/bitcount_swar", 0x6ee9cd7581581bfdull},
+    {"bitcount/bitcount_recursive", 0x8ae417d18560bce3ull},
+    {"bitcount/bitcount_dense", 0x79b8bfe29a169ae3ull},
+    {"bitcount/main", 0x8cf666b86784ca94ull},
+    {"dijkstra/build_graph", 0x28432ecf7603a7a2ull},
+    {"dijkstra/pick_nearest", 0x4b43bcf05cb80295ull},
+    {"dijkstra/dijkstra", 0x520ae3a1d1885ad0ull},
+    {"dijkstra/enqueue", 0x412e9b0bb02cbb23ull},
+    {"dijkstra/dequeue", 0xad1fca3babf37d1full},
+    {"dijkstra/qcount", 0x0249d118c682a52eull},
+    {"dijkstra/path_length", 0xdf18253501895e8cull},
+    {"dijkstra/main", 0x7622750acda49cfbull},
+    {"fft/fix_mul", 0x768c010bf90e8bdfull},
+    {"fft/make_sine", 0x36ac85027bb4695eull},
+    {"fft/sin_q", 0x309274783ee488a2ull},
+    {"fft/cos_q", 0xed5d845a8ee5887full},
+    {"fft/load_signal", 0x88dc342380123571ull},
+    {"fft/bit_reverse", 0xcb9e8a2f8f59fa7full},
+    {"fft/fix_fft", 0x6408a030869d35d9ull},
+    {"fft/isqrt", 0xa890bba5c2c705c2ull},
+    {"fft/window_signal", 0x0e32e9aade5eadb2ull},
+    {"fft/spectrum_checksum", 0x851f81d1ed5aa793ull},
+    {"fft/main", 0xfa4f4a502cdee74cull},
+    {"jpeg/rgb_ycc_setup", 0xcc30a47398b0f7afull},
+    {"jpeg/rgb_to_y", 0xefb421a0fe483d81ull},
+    {"jpeg/fill_block", 0xb794acfc0dee2f60ull},
+    {"jpeg/forward_dct_rows", 0x7d7c0b8619fa62a9ull},
+    {"jpeg/forward_dct_cols", 0xe0ad2f7086a7b4d3ull},
+    {"jpeg/quantize_block", 0xbeb4d59b8b6b1d1eull},
+    {"jpeg/zigzag_order", 0xc3072c35fd994bacull},
+    {"jpeg/dequantize_block", 0x5e72338f433e7c14ull},
+    {"jpeg/reconstruction_error", 0x06049a46bd910978ull},
+    {"jpeg/emit_bits", 0x0402264af2a428eaull},
+    {"jpeg/flush_bits", 0x23a5d80e67c64e5full},
+    {"jpeg/magnitude_bits", 0x7342fd4eaea864b2ull},
+    {"jpeg/encode_block", 0xc5d2cfb8970308ceull},
+    {"jpeg/packed_checksum", 0xefc735944c1e9df3ull},
+    {"jpeg/run_length_checksum", 0x1e7887ab676fcecaull},
+    {"jpeg/main", 0x98eef2742ee19be0ull},
+    {"sha/rotl", 0x421b6f6f804fde36ull},
+    {"sha/sha_init", 0x390cba2d295a1567ull},
+    {"sha/fill_data", 0x1024c7656d344112ull},
+    {"sha/sha_transform", 0x0015c929463dfce1ull},
+    {"sha/copy_block", 0xc2f7d50340713e27ull},
+    {"sha/block_checksum", 0x11b44c7579b31042ull},
+    {"sha/main", 0xd26ac7672aced4ccull},
+    {"stringsearch/str_len", 0x8daf93561e1176d9ull},
+    {"stringsearch/bmh_init", 0xb91f5c3160fad0a1ull},
+    {"stringsearch/text_len", 0xdff2a1769cdfd258ull},
+    {"stringsearch/bmh_search", 0x0f4e34a284d08fdbull},
+    {"stringsearch/to_lower", 0xb947092902f407c6ull},
+    {"stringsearch/naive_search", 0xdda8f08cea5d7158ull},
+    {"stringsearch/count_matches", 0xf4a5dd05f4dec462ull},
+    {"stringsearch/count_naive", 0x5e5fcbd039c45557ull},
+    {"stringsearch/main", 0x02abed4325286252ull},
+    {"crc32/make_crc_table", 0x4cbe8b20183cd3b5ull},
+    {"crc32/crc_bitwise", 0x2fa3b05fb077f5a8ull},
+    {"crc32/crc_byte", 0x05c37d1e62497c2full},
+    {"crc32/crc_nibble", 0x06c604036c74c7d7ull},
+    {"crc32/fill_stream", 0xf0a0904c468b02e5ull},
+    {"crc32/crc_of_stream", 0xb2acf4f45270db4eull},
+    {"crc32/main", 0xccd278f8eb196cbdull},
+};
+
+/// bitcount's functions, paranoid under cappedConfig().
+const Golden ParanoidBitcountGoldens[] = {
+    {"bit_count", 0x050805c7b4dd381cull},
+    {"bit_shifter", 0xf5f8674813dc5b0full},
+    {"ntbl_bitcount", 0xb441a1bd34bb1aa1ull},
+    {"btbl_init", 0x79777beaeedeb2f9ull},
+    {"btbl_bitcount", 0x472ffffc61e38d02ull},
+    {"bitcount_swar", 0xaa2b1deeb56a01b2ull},
+    {"bitcount_recursive", 0xb231016ca0edfff0ull},
+    {"bitcount_dense", 0x852bf74b69a81f4cull},
+    {"main", 0x1ae0edffe98b0e30ull},
+};
+
+/// bitcount's functions under cappedConfig() with faults "c:5,i:2".
+const Golden FaultedBitcountGoldens[] = {
+    {"bit_count", 0xfdad81745dfda40full},
+    {"bit_shifter", 0x8184c1ed047e0247ull},
+    {"ntbl_bitcount", 0x953631e17c45c87cull},
+    {"btbl_init", 0x001679eb057492efull},
+    {"btbl_bitcount", 0x6a0046bfd2c9bd90ull},
+    {"bitcount_swar", 0xe96c5fb9f0fdff25ull},
+    {"bitcount_recursive", 0x32106d3651fea0b8ull},
+    {"bitcount_dense", 0xf9d379c920b01b14ull},
+    {"main", 0x17f92c0ad43976c3ull},
+};
+
+/// Checks \p R against entry \p Index of \p Table, which must be recorded
+/// under \p Key.
+template <size_t N>
+void expectGolden(const Golden (&Table)[N], size_t Index,
+                  const std::string &Key, const EnumerationResult &R) {
+  ASSERT_LT(Index, N) << Key << ": no golden recorded";
+  ASSERT_EQ(Key, Table[Index].Key);
+  EXPECT_EQ(resultDigest(R), Table[Index].Digest) << Key;
+}
+
 /// Partial DAGs must still satisfy every structural invariant.
 void expectSelfConsistent(const EnumerationResult &R) {
   for (const DagNode &N : R.Nodes) {
@@ -130,28 +312,31 @@ EnumeratorConfig cappedConfig() {
 }
 
 TEST(ParallelEnumerator, WorkloadFunctionsIdenticalAcrossJobCounts) {
+  size_t Index = 0;
   for (const Workload &W : allWorkloads()) {
     Module M = compileOrDie(W.Source);
     for (Function &F : M.Functions) {
+      const std::string Key = std::string(W.Name) + "/" + F.Name;
       EnumerationResult Seq = enumerateWithJobs(F, cappedConfig(), 1);
+      expectGolden(CappedGoldens, Index++, Key, Seq);
       for (unsigned Jobs : {2u, 4u, 8u}) {
         EnumerationResult Par = enumerateWithJobs(F, cappedConfig(), Jobs);
-        expectIdentical(Seq, Par,
-                        std::string(W.Name) + "/" + F.Name + " jobs=" +
-                            std::to_string(Jobs));
+        expectIdentical(Seq, Par, Key + " jobs=" + std::to_string(Jobs));
       }
     }
   }
+  EXPECT_EQ(Index, std::size(CappedGoldens));
 }
 
 TEST(ParallelEnumerator, CompleteSpaceIdenticalAndComplete) {
-  // A function whose space is exhaustively enumerable: both engines must
-  // agree *and* report Complete (the budgets above may hide a parallel
+  // A function whose space is exhaustively enumerable: every job count
+  // must agree *and* report Complete (the budgets above may hide an
   // engine that silently stops early).
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
   EnumerationResult Seq = enumerateWithJobs(F, {}, 1);
   ASSERT_EQ(Seq.Stop, StopReason::Complete);
+  EXPECT_EQ(resultDigest(Seq), 0xa94141105c964e95ull);
   for (unsigned Jobs : {2u, 4u, 8u}) {
     EnumerationResult Par = enumerateWithJobs(F, {}, Jobs);
     EXPECT_EQ(Par.Stop, StopReason::Complete);
@@ -161,14 +346,15 @@ TEST(ParallelEnumerator, CompleteSpaceIdenticalAndComplete) {
 
 TEST(ParallelEnumerator, ParanoidCompareIdentical) {
   // Paranoid mode keeps canonical bytes per node and counts collisions;
-  // the parallel engine must route byte buffers through the barrier in
-  // the same order.
+  // the barrier must route byte buffers in the same order for any job
+  // count.
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
   EnumeratorConfig Cfg;
   Cfg.ParanoidCompare = true;
   EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
   EXPECT_EQ(Seq.HashCollisions, 0u);
+  EXPECT_EQ(resultDigest(Seq), 0x4934eb7031f3164aull);
   EnumerationResult Par = enumerateWithJobs(F, Cfg, 4);
   expectIdentical(Seq, Par, "paranoid");
 
@@ -177,8 +363,10 @@ TEST(ParallelEnumerator, ParanoidCompareIdentical) {
   Module MW = compileOrDie(W->Source);
   EnumeratorConfig Capped = cappedConfig();
   Capped.ParanoidCompare = true;
+  size_t Index = 0;
   for (Function &FW : MW.Functions) {
     EnumerationResult S = enumerateWithJobs(FW, Capped, 1);
+    expectGolden(ParanoidBitcountGoldens, Index++, FW.Name, S);
     EnumerationResult P = enumerateWithJobs(FW, Capped, 4);
     expectIdentical(S, P, "paranoid " + FW.Name);
   }
@@ -187,7 +375,7 @@ TEST(ParallelEnumerator, ParanoidCompareIdentical) {
 TEST(ParallelEnumerator, NaiveReapplyIdentical) {
   // Naive mode replays phase prefixes instead of storing instances, so
   // PhaseApplications > AttemptedPhases — and both counters, plus the
-  // path-based memory accounting, must agree across engines.
+  // path-based memory accounting, must agree across job counts.
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
   EnumeratorConfig Cfg;
@@ -195,6 +383,7 @@ TEST(ParallelEnumerator, NaiveReapplyIdentical) {
   EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
   ASSERT_EQ(Seq.Stop, StopReason::Complete);
   EXPECT_GT(Seq.PhaseApplications, Seq.AttemptedPhases);
+  EXPECT_EQ(resultDigest(Seq), 0xf02cbcbcef5276b7ull);
   for (unsigned Jobs : {2u, 4u}) {
     EnumerationResult Par = enumerateWithJobs(F, Cfg, Jobs);
     expectIdentical(Seq, Par, "naive jobs=" + std::to_string(Jobs));
@@ -207,15 +396,16 @@ TEST(ParallelEnumerator, NoRegisterRemappingIdentical) {
   EnumeratorConfig Cfg = cappedConfig();
   Cfg.RemapRegisters = false;
   EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
+  EXPECT_EQ(resultDigest(Seq), 0x454f525bd4ce7e76ull);
   EnumerationResult Par = enumerateWithJobs(F, Cfg, 4);
   expectIdentical(Seq, Par, "no-remap");
 }
 
 TEST(ParallelEnumerator, InjectedFaultsIdenticalAcrossJobCounts) {
-  // Fault coordinates are per-phase application ordinals. The parallel
-  // engine precomputes them in sequential frontier order, so the same
-  // application must fail, the same edge must be pruned, and the same
-  // diagnostic (with the same ordinal) must surface for any job count.
+  // Fault coordinates are per-phase application ordinals, precomputed in
+  // frontier order, so the same application must fail, the same edge
+  // must be pruned, and the same diagnostic (with the same ordinal) must
+  // surface for any job count.
   FaultPlan Plan;
   ASSERT_TRUE(FaultPlan::parse("s:1,c:2,d:3", Plan));
   Module M = compileOrDie(SumSource);
@@ -226,6 +416,7 @@ TEST(ParallelEnumerator, InjectedFaultsIdenticalAcrossJobCounts) {
   EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
   EXPECT_EQ(Seq.Stop, StopReason::VerifierFailure);
   EXPECT_FALSE(Seq.Diagnostics.empty());
+  EXPECT_EQ(resultDigest(Seq), 0x59b82ba20c6a242aull);
   for (unsigned Jobs : {2u, 4u, 8u}) {
     EnumerationResult Par = enumerateWithJobs(F, Cfg, Jobs);
     expectIdentical(Seq, Par, "faults jobs=" + std::to_string(Jobs));
@@ -241,8 +432,10 @@ TEST(ParallelEnumerator, InjectedFaultsOnWorkloadIdentical) {
   EnumeratorConfig Cfg = cappedConfig();
   Cfg.VerifyIr = true;
   Cfg.Faults = &Plan;
+  size_t Index = 0;
   for (Function &F : M.Functions) {
     EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
+    expectGolden(FaultedBitcountGoldens, Index++, F.Name, Seq);
     EnumerationResult Par = enumerateWithJobs(F, Cfg, 4);
     expectIdentical(Seq, Par, "workload faults " + F.Name);
   }
@@ -259,25 +452,28 @@ TEST(ParallelEnumerator, MemoryBudgetStopIdentical) {
   Cfg.MaxMemoryBytes = 50'000;
   EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
   EXPECT_EQ(Seq.Stop, StopReason::MemoryBudget);
+  EXPECT_EQ(resultDigest(Seq), 0x19935a9b1552234eull);
   EnumerationResult Par = enumerateWithJobs(F, Cfg, 4);
   expectIdentical(Seq, Par, "memory budget");
 }
 
 TEST(ParallelEnumerator, PreCancelledTokenStopsWithPartialResult) {
-  // Deadline/Cancelled are polled at node granularity by workers (the
-  // documented deviation): the stop reason and self-consistency are
-  // guaranteed, the partial DAG may be smaller than sequential.
+  // Deadline/Cancelled are polled per node and discard the in-flight
+  // level: the stop reason and self-consistency are guaranteed, the
+  // partial DAG is that of the last completed level.
   StopToken Token;
   Token.requestStop();
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
   EnumeratorConfig Cfg;
   Cfg.Stop = &Token;
-  EnumerationResult R = enumerateWithJobs(F, Cfg, 4);
-  EXPECT_EQ(R.Stop, StopReason::Cancelled);
-  EXPECT_FALSE(R.complete());
-  EXPECT_GE(R.Nodes.size(), 1u);
-  expectSelfConsistent(R);
+  for (unsigned Jobs : {1u, 4u}) {
+    EnumerationResult R = enumerateWithJobs(F, Cfg, Jobs);
+    EXPECT_EQ(R.Stop, StopReason::Cancelled);
+    EXPECT_FALSE(R.complete());
+    EXPECT_GE(R.Nodes.size(), 1u);
+    expectSelfConsistent(R);
+  }
 }
 
 TEST(ParallelEnumerator, DeadlineStopsMidRunWithConsistentResult) {
@@ -287,26 +483,121 @@ TEST(ParallelEnumerator, DeadlineStopsMidRunWithConsistentResult) {
   Function &F = functionNamed(M, "sha_transform");
   EnumeratorConfig Cfg;
   Cfg.DeadlineMs = 1;
-  EnumerationResult R = enumerateWithJobs(F, Cfg, 4);
-  EXPECT_EQ(R.Stop, StopReason::Deadline);
-  EXPECT_FALSE(R.complete());
-  EXPECT_GE(R.Nodes.size(), 1u);
-  expectSelfConsistent(R);
+  for (unsigned Jobs : {1u, 4u}) {
+    EnumerationResult R = enumerateWithJobs(F, Cfg, Jobs);
+    EXPECT_EQ(R.Stop, StopReason::Deadline);
+    EXPECT_FALSE(R.complete());
+    EXPECT_GE(R.Nodes.size(), 1u);
+    expectSelfConsistent(R);
+  }
 }
 
-TEST(ParallelEnumerator, IndependencePruningFallsBackToSequential) {
-  // UseIndependencePruning is intrinsically sequential within a level;
-  // Jobs > 1 must silently use the sequential engine, not change results.
-  Module M = compileOrDie(SumSource);
-  Function &F = functionNamed(M, "f");
-  EnumeratorConfig Cfg;
+/// \p Cfg with independence pruning trained on \p Truth, the way
+/// bench_ablation trains it.
+EnumeratorConfig trainedOn(const EnumerationResult &Truth,
+                           EnumeratorConfig Cfg) {
+  InteractionAnalysis IA;
+  IA.addFunction(Truth);
   Cfg.UseIndependencePruning = true;
   for (int X = 0; X != NumPhases; ++X)
     for (int Y = 0; Y != NumPhases; ++Y)
-      Cfg.TrainedIndependence[X][Y] = false;
+      Cfg.TrainedIndependence[X][Y] =
+          IA.alwaysIndependent(phaseByIndex(X), phaseByIndex(Y));
+  return Cfg;
+}
+
+/// Pruning only skips optimizer runs: node ids, edges, active/dormant
+/// masks, weights and level shapes must equal the unpruned run's.
+void expectSameDag(const EnumerationResult &Truth,
+                   const EnumerationResult &Pruned, const std::string &What) {
+  EXPECT_EQ(Truth.Stop, Pruned.Stop) << What;
+  ASSERT_EQ(Truth.Nodes.size(), Pruned.Nodes.size()) << What;
+  for (size_t I = 0; I != Truth.Nodes.size(); ++I) {
+    const DagNode &A = Truth.Nodes[I];
+    const DagNode &B = Pruned.Nodes[I];
+    EXPECT_EQ(A.Hash, B.Hash) << What << " node " << I;
+    EXPECT_EQ(A.ActiveMask, B.ActiveMask) << What << " node " << I;
+    EXPECT_EQ(A.DormantMask, B.DormantMask) << What << " node " << I;
+    EXPECT_EQ(A.Weight, B.Weight) << What << " node " << I;
+    ASSERT_EQ(A.Edges.size(), B.Edges.size()) << What << " node " << I;
+    for (size_t E = 0; E != A.Edges.size(); ++E) {
+      EXPECT_EQ(A.Edges[E].Phase, B.Edges[E].Phase) << What << " node " << I;
+      EXPECT_EQ(A.Edges[E].To, B.Edges[E].To) << What << " node " << I;
+    }
+  }
+  ASSERT_EQ(Truth.Levels.size(), Pruned.Levels.size()) << What;
+  for (size_t I = 0; I != Truth.Levels.size(); ++I) {
+    EXPECT_EQ(Truth.Levels[I].NewNodes, Pruned.Levels[I].NewNodes) << What;
+    EXPECT_EQ(Truth.Levels[I].ActiveSequences,
+              Pruned.Levels[I].ActiveSequences)
+        << What;
+    EXPECT_EQ(Truth.Levels[I].Active, Pruned.Levels[I].Active) << What;
+  }
+}
+
+TEST(ParallelEnumerator, IndependencePruningIdenticalAcrossJobCounts) {
+  // Predictions read edges committed earlier in the same level, so
+  // workers defer them to the barrier. Trained on the ground truth, the
+  // predictions must fire, reproduce the unpruned DAG exactly, and give
+  // the same result for every job count.
+  const Workload *W = findWorkload("bitcount");
+  ASSERT_NE(W, nullptr);
+  Module MW = compileOrDie(W->Source);
+  Module MS = compileOrDie(SumSource);
+  const struct {
+    const Function *F;
+    uint64_t Digest;
+  } Cases[] = {{&functionNamed(MS, "f"), 0x2e488674c01f0685ull},
+               {&functionNamed(MW, "bit_count"), 0x39a4866a1f4cd9f9ull}};
+  for (const auto &C : Cases) {
+    const Function &F = *C.F;
+    EnumerationResult Truth = enumerateWithJobs(F, {}, 1);
+    ASSERT_TRUE(Truth.complete()) << F.Name;
+    const EnumeratorConfig Cfg = trainedOn(Truth, {});
+    EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
+    EXPECT_GT(Seq.PredictedEdges, 0u) << F.Name;
+    EXPECT_EQ(Seq.AttemptedPhases + Seq.PredictedEdges, Truth.AttemptedPhases)
+        << F.Name;
+    EXPECT_EQ(resultDigest(Seq), C.Digest) << F.Name;
+    expectSameDag(Truth, Seq, F.Name);
+    for (unsigned Jobs : {2u, 4u, 8u}) {
+      EnumerationResult Par = enumerateWithJobs(F, Cfg, Jobs);
+      expectIdentical(Seq, Par,
+                      F.Name + " pruned jobs=" + std::to_string(Jobs));
+    }
+  }
+}
+
+TEST(ParallelEnumerator, IndependencePruningKeepsFaultOrdinals) {
+  // A deferred attempt keeps its precomputed application ordinal whether
+  // it is predicted or run, so a FaultPlan names the same application
+  // with or without pruning, for every job count. Both faults land after
+  // predicted attempts of their phase, so ordinals that skipped
+  // predictions would move them.
+  Module M = compileOrDie(SumSource);
+  Function &F = functionNamed(M, "f");
+  EnumerationResult Truth = enumerateWithJobs(F, {}, 1);
+  FaultPlan Plan;
+  ASSERT_TRUE(FaultPlan::parse("h:12,s:20", Plan));
+  EnumeratorConfig Faulted;
+  Faulted.VerifyIr = true;
+  Faulted.Faults = &Plan;
+  const EnumerationResult Unpruned = enumerateWithJobs(F, Faulted, 1);
+  const EnumeratorConfig Cfg = trainedOn(Truth, Faulted);
   EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
-  EnumerationResult Par = enumerateWithJobs(F, Cfg, 8);
-  expectIdentical(Seq, Par, "independence fallback");
+  EXPECT_EQ(Seq.Stop, StopReason::VerifierFailure);
+  EXPECT_GT(Seq.PredictedEdges, 0u);
+  ASSERT_EQ(Seq.Diagnostics.size(), Unpruned.Diagnostics.size());
+  for (size_t I = 0; I != Seq.Diagnostics.size(); ++I) {
+    EXPECT_EQ(Seq.Diagnostics[I].Phase, Unpruned.Diagnostics[I].Phase);
+    EXPECT_EQ(Seq.Diagnostics[I].Application,
+              Unpruned.Diagnostics[I].Application);
+  }
+  for (unsigned Jobs : {2u, 4u, 8u}) {
+    EnumerationResult Par = enumerateWithJobs(F, Cfg, Jobs);
+    expectIdentical(Seq, Par,
+                    "pruned faults jobs=" + std::to_string(Jobs));
+  }
 }
 
 } // namespace

@@ -62,11 +62,10 @@ TEST(PhaseGuard, PassthroughMatchesPhaseManager) {
   EXPECT_FALSE(Guard.guarding());
 
   bool Active = PM.attempt(PhaseId::InstructionSelection, FA);
-  PhaseGuard::Outcome Out = Guard.attempt(PhaseId::InstructionSelection, FB);
+  PhaseGuard::Outcome Out =
+      Guard.attemptNth(PhaseId::InstructionSelection, FB, 1);
   EXPECT_EQ(Out == PhaseGuard::Outcome::Active, Active);
   EXPECT_EQ(canonicalize(FA).Hash, canonicalize(FB).Hash);
-  EXPECT_EQ(Guard.applications(PhaseId::InstructionSelection), 1u);
-  EXPECT_EQ(Guard.applications(PhaseId::Cse), 0u);
   EXPECT_TRUE(Guard.diagnostics().empty());
 }
 
@@ -87,7 +86,7 @@ TEST(PhaseGuard, VerifiedHealthyPhasesMatchUnguarded) {
     if (!PM.isLegal(P, FA))
       continue;
     bool Active = PM.attempt(P, FA);
-    PhaseGuard::Outcome Out = Guard.attempt(P, FB);
+    PhaseGuard::Outcome Out = Guard.attemptNth(P, FB, 1);
     EXPECT_EQ(Out == PhaseGuard::Outcome::Active, Active)
         << "phase " << *C;
   }
@@ -109,7 +108,8 @@ TEST(PhaseGuard, RollbackRestoresExactPrePhaseInstance) {
   // Keep the canonical bytes too: the rollback must restore the exact
   // instance, not merely one with an equal hash triple.
   CanonicalForm Before = canonicalize(F, /*KeepBytes=*/true);
-  PhaseGuard::Outcome Out = Guard.attempt(PhaseId::InstructionSelection, F);
+  PhaseGuard::Outcome Out =
+      Guard.attemptNth(PhaseId::InstructionSelection, F, 1);
   EXPECT_EQ(Out, PhaseGuard::Outcome::RolledBack);
   CanonicalForm After = canonicalize(F, /*KeepBytes=*/true);
   EXPECT_EQ(Before.Hash, After.Hash);
@@ -125,9 +125,8 @@ TEST(PhaseGuard, RollbackRestoresExactPrePhaseInstance) {
   EXPECT_TRUE(D.Injected);
 
   // The second application is past the fault: the phase works again.
-  Out = Guard.attempt(PhaseId::InstructionSelection, F);
+  Out = Guard.attemptNth(PhaseId::InstructionSelection, F, 2);
   EXPECT_EQ(Out, PhaseGuard::Outcome::Active);
-  EXPECT_EQ(Guard.applications(PhaseId::InstructionSelection), 2u);
   EXPECT_EQ(Guard.diagnostics().size(), 1u);
 }
 
@@ -142,9 +141,9 @@ TEST(PhaseGuard, FaultOnLaterApplicationOnly) {
   PhaseGuard Guard(PM, Opts);
   EXPECT_TRUE(Guard.guarding());
 
-  EXPECT_NE(Guard.attempt(PhaseId::DeadAssignElim, F),
+  EXPECT_NE(Guard.attemptNth(PhaseId::DeadAssignElim, F, 1),
             PhaseGuard::Outcome::RolledBack);
-  EXPECT_EQ(Guard.attempt(PhaseId::DeadAssignElim, F),
+  EXPECT_EQ(Guard.attemptNth(PhaseId::DeadAssignElim, F, 2),
             PhaseGuard::Outcome::RolledBack);
   ASSERT_EQ(Guard.diagnostics().size(), 1u);
   EXPECT_EQ(Guard.diagnostics()[0].Application, 2u);
