@@ -8,6 +8,8 @@
 
 #include "src/ir/Function.h"
 
+#include <algorithm>
+
 using namespace pose;
 
 namespace {
@@ -48,16 +50,22 @@ bool eliminateEmptyBlocks(Function &F) {
 }
 
 bool mergeFallThroughPairs(Function &F) {
+  // Block I+1, which I falls into, has I as its only predecessor iff no
+  // jump or branch targets its label. A merge never changes that set: the
+  // merged block's terminator moves up, and its label was not in the set.
+  std::vector<int32_t> Targeted;
+  for (const BasicBlock &B : F.Blocks)
+    if (const Rtl *T = B.terminator();
+        T && (T->Opcode == Op::Jump || T->Opcode == Op::Branch))
+      Targeted.push_back(T->Src[0].Value);
+  std::sort(Targeted.begin(), Targeted.end());
   bool Changed = false;
   for (size_t I = 0; I + 1 < F.Blocks.size();) {
-    // A must fall through unconditionally (no terminator at all).
-    if (F.Blocks[I].terminator()) {
-      ++I;
-      continue;
-    }
-    Cfg C = Cfg::build(F);
-    // The fall-through successor must have A as its only predecessor.
-    if (C.Preds[I + 1].size() != 1) {
+    // A must fall through unconditionally (no terminator at all), and the
+    // fall-through successor must have A as its only predecessor.
+    if (F.Blocks[I].terminator() ||
+        std::binary_search(Targeted.begin(), Targeted.end(),
+                           F.Blocks[I + 1].Label)) {
       ++I;
       continue;
     }

@@ -28,13 +28,27 @@
 #include "src/opt/Phases.h"
 #include "src/support/BitVector.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 
 using namespace pose;
 
 namespace {
+
+/// One past the highest register \p F mentions: the size of the dense
+/// per-register states below.
+size_t registerLimit(const Function &F) {
+  size_t Limit = 0;
+  for (const BasicBlock &B : F.Blocks)
+    for (const Rtl &I : B.Insts) {
+      if (I.definesReg())
+        Limit = std::max<size_t>(Limit, I.Dst.getReg() + 1);
+      I.forEachUsedReg(
+          [&Limit](RegNum R) { Limit = std::max<size_t>(Limit, R + 1); });
+    }
+  return Limit;
+}
 
 //===----------------------------------------------------------------------===//
 // Global constant propagation
@@ -66,12 +80,8 @@ LatticeVal meet(const LatticeVal &A, const LatticeVal &B) {
   return LatticeVal::bottom();
 }
 
-using RegState = std::map<RegNum, LatticeVal>;
-
-LatticeVal lookup(const RegState &S, RegNum R) {
-  auto It = S.find(R);
-  return It == S.end() ? LatticeVal::top() : It->second;
-}
+/// Lattice value of every register, indexed by register number.
+using RegState = std::vector<LatticeVal>;
 
 std::optional<int32_t> foldConst(Op O, int32_t A, int32_t B) {
   const uint32_t UA = static_cast<uint32_t>(A);
@@ -113,7 +123,7 @@ std::optional<int32_t> operandConst(const Operand &O, const RegState &S) {
   if (O.isImm())
     return O.Value;
   if (O.isReg()) {
-    LatticeVal V = lookup(S, O.getReg());
+    const LatticeVal &V = S[O.getReg()];
     if (V.Kind == LatticeVal::Const)
       return V.Value;
   }
@@ -157,45 +167,33 @@ void transfer(const Rtl &I, RegState &S) {
   S[D] = LatticeVal::bottom(); // Lea, Load, Call.
 }
 
-bool constantPropagation(Function &F) {
+bool constantPropagation(Function &F, const Cfg &C, size_t NumRegs) {
   const size_t N = F.Blocks.size();
-  Cfg C = Cfg::build(F);
-  std::vector<RegState> In(N), Out(N);
+  std::vector<RegState> In(N, RegState(NumRegs)), Out(N, RegState(NumRegs));
+  RegState NewIn(NumRegs), NewOut(NumRegs);
   bool Iterate = true;
   while (Iterate) {
     Iterate = false;
     for (size_t B = 0; B != N; ++B) {
-      RegState NewIn;
-      if (B == 0) {
+      const std::vector<int> &Preds = C.Preds[B];
+      if (B == 0 || Preds.empty()) {
         // Entry: nothing known (parameters arrive in memory).
+        NewIn.assign(NumRegs, LatticeVal::top());
       } else {
-        bool First = true;
-        for (int P : C.Preds[B]) {
-          if (First) {
-            NewIn = Out[static_cast<size_t>(P)];
-            First = false;
-            continue;
-          }
-          // Pointwise meet; registers missing on either side are Top and
-          // take the other side's value.
-          RegState Met;
-          const RegState &OtherS = Out[static_cast<size_t>(P)];
-          std::set<RegNum> Keys;
-          for (const auto &[R, V] : NewIn)
-            Keys.insert(R);
-          for (const auto &[R, V] : OtherS)
-            Keys.insert(R);
-          for (RegNum R : Keys)
-            Met[R] = meet(lookup(NewIn, R), lookup(OtherS, R));
-          NewIn = std::move(Met);
+        // Pointwise meet over the predecessors.
+        NewIn = Out[static_cast<size_t>(Preds[0])];
+        for (size_t P = 1; P < Preds.size(); ++P) {
+          const RegState &OtherS = Out[static_cast<size_t>(Preds[P])];
+          for (size_t R = 0; R != NumRegs; ++R)
+            NewIn[R] = meet(NewIn[R], OtherS[R]);
         }
       }
-      RegState NewOut = NewIn;
+      NewOut = NewIn;
       for (const Rtl &I : F.Blocks[B].Insts)
         transfer(I, NewOut);
       if (NewIn != In[B] || NewOut != Out[B]) {
-        In[B] = std::move(NewIn);
-        Out[B] = std::move(NewOut);
+        std::swap(In[B], NewIn);
+        std::swap(Out[B], NewOut);
         Iterate = true;
       }
     }
@@ -204,8 +202,9 @@ bool constantPropagation(Function &F) {
   // Rewrite pass: replace known-constant register uses with immediates
   // wherever the machine encoding allows, and fold all-constant ops.
   bool Changed = false;
+  RegState S;
   for (size_t B = 0; B != N; ++B) {
-    RegState S = In[B];
+    S = In[B];
     // Lazy COW materialization: the block body is fetched mutably only
     // when the first instruction actually rewrites.
     BasicBlock *MB = nullptr;
@@ -219,7 +218,7 @@ bool constantPropagation(Function &F) {
       auto TryOperand = [&](Operand &O, int SrcIndex) {
         if (!O.isReg())
           return;
-        LatticeVal V = lookup(S, O.getReg());
+        const LatticeVal V = S[O.getReg()];
         if (V.Kind != LatticeVal::Const)
           return;
         if (!target::immediateAllowed(New.Opcode, SrcIndex, V.Value))
@@ -263,18 +262,18 @@ bool constantPropagation(Function &F) {
 // Local copy propagation
 //===----------------------------------------------------------------------===//
 
-bool copyPropagation(Function &F) {
+bool copyPropagation(Function &F, size_t NumRegs) {
+  constexpr RegNum NoCopy = ~RegNum(0);
   bool Changed = false;
+  // CopyOf[d] = s for an active "mov d, s" (never s == d), else NoCopy.
+  std::vector<RegNum> CopyOf(NumRegs);
   for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
-    std::map<RegNum, RegNum> CopyOf; // d -> s for an active "mov d, s".
+    std::fill(CopyOf.begin(), CopyOf.end(), NoCopy);
     auto Kill = [&CopyOf](RegNum W) {
-      CopyOf.erase(W);
-      for (auto It = CopyOf.begin(); It != CopyOf.end();) {
-        if (It->second == W)
-          It = CopyOf.erase(It);
-        else
-          ++It;
-      }
+      CopyOf[W] = NoCopy;
+      for (RegNum &S : CopyOf)
+        if (S == W)
+          S = NoCopy;
     };
     BasicBlock *MB = nullptr; // Materialized on the first rewrite.
     const size_t NI = F.Blocks[BI].Insts.size();
@@ -282,17 +281,13 @@ bool copyPropagation(Function &F) {
       // Probe const-side whether any use reads through an active copy.
       bool Needs = false;
       (MB ? MB->Insts[J] : F.Blocks[BI].Insts[J])
-          .forEachUsedReg([&](RegNum R) {
-            auto It = CopyOf.find(R);
-            Needs |= It != CopyOf.end() && It->second != R;
-          });
+          .forEachUsedReg([&](RegNum R) { Needs |= CopyOf[R] != NoCopy; });
       if (Needs) {
         if (!MB)
           MB = &F.Blocks.mut(BI);
         MB->Insts[J].forEachUseOperand([&](Operand &O) {
-          auto It = CopyOf.find(O.getReg());
-          if (It != CopyOf.end() && It->second != O.getReg()) {
-            O = Operand::reg(It->second);
+          if (const RegNum S = CopyOf[O.getReg()]; S != NoCopy) {
+            O = Operand::reg(S);
             Changed = true;
           }
         });
@@ -349,42 +344,55 @@ std::optional<ExprKey> exprOf(const Rtl &I) {
   return std::nullopt;
 }
 
-bool cseAvailableExpressions(Function &F) {
-  // Collect the expression universe.
+bool cseAvailableExpressions(Function &F, const Cfg &C, size_t NumRegs) {
+  const size_t N = F.Blocks.size();
+  // Collect the expression universe, and the tuple index of every
+  // instruction (-1 for none); block B's instructions start at At[B].
   std::vector<ExprKey> Universe;
-  std::map<ExprKey, size_t> Index;
-  for (const BasicBlock &B : F.Blocks)
-    for (const Rtl &I : B.Insts)
-      if (std::optional<ExprKey> E = exprOf(I))
-        if (Index.emplace(*E, Universe.size()).second)
+  std::map<ExprKey, int32_t> Index;
+  std::vector<int32_t> ExprAt;
+  std::vector<size_t> At(N + 1, 0);
+  for (size_t B = 0; B != N; ++B) {
+    At[B] = ExprAt.size();
+    for (const Rtl &I : F.Blocks[B].Insts) {
+      int32_t K = -1;
+      if (std::optional<ExprKey> E = exprOf(I)) {
+        auto [It, New] =
+            Index.emplace(*E, static_cast<int32_t>(Universe.size()));
+        if (New)
           Universe.push_back(*E);
+        K = It->second;
+      }
+      ExprAt.push_back(K);
+    }
+  }
+  At[N] = ExprAt.size();
   if (Universe.empty())
     return false;
   const size_t NE = Universe.size();
-  const size_t N = F.Blocks.size();
 
-  auto Kills = [&](const Rtl &I, const ExprKey &E) {
-    if (!I.definesReg())
-      return false;
-    RegNum W = I.Dst.getReg();
-    auto Touches = [W](const Operand &O) {
-      return O.isReg() && O.getReg() == W;
-    };
-    // Writing the holding register kills availability unless the write is
-    // the generating computation itself (handled by gen after kill).
-    return Touches(E.Dst) || Touches(E.S0) || Touches(E.S1);
-  };
+  // Writing register W kills every tuple that holds its value in W or
+  // reads W, the generating computation included (gen follows kill).
+  std::vector<BitVector> KillsOf(NumRegs, BitVector(NE));
+  for (size_t K = 0; K != NE; ++K)
+    for (const Operand &O : {Universe[K].Dst, Universe[K].S0, Universe[K].S1})
+      if (O.isReg())
+        KillsOf[O.getReg()].set(K);
 
-  auto TransferBlock = [&](size_t B, BitVector Avail) {
-    for (const Rtl &I : F.Blocks[B].Insts) {
-      for (size_t K = 0; K != NE; ++K)
-        if (Avail.test(K) && Kills(I, Universe[K]))
-          Avail.reset(K);
-      if (std::optional<ExprKey> E = exprOf(I))
-        Avail.set(Index.at(*E));
+  // Per-block summaries: Out = (In - Kill) | Gen.
+  std::vector<BitVector> Gen(N, BitVector(NE)), Kill(N, BitVector(NE));
+  for (size_t B = 0; B != N; ++B) {
+    const std::vector<Rtl> &Insts = F.Blocks[B].Insts;
+    for (size_t J = 0; J != Insts.size(); ++J) {
+      if (Insts[J].definesReg()) {
+        const BitVector &Killed = KillsOf[Insts[J].Dst.getReg()];
+        Gen[B].subtract(Killed);
+        Kill[B].unionWith(Killed);
+      }
+      if (const int32_t K = ExprAt[At[B] + J]; K >= 0)
+        Gen[B].set(static_cast<size_t>(K));
     }
-    return Avail;
-  };
+  }
 
   // Forward all-paths dataflow.
   BitVector Full(NE);
@@ -392,77 +400,68 @@ bool cseAvailableExpressions(Function &F) {
     Full.set(K);
   std::vector<BitVector> In(N, Full), Out(N, Full);
   In[0] = BitVector(NE);
-  Cfg C = Cfg::build(F);
+  BitVector NewIn(NE), NewOut(NE);
   bool Iterate = true;
   while (Iterate) {
     Iterate = false;
     for (size_t B = 0; B != N; ++B) {
-      BitVector NewIn = B == 0 ? BitVector(NE) : Full;
-      for (int P : C.Preds[B])
-        NewIn.intersectWith(Out[static_cast<size_t>(P)]);
-      if (C.Preds[B].empty() && B != 0)
-        NewIn = BitVector(NE); // Unreachable: claim nothing.
-      BitVector NewOut = TransferBlock(B, NewIn);
+      if (B == 0 || C.Preds[B].empty()) {
+        NewIn.clear(); // Entry or unreachable: claim nothing.
+      } else {
+        NewIn = Full;
+        for (int P : C.Preds[B])
+          NewIn.intersectWith(Out[static_cast<size_t>(P)]);
+      }
+      NewOut = NewIn;
+      NewOut.subtract(Kill[B]);
+      NewOut.unionWith(Gen[B]);
       if (NewIn != In[B] || NewOut != Out[B]) {
-        In[B] = std::move(NewIn);
-        Out[B] = std::move(NewOut);
+        std::swap(In[B], NewIn);
+        std::swap(Out[B], NewOut);
         Iterate = true;
       }
     }
   }
 
-  // Rewrite: a recomputation of an available tuple becomes a move from
-  // the holding register (or vanishes when it already targets it).
+  // Rewrite: a recomputation of an available tuple vanishes (its
+  // destination already holds the value); a computation whose value an
+  // available tuple holds in another register becomes a move from it.
   bool Changed = false;
+  BitVector Avail;
   for (size_t B = 0; B != N; ++B) {
-    BitVector Avail = In[B];
+    Avail = In[B];
     BasicBlock *MB = nullptr; // Materialized on the first rewrite.
-    auto Cur = [&]() -> const std::vector<Rtl> & {
-      return MB ? MB->Insts : F.Blocks[B].Insts;
-    };
-    auto Mut = [&]() -> std::vector<Rtl> & {
-      if (!MB)
-        MB = &F.Blocks.mut(B);
-      return MB->Insts;
-    };
-    for (size_t J = 0; J < Cur().size(); ++J) {
-      const Rtl I = Cur()[J]; // By value: Mut() invalidates references.
-      std::optional<ExprKey> E = exprOf(I);
-      bool Elide = false;
-      if (E) {
-        size_t K = Index.at(*E);
-        if (Avail.test(K)) {
-          // The tuple's destination currently holds the value.
-          if (I.Dst == E->Dst) {
-            std::vector<Rtl> &Insts = Mut();
-            Insts.erase(Insts.begin() + static_cast<long>(J));
+    size_t J = 0;             // Position in the block as rewritten so far.
+    for (size_t X = At[B]; X != At[B + 1]; ++X) {
+      int32_t K = ExprAt[X];
+      if (K >= 0 && Avail.test(static_cast<size_t>(K))) {
+        if (!MB)
+          MB = &F.Blocks.mut(B);
+        MB->Insts.erase(MB->Insts.begin() + static_cast<long>(J));
+        Changed = true;
+        continue;
+      }
+      if (K >= 0) {
+        const ExprKey &E = Universe[static_cast<size_t>(K)];
+        for (size_t K2 = 0; K2 != NE; ++K2) {
+          const ExprKey &Cand = Universe[K2];
+          if (Avail.test(K2) && Cand.Opcode == E.Opcode && Cand.S0 == E.S0 &&
+              Cand.S1 == E.S1 && !(Cand.Dst == E.Dst)) {
+            if (!MB)
+              MB = &F.Blocks.mut(B);
+            MB->Insts[J] = rtl::mov(E.Dst, Cand.Dst);
             Changed = true;
-            --J;
-            Elide = true;
-          }
-        } else {
-          // Same (op, srcs) but a different destination? Check whether
-          // any available tuple matches the computation.
-          for (size_t K2 = 0; K2 != NE; ++K2) {
-            const ExprKey &Cand = Universe[K2];
-            if (!Avail.test(K2))
-              continue;
-            if (Cand.Opcode == E->Opcode && Cand.S0 == E->S0 &&
-                Cand.S1 == E->S1 && !(Cand.Dst == I.Dst)) {
-              Mut()[J] = rtl::mov(I.Dst, Cand.Dst);
-              Changed = true;
-              break;
-            }
+            K = -1; // A move generates no tuple.
+            break;
           }
         }
       }
-      if (!Elide) {
-        for (size_t K = 0; K != NE; ++K)
-          if (Avail.test(K) && Kills(Cur()[J], Universe[K]))
-            Avail.reset(K);
-        if (std::optional<ExprKey> E2 = exprOf(Cur()[J]))
-          Avail.set(Index.at(*E2));
-      }
+      const Rtl &I = MB ? MB->Insts[J] : F.Blocks[B].Insts[J];
+      if (I.definesReg())
+        Avail.subtract(KillsOf[I.Dst.getReg()]);
+      if (K >= 0)
+        Avail.set(static_cast<size_t>(K));
+      ++J;
     }
   }
   return Changed;
@@ -473,13 +472,19 @@ bool cseAvailableExpressions(Function &F) {
 bool CsePhase::apply(Function &F) const {
   assert(F.State.RegsAssigned &&
          "CSE requires register assignment (PhaseManager enforces this)");
+  // The three transformations rewrite operands and delete or replace
+  // computations; none touches a control instruction, removes a block or
+  // introduces a register. So one CFG and one register bound (the dense
+  // per-register states' size) serve every round.
+  const Cfg C = Cfg::build(F);
+  const size_t NumRegs = registerLimit(F);
   bool Changed = false;
   bool Progress = true;
   while (Progress) {
     Progress = false;
-    Progress |= constantPropagation(F);
-    Progress |= copyPropagation(F);
-    Progress |= cseAvailableExpressions(F);
+    Progress |= constantPropagation(F, C, NumRegs);
+    Progress |= copyPropagation(F, NumRegs);
+    Progress |= cseAvailableExpressions(F, C, NumRegs);
     Changed |= Progress;
   }
   return Changed;

@@ -158,16 +158,17 @@ Rtl substitute(const Rtl &I, RegNum From, const Operand &To) {
 bool tryCombine(Function &F, const Liveness &LV, size_t BI, size_t P,
                 size_t Q) {
   const BasicBlock &B = F.Blocks[BI];
-  const Rtl A = B.Insts[P];
-  const Rtl Use = B.Insts[Q];
-  if (!A.definesReg())
+  if (!B.Insts[P].definesReg())
     return false;
-  const RegNum D = A.Dst.getReg();
+  const RegNum D = B.Insts[P].Dst.getReg();
 
   bool ConsumerUsesD = false;
-  Use.forEachUsedReg([&](RegNum R) { ConsumerUsesD |= (R == D); });
+  B.Insts[Q].forEachUsedReg([&](RegNum R) { ConsumerUsesD |= (R == D); });
   if (!ConsumerUsesD)
     return false;
+  // By value: the rewrite below may give the block a new body.
+  const Rtl A = B.Insts[P];
+  const Rtl Use = B.Insts[Q];
   if (!regionAllowsCombine(B, P, Q, A))
     return false;
   // The combined instruction replaces both; d must die with the pair.
@@ -247,15 +248,22 @@ bool tryCombine(Function &F, const Liveness &LV, size_t BI, size_t P,
 } // namespace
 
 bool InstructionSelectionPhase::apply(Function &F) const {
+  // One CFG and one liveness for the whole pass. A combine rewrites
+  // instructions of one block and never a control instruction, so the CFG
+  // stays exact; the region and usedBeyond checks keep every block's
+  // live-in and live-out sets unchanged, so the liveness stays exact too.
+  const Cfg C = Cfg::build(F);
+  const Liveness LV(F, C);
   bool Changed = false;
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    Cfg C = Cfg::build(F);
-    Liveness LV(F, C);
-    for (size_t BI = 0; BI != F.Blocks.size() && !Progress; ++BI) {
+  for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
+    // After a combine, rescan this block from its top: earlier blocks are
+    // unchanged and still hold no combine.
+    for (bool Progress = true; Progress;) {
+      Progress = false;
       const BasicBlock &B = F.Blocks[BI];
-      for (size_t P = 0; P < B.Insts.size() && !Progress; ++P) {
+      // A combine may give the block a new body (copy-on-write), so B is
+      // not read again once one succeeds.
+      for (size_t P = 0; !Progress && P < B.Insts.size(); ++P) {
         if (!B.Insts[P].definesReg())
           continue;
         for (size_t Q = P + 1; Q < B.Insts.size(); ++Q) {

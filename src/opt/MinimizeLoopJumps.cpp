@@ -84,23 +84,18 @@ bool invertOneLoop(Function &F, const Loop &L) {
 } // namespace
 
 bool MinimizeLoopJumpsPhase::apply(Function &F) const {
-  bool Changed = false;
-  Cfg C = Cfg::build(F);
+  const Cfg C = Cfg::build(F);
   Dominators D(F, C);
   LoopInfo LI(F, C, D);
   for (const Loop &L : LI.loops()) {
     if (invertOneLoop(F, L)) {
-      Changed = true;
-      // Structure changed: recompute before trying more loops.
-      C = Cfg::build(F);
-      Dominators D2(F, C);
-      LoopInfo LI2(F, C, D2);
-      // Restart with fresh analysis by applying recursively; one level of
-      // recursion per transformed loop keeps this simple and bounded.
+      // Structure changed: try the remaining loops on fresh analyses,
+      // which the recursive apply builds. One level of recursion per
+      // transformed loop keeps this simple and bounded.
       MinimizeLoopJumpsPhase Again;
       Again.apply(F);
-      break;
+      return true;
     }
   }
-  return Changed;
+  return false;
 }
