@@ -14,7 +14,9 @@ Dominators::Dominators(const Function &F, const Cfg &C) {
   // Reachability first: unreachable blocks get empty dominator sets and are
   // excluded from meets (otherwise they would poison the intersection).
   Reachable.assign(N, false);
-  std::vector<size_t> Work{0};
+  std::vector<size_t> Work;
+  Work.reserve(N); // Each block is pushed at most once.
+  Work.push_back(0);
   Reachable[0] = true;
   while (!Work.empty()) {
     size_t B = Work.back();

@@ -36,27 +36,38 @@ Liveness::Liveness(const Function &F, const Cfg &C) {
   LiveIn.assign(N, BitVector(NumBits));
   LiveOut.assign(N, BitVector(NumBits));
 
+  // Summarize each block once: Use holds its upward-exposed uses (stepping
+  // backward from an empty set), Def everything it defines. Then
+  // LiveIn = Use | (LiveOut - Def), which is what stepping backward
+  // through the block from LiveOut gives.
+  std::vector<BitVector> Def(N, BitVector(NumBits));
+  for (size_t BI = 0; BI != N; ++BI) {
+    const BasicBlock &B = F.Blocks[BI];
+    for (size_t J = B.Insts.size(); J-- > 0;) {
+      const Rtl &I = B.Insts[J];
+      if (I.definesReg())
+        Def[BI].set(I.Dst.getReg());
+      if (I.definesIC())
+        Def[BI].set(NumRegs);
+      stepBackward(I, LiveIn[BI], NumRegs);
+    }
+  }
+
   // Iterate to a fixed point, sweeping blocks in reverse layout order
-  // (close to reverse topological order for typical CFGs).
+  // (close to reverse topological order for typical CFGs). Both sets only
+  // grow from their starting values (LiveOut empty, LiveIn = Use), so
+  // unions with the new contributions compute the same least fixed point
+  // as recomputing them from scratch.
   bool Changed = true;
   BitVector Tmp(NumBits);
   while (Changed) {
     Changed = false;
     for (size_t BI = N; BI-- > 0;) {
-      Tmp.clear();
       for (int S : C.Succs[BI])
-        Tmp.unionWith(LiveIn[S]);
-      if (Tmp != LiveOut[BI]) {
-        LiveOut[BI] = Tmp;
-        Changed = true;
-      }
-      const BasicBlock &B = F.Blocks[BI];
-      for (size_t J = B.Insts.size(); J-- > 0;)
-        stepBackward(B.Insts[J], Tmp, NumRegs);
-      if (Tmp != LiveIn[BI]) {
-        LiveIn[BI] = Tmp;
-        Changed = true;
-      }
+        LiveOut[BI].unionWith(LiveIn[S]);
+      Tmp = LiveOut[BI];
+      Tmp.subtract(Def[BI]);
+      Changed |= LiveIn[BI].unionWith(Tmp);
     }
   }
 }

@@ -9,50 +9,52 @@
 #include "src/analysis/Dominators.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 using namespace pose;
 
 LoopInfo::LoopInfo(const Function &F, const Cfg &C, const Dominators &D) {
   const size_t N = F.Blocks.size();
 
-  // Collect back edges: Tail -> Head where Head dominates Tail.
-  std::map<int, Loop> ByHeader;
-  for (size_t Tail = 0; Tail != N; ++Tail) {
-    if (!D.isReachable(Tail))
+  // Visit headers in ascending order. A header's latches are its reachable
+  // predecessors it dominates (back edges Tail -> Head); Cfg::build lists
+  // predecessors in ascending order, so the latches come out ascending.
+  // All back edges to one header form one loop.
+  std::vector<char> InBody(N, 0);
+  std::vector<int> Work;
+  Work.reserve(N);
+  for (size_t Head = 0; Head != N; ++Head) {
+    Loop L;
+    L.Header = static_cast<int>(Head);
+    for (int Tail : C.Preds[Head])
+      if (D.isReachable(Tail) && D.dominates(Head, Tail))
+        L.Latches.push_back(Tail);
+    if (L.Latches.empty())
       continue;
-    for (int Head : C.Succs[Tail]) {
-      if (!D.dominates(Head, Tail))
-        continue;
-      Loop &L = ByHeader[Head];
-      L.Header = Head;
-      L.Latches.push_back(static_cast<int>(Tail));
-    }
-  }
 
-  // Compute each loop body: Header plus all blocks that reach a latch
-  // without passing through Header (standard natural-loop algorithm).
-  for (auto &[Header, L] : ByHeader) {
-    std::set<int> Body{Header};
-    std::vector<int> Work(L.Latches.begin(), L.Latches.end());
+    // The body: Header plus all blocks that reach a latch without passing
+    // through Header (standard natural-loop algorithm). Header is marked
+    // first, so the walk never goes past it.
+    InBody[Head] = 1;
     for (int Latch : L.Latches)
-      Body.insert(Latch);
+      if (!InBody[Latch]) {
+        InBody[Latch] = 1;
+        Work.push_back(Latch);
+      }
     while (!Work.empty()) {
       int B = Work.back();
       Work.pop_back();
-      if (B == Header)
-        continue;
-      for (int P : C.Preds[B]) {
-        if (D.isReachable(P) && Body.insert(P).second)
+      for (int P : C.Preds[B])
+        if (D.isReachable(P) && !InBody[P]) {
+          InBody[P] = 1;
           Work.push_back(P);
-      }
+        }
     }
-    L.Blocks.assign(Body.begin(), Body.end());
-  }
-
-  for (auto &[Header, L] : ByHeader) {
-    (void)Header;
+    L.Blocks.reserve(std::count(InBody.begin(), InBody.end(), 1));
+    for (size_t B = 0; B != N; ++B)
+      if (InBody[B]) {
+        L.Blocks.push_back(static_cast<int>(B));
+        InBody[B] = 0;
+      }
     Loops.push_back(std::move(L));
   }
 

@@ -28,7 +28,9 @@
 
 #include "src/ir/Rtl.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <iterator>
 #include <string>
@@ -523,11 +525,56 @@ public:
   }
 };
 
+/// One block's CFG edges (block indices) in the order Cfg::build finds
+/// them. A block has at most two successors and usually at most two
+/// predecessors, so up to two edges are stored inline; a longer list moves
+/// to the heap.
+class EdgeList {
+public:
+  using const_iterator = const int *;
+
+  const int *begin() const { return Spill.empty() ? Inline : Spill.data(); }
+  const int *end() const { return begin() + size(); }
+  size_t size() const { return Spill.empty() ? NumInline : Spill.size(); }
+  bool empty() const { return size() == 0; }
+  int operator[](size_t I) const {
+    assert(I < size() && "edge index out of range");
+    return begin()[I];
+  }
+
+  void push_back(int Block) {
+    if (Spill.empty()) {
+      if (NumInline < InlineEdges) {
+        Inline[NumInline++] = Block;
+        return;
+      }
+      Spill.reserve(2 * InlineEdges);
+      Spill.assign(Inline, Inline + NumInline);
+    }
+    Spill.push_back(Block);
+  }
+
+  friend bool operator==(const EdgeList &A, const EdgeList &B) {
+    return std::equal(A.begin(), A.end(), B.begin(), B.end());
+  }
+  friend bool operator==(const EdgeList &A, const std::vector<int> &B) {
+    return std::equal(A.begin(), A.end(), B.begin(), B.end());
+  }
+
+private:
+  static constexpr size_t InlineEdges = 2;
+  size_t NumInline = 0;
+  int Inline[InlineEdges] = {};
+  /// Every edge, once there are more than InlineEdges; empty until then.
+  std::vector<int> Spill;
+};
+
 /// Lightweight CFG view over a function's blocks (indices, not pointers).
-/// Rebuild after any structural change; building is O(blocks).
+/// Rebuild after any structural change; building is O(blocks) and
+/// allocates twice, plus once per block with more than two predecessors.
 struct Cfg {
-  std::vector<std::vector<int>> Succs;
-  std::vector<std::vector<int>> Preds;
+  std::vector<EdgeList> Succs;
+  std::vector<EdgeList> Preds;
 
   static Cfg build(const Function &F);
 

@@ -42,7 +42,7 @@ size_t commonSuffix(const BasicBlock &A, const BasicBlock &B) {
 bool crossJumpOnce(Function &F) {
   Cfg C = Cfg::build(F);
   for (size_t J = 0; J != F.Blocks.size(); ++J) {
-    const std::vector<int> &Preds = C.Preds[J];
+    const EdgeList &Preds = C.Preds[J];
     if (Preds.size() < 2)
       continue;
     for (size_t X = 0; X != Preds.size(); ++X) {

@@ -29,7 +29,7 @@
 #include "src/support/BitVector.h"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 #include <optional>
 
 using namespace pose;
@@ -169,21 +169,28 @@ void transfer(const Rtl &I, RegState &S) {
 
 bool constantPropagation(Function &F, const Cfg &C, size_t NumRegs) {
   const size_t N = F.Blocks.size();
-  std::vector<RegState> In(N, RegState(NumRegs)), Out(N, RegState(NumRegs));
+  // Block B's entry and exit states are In[B * NumRegs, (B + 1) * NumRegs)
+  // and likewise in Out.
+  RegState In(N * NumRegs), Out(N * NumRegs);
+  auto InOf = [&In, NumRegs](size_t B) { return In.begin() + B * NumRegs; };
+  auto OutOf = [&Out, NumRegs](size_t B) {
+    return Out.begin() + B * NumRegs;
+  };
   RegState NewIn(NumRegs), NewOut(NumRegs);
   bool Iterate = true;
   while (Iterate) {
     Iterate = false;
     for (size_t B = 0; B != N; ++B) {
-      const std::vector<int> &Preds = C.Preds[B];
+      const EdgeList &Preds = C.Preds[B];
       if (B == 0 || Preds.empty()) {
         // Entry: nothing known (parameters arrive in memory).
         NewIn.assign(NumRegs, LatticeVal::top());
       } else {
         // Pointwise meet over the predecessors.
-        NewIn = Out[static_cast<size_t>(Preds[0])];
+        auto First = OutOf(static_cast<size_t>(Preds[0]));
+        NewIn.assign(First, First + NumRegs);
         for (size_t P = 1; P < Preds.size(); ++P) {
-          const RegState &OtherS = Out[static_cast<size_t>(Preds[P])];
+          auto OtherS = OutOf(static_cast<size_t>(Preds[P]));
           for (size_t R = 0; R != NumRegs; ++R)
             NewIn[R] = meet(NewIn[R], OtherS[R]);
         }
@@ -191,9 +198,10 @@ bool constantPropagation(Function &F, const Cfg &C, size_t NumRegs) {
       NewOut = NewIn;
       for (const Rtl &I : F.Blocks[B].Insts)
         transfer(I, NewOut);
-      if (NewIn != In[B] || NewOut != Out[B]) {
-        std::swap(In[B], NewIn);
-        std::swap(Out[B], NewOut);
+      if (!std::equal(NewIn.begin(), NewIn.end(), InOf(B)) ||
+          !std::equal(NewOut.begin(), NewOut.end(), OutOf(B))) {
+        std::copy(NewIn.begin(), NewIn.end(), InOf(B));
+        std::copy(NewOut.begin(), NewOut.end(), OutOf(B));
         Iterate = true;
       }
     }
@@ -202,9 +210,9 @@ bool constantPropagation(Function &F, const Cfg &C, size_t NumRegs) {
   // Rewrite pass: replace known-constant register uses with immediates
   // wherever the machine encoding allows, and fold all-constant ops.
   bool Changed = false;
-  RegState S;
+  RegState &S = NewIn; // Reused as the running state.
   for (size_t B = 0; B != N; ++B) {
-    S = In[B];
+    S.assign(InOf(B), InOf(B) + NumRegs);
     // Lazy COW materialization: the block body is fetched mutably only
     // when the first instruction actually rewrites.
     BasicBlock *MB = nullptr;
@@ -314,14 +322,17 @@ struct ExprKey {
   Op Opcode;
   Operand Dst, S0, S1;
 
-  bool operator<(const ExprKey &O) const {
-    auto Tup = [](const ExprKey &E) {
-      return std::tuple(static_cast<int>(E.Opcode),
-                        static_cast<int>(E.Dst.Kind), E.Dst.Value,
-                        static_cast<int>(E.S0.Kind), E.S0.Value,
-                        static_cast<int>(E.S1.Kind), E.S1.Value);
-    };
-    return Tup(*this) < Tup(O);
+  bool operator==(const ExprKey &O) const {
+    return Opcode == O.Opcode && Dst == O.Dst && S0 == O.S0 && S1 == O.S1;
+  }
+
+  size_t hash() const {
+    uint64_t H = static_cast<uint64_t>(Opcode);
+    for (const Operand &O : {Dst, S0, S1})
+      H = (H ^ (static_cast<uint64_t>(O.Kind) << 32 |
+                static_cast<uint32_t>(O.Value))) *
+          0x9E3779B97F4A7C15ull;
+    return static_cast<size_t>(H ^ (H >> 32));
   }
 };
 
@@ -346,22 +357,34 @@ std::optional<ExprKey> exprOf(const Rtl &I) {
 
 bool cseAvailableExpressions(Function &F, const Cfg &C, size_t NumRegs) {
   const size_t N = F.Blocks.size();
-  // Collect the expression universe, and the tuple index of every
-  // instruction (-1 for none); block B's instructions start at At[B].
+  // Collect the expression universe, numbered in order of first
+  // appearance, and the tuple index of every instruction (-1 for none);
+  // block B's instructions start at At[B]. Index is an open-addressing
+  // table of tuple numbers, at most half full.
+  size_t NumInsts = 0;
+  for (const BasicBlock &B : F.Blocks)
+    NumInsts += B.Insts.size();
   std::vector<ExprKey> Universe;
-  std::map<ExprKey, int32_t> Index;
+  Universe.reserve(NumInsts);
   std::vector<int32_t> ExprAt;
+  ExprAt.reserve(NumInsts);
   std::vector<size_t> At(N + 1, 0);
+  const size_t Mask = std::bit_ceil(2 * NumInsts + 1) - 1;
+  std::vector<int32_t> Index(Mask + 1, -1);
   for (size_t B = 0; B != N; ++B) {
     At[B] = ExprAt.size();
     for (const Rtl &I : F.Blocks[B].Insts) {
       int32_t K = -1;
       if (std::optional<ExprKey> E = exprOf(I)) {
-        auto [It, New] =
-            Index.emplace(*E, static_cast<int32_t>(Universe.size()));
-        if (New)
+        size_t H = E->hash() & Mask;
+        while (Index[H] >= 0 &&
+               !(Universe[static_cast<size_t>(Index[H])] == *E))
+          H = (H + 1) & Mask;
+        if (Index[H] < 0) {
+          Index[H] = static_cast<int32_t>(Universe.size());
           Universe.push_back(*E);
-        K = It->second;
+        }
+        K = Index[H];
       }
       ExprAt.push_back(K);
     }

@@ -24,22 +24,33 @@
 #include "src/machine/Target.h"
 #include "src/opt/Phases.h"
 
-#include <set>
+#include <bitset>
 
 using namespace pose;
 
 namespace {
 
-/// Returns the register-defining instructions inside \p L, as
-/// (block, index) pairs, for register \p R.
-std::vector<std::pair<int, size_t>> defsInLoop(const Function &F,
-                                               const Loop &L, RegNum R) {
-  std::vector<std::pair<int, size_t>> Defs;
+/// The definitions of one register inside a loop: how many there are, and
+/// where the first one (in block order) sits.
+struct LoopDefs {
+  size_t Count = 0;
+  int Block = -1;
+  size_t Index = 0;
+};
+
+/// Counts the instructions inside \p L that define register \p R.
+LoopDefs defsInLoop(const Function &F, const Loop &L, RegNum R) {
+  LoopDefs Defs;
   for (int B : L.Blocks) {
     const BasicBlock &Blk = F.Blocks[static_cast<size_t>(B)];
     for (size_t J = 0; J != Blk.Insts.size(); ++J)
-      if (Blk.Insts[J].definesReg() && Blk.Insts[J].Dst.getReg() == R)
-        Defs.push_back({B, J});
+      if (Blk.Insts[J].definesReg() && Blk.Insts[J].Dst.getReg() == R) {
+        if (Defs.Count == 0) {
+          Defs.Block = B;
+          Defs.Index = J;
+        }
+        ++Defs.Count;
+      }
   }
   return Defs;
 }
@@ -48,7 +59,7 @@ std::vector<std::pair<int, size_t>> defsInLoop(const Function &F,
 bool sourcesInvariant(const Function &F, const Loop &L, const Rtl &I) {
   bool Invariant = true;
   I.forEachUsedReg([&](RegNum R) {
-    if (!defsInLoop(F, L, R).empty())
+    if (defsInLoop(F, L, R).Count != 0)
       Invariant = false;
   });
   return Invariant;
@@ -127,7 +138,7 @@ bool hoistOneInvariant(Function &F, const Loop &L, const Cfg &C,
       if (!sourcesInvariant(F, L, I))
         continue;
       RegNum R = I.Dst.getReg();
-      if (defsInLoop(F, L, R).size() != 1)
+      if (defsInLoop(F, L, R).Count != 1)
         continue;
       // The old value of R must not be consumed inside the loop before
       // the definition: if it were, R would be live into the header.
@@ -164,14 +175,14 @@ bool strengthReduceOneIv(Function &F, const Loop &L, const Cfg &C,
       for (int IvSide = 0; IvSide != 2; ++IvSide) {
         RegNum IV = MulI.Src[IvSide].getReg();
         RegNum Inv = MulI.Src[1 - IvSide].getReg();
-        if (!defsInLoop(F, L, Inv).empty())
+        if (defsInLoop(F, L, Inv).Count != 0)
           continue; // Multiplier must be invariant.
         // IV must have exactly one in-loop def: IV = IV +/- 1.
-        auto IvDefs = defsInLoop(F, L, IV);
-        if (IvDefs.size() != 1)
+        const LoopDefs IvDefs = defsInLoop(F, L, IV);
+        if (IvDefs.Count != 1)
           continue;
-        const Rtl &Step = F.Blocks[static_cast<size_t>(IvDefs[0].first)]
-                              .Insts[IvDefs[0].second];
+        const Rtl &Step =
+            F.Blocks[static_cast<size_t>(IvDefs.Block)].Insts[IvDefs.Index];
         if (!(Step.Opcode == Op::Add || Step.Opcode == Op::Sub) ||
             !Step.Src[0].isReg() || Step.Src[0].getReg() != IV ||
             !Step.Src[1].isImm() || Step.Src[1].Value != 1)
@@ -179,22 +190,26 @@ bool strengthReduceOneIv(Function &F, const Loop &L, const Cfg &C,
         // The product must be the only in-loop def of its register, and
         // both the multiply and the step must run once per iteration.
         RegNum T = MulI.Dst.getReg();
-        if (T == IV || defsInLoop(F, L, T).size() != 1)
+        if (T == IV || defsInLoop(F, L, T).Count != 1)
           continue;
         if (!dominatesLatchesAndExits(F, L, C, D, B) ||
-            !dominatesLatchesAndExits(F, L, C, D, IvDefs[0].first))
+            !dominatesLatchesAndExits(F, L, C, D, IvDefs.Block))
           continue;
-        // Find a register untouched anywhere in the function.
-        std::set<RegNum> Used;
+        // Find an allocatable register untouched anywhere in the function.
+        std::bitset<target::NumAllocatableRegs> Used;
+        auto MarkUsed = [&Used](RegNum R) {
+          if (R < target::NumAllocatableRegs)
+            Used.set(R);
+        };
         for (const BasicBlock &AB : F.Blocks)
           for (const Rtl &AI : AB.Insts) {
             if (AI.definesReg())
-              Used.insert(AI.Dst.getReg());
-            AI.forEachUsedReg([&](RegNum R) { Used.insert(R); });
+              MarkUsed(AI.Dst.getReg());
+            AI.forEachUsedReg(MarkUsed);
           }
         RegNum Acc = target::NumAllocatableRegs;
         for (RegNum R = 0; R != target::NumAllocatableRegs; ++R)
-          if (!Used.count(R)) {
+          if (!Used.test(R)) {
             Acc = R;
             break;
           }
@@ -206,10 +221,9 @@ bool strengthReduceOneIv(Function &F, const Loop &L, const Cfg &C,
         // the update after the step, then seed the preheader.
         F.Blocks.mut(static_cast<size_t>(B)).Insts[J] =
             rtl::mov(Operand::reg(T), Operand::reg(Acc));
-        BasicBlock &StepBlk =
-            F.Blocks.mut(static_cast<size_t>(IvDefs[0].first));
+        BasicBlock &StepBlk = F.Blocks.mut(static_cast<size_t>(IvDefs.Block));
         StepBlk.Insts.insert(
-            StepBlk.Insts.begin() + static_cast<long>(IvDefs[0].second) + 1,
+            StepBlk.Insts.begin() + static_cast<long>(IvDefs.Index) + 1,
             rtl::binary(UpdateOp, Operand::reg(Acc), Operand::reg(Acc),
                         Operand::reg(Inv)));
         size_t PH = getOrCreatePreheader(F, L);

@@ -99,10 +99,14 @@ namespace {
 /// by the named signal, or spins until the supervisor's kill timer fires.
 /// The busy loop touches a volatile so the optimizer cannot elide it.
 [[noreturn]] void executeCrashFault(FaultKind K) {
-  if (K == FaultKind::Segv)
+  if (K == FaultKind::Segv) {
+    // Default action first: a handler installed in the process (such as
+    // AddressSanitizer's) would otherwise turn the signal into an exit.
+    (void)signal(SIGSEGV, SIG_DFL);
     (void)raise(SIGSEGV);
-  else if (K == FaultKind::Kill)
+  } else if (K == FaultKind::Kill) {
     (void)raise(SIGKILL);
+  }
   volatile uint64_t Spin = 0;
   for (;;)
     Spin = Spin + 1;

@@ -24,14 +24,14 @@
 #include "src/machine/Target.h"
 #include "src/opt/Phases.h"
 
+#include <bitset>
+
 using namespace pose;
 
 namespace {
 
-/// Per-boundary liveness of one stack-slot variable: Live[B][J] = live
-/// just after instruction J of block B; LiveIn/LiveOut per block.
+/// Per-block liveness of one stack-slot variable.
 struct VarLiveness {
-  std::vector<std::vector<bool>> AfterInst;
   std::vector<bool> LiveIn, LiveOut;
 };
 
@@ -43,6 +43,13 @@ bool isVarUse(const Rtl &I, int32_t Slot) {
 bool isVarDef(const Rtl &I, int32_t Slot) {
   return I.Opcode == Op::Store && I.Src[0].isSlot() &&
          I.Src[0].Value == Slot;
+}
+
+/// One backward step of the variable's liveness across \p I.
+bool varLiveBefore(const Rtl &I, int32_t Slot, bool LiveAfter) {
+  if (isVarUse(I, Slot))
+    return true;
+  return LiveAfter && !isVarDef(I, Slot);
 }
 
 VarLiveness computeVarLiveness(const Function &F, const Cfg &C,
@@ -60,12 +67,8 @@ VarLiveness computeVarLiveness(const Function &F, const Cfg &C,
         Out |= V.LiveIn[static_cast<size_t>(S)];
       bool Cur = Out;
       const BasicBlock &Blk = F.Blocks[B];
-      for (size_t J = Blk.Insts.size(); J-- > 0;) {
-        if (isVarDef(Blk.Insts[J], Slot))
-          Cur = false;
-        if (isVarUse(Blk.Insts[J], Slot))
-          Cur = true;
-      }
+      for (size_t J = Blk.Insts.size(); J-- > 0;)
+        Cur = varLiveBefore(Blk.Insts[J], Slot, Cur);
       if (Out != V.LiveOut[B] || Cur != V.LiveIn[B]) {
         V.LiveOut[B] = Out;
         V.LiveIn[B] = Cur;
@@ -73,43 +76,42 @@ VarLiveness computeVarLiveness(const Function &F, const Cfg &C,
       }
     }
   }
-  V.AfterInst.resize(N);
-  for (size_t B = 0; B != N; ++B) {
-    const BasicBlock &Blk = F.Blocks[B];
-    V.AfterInst[B].assign(Blk.Insts.size(), false);
-    bool Cur = V.LiveOut[B];
-    for (size_t J = Blk.Insts.size(); J-- > 0;) {
-      V.AfterInst[B][J] = Cur;
-      if (isVarDef(Blk.Insts[J], Slot))
-        Cur = false;
-      if (isVarUse(Blk.Insts[J], Slot))
-        Cur = true;
-    }
-  }
   return V;
 }
 
-/// True if hardware register \p R never coexists with the variable: at
-/// every boundary where the variable is live, R is dead, and R is never
-/// written while the variable is live across the write.
-bool regFreeForVar(const Function &F, const Liveness &LV,
-                   const VarLiveness &V, RegNum R) {
+/// The allocatable registers that coexist with the variable in \p Slot:
+/// live at some boundary where the variable is live, or written while the
+/// variable is live across the write (which clobbers it even if the
+/// register's own value is dead). Each block is walked backward once, with
+/// one running live set for the registers and one flag for the variable.
+std::bitset<target::NumAllocatableRegs>
+conflictingRegs(const Function &F, const Liveness &LV, const VarLiveness &V,
+                int32_t Slot) {
+  std::bitset<target::NumAllocatableRegs> Conflicts;
+  auto AddLive = [&Conflicts](const BitVector &Live) {
+    for (RegNum R = 0; R != target::NumAllocatableRegs; ++R)
+      if (Live.test(R))
+        Conflicts.set(R);
+  };
+  BitVector Live;
   for (size_t B = 0; B != F.Blocks.size(); ++B) {
-    if (V.LiveIn[B] && LV.liveIn(B).test(R))
-      return false;
+    if (V.LiveIn[B])
+      AddLive(LV.liveIn(B));
     const BasicBlock &Blk = F.Blocks[B];
-    std::vector<BitVector> After = LV.liveAfterEach(F, B);
-    for (size_t J = 0; J != Blk.Insts.size(); ++J) {
-      if (V.AfterInst[B][J] && After[J].test(R))
-        return false;
-      // A write to R while the variable is live afterward clobbers it
-      // even if R's own value is dead.
-      if (V.AfterInst[B][J] && Blk.Insts[J].definesReg() &&
-          Blk.Insts[J].Dst.getReg() == R)
-        return false;
+    Live = LV.liveOut(B);
+    bool VarLive = V.LiveOut[B];
+    for (size_t J = Blk.Insts.size(); J-- > 0;) {
+      const Rtl &I = Blk.Insts[J];
+      if (VarLive) { // The variable is live just after I.
+        AddLive(Live);
+        if (I.definesReg() && I.Dst.getReg() < target::NumAllocatableRegs)
+          Conflicts.set(I.Dst.getReg());
+      }
+      Liveness::stepBackward(I, Live, LV.icIndex());
+      VarLive = varLiveBefore(I, Slot, VarLive);
     }
   }
-  return true;
+  return Conflicts;
 }
 
 /// True if every textual reference to \p Slot is as a load/store base
@@ -192,9 +194,10 @@ bool RegisterAllocationPhase::apply(Function &F) const {
       continue;
     Cfg C = Cfg::build(F);
     Liveness LV(F, C);
-    VarLiveness V = computeVarLiveness(F, C, Slot);
+    const std::bitset<target::NumAllocatableRegs> Conflicts =
+        conflictingRegs(F, LV, computeVarLiveness(F, C, Slot), Slot);
     for (RegNum R = 0; R != target::NumAllocatableRegs; ++R) {
-      if (!regFreeForVar(F, LV, V, R))
+      if (Conflicts.test(R))
         continue;
       promote(F, Slot, R);
       Changed = true;

@@ -133,7 +133,9 @@ bool mutateOneInstruction(Function &F, Rng &R) {
   Rtl &I = F.Blocks.mut(S.Block).Insts[S.Inst];
   switch (S.Kind) {
   case 0:
-    I.Src[S.Src] = Operand::imm(I.Src[S.Src].Value + 1);
+    // Wrap in unsigned arithmetic: the immediate can be INT32_MAX.
+    I.Src[S.Src] = Operand::imm(static_cast<int32_t>(
+        static_cast<uint32_t>(I.Src[S.Src].Value) + 1u));
     break;
   case 1:
     I.Opcode = I.Opcode == Op::Add ? Op::Sub : Op::Add;

@@ -125,4 +125,50 @@ TEST(Function, FallsThrough) {
   EXPECT_FALSE(Cfg::fallsThrough(F.Blocks[3])); // Ret does not.
 }
 
+TEST(Function, CfgLongPredecessorListKeepsDiscoveryOrder) {
+  // B0..B5 each compare and branch to the exit block B6, and otherwise
+  // fall through to the next block; B5's branch and fall-through are the
+  // same edge. B6 gets six predecessors, past the two an edge list holds
+  // inline and past the first heap capacity.
+  constexpr size_t K = 6;
+  Function F;
+  for (size_t I = 0; I != K + 1; ++I)
+    F.addBlock();
+  RegNum R = F.makePseudo();
+  const int32_t Exit = F.Blocks[K].Label;
+  for (size_t I = 0; I != K; ++I) {
+    F.Blocks.mut(I).Insts.push_back(
+        rtl::cmp(Operand::reg(R), Operand::imm(static_cast<int32_t>(I))));
+    F.Blocks.mut(I).Insts.push_back(rtl::branch(Cond::Eq, Exit));
+  }
+  F.Blocks.mut(K).Insts.push_back(rtl::ret(Operand::reg(R)));
+  const Cfg C = Cfg::build(F);
+
+  for (size_t I = 0; I + 1 < K; ++I)
+    EXPECT_EQ(C.Succs[I], (std::vector<int>{static_cast<int>(K),
+                                            static_cast<int>(I) + 1}));
+  EXPECT_EQ(C.Succs[K - 1], (std::vector<int>{static_cast<int>(K)}));
+  EXPECT_TRUE(C.Succs[K].empty());
+  EXPECT_EQ(C.Preds[K], (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(C.Preds[K][4], 4);
+
+  // Predecessors come in the order their edges are found: blocks in
+  // layout order, each block's successors in order.
+  std::vector<std::vector<int>> Found(K + 1);
+  for (size_t I = 0; I != K + 1; ++I)
+    for (int S : C.Succs[I])
+      Found[static_cast<size_t>(S)].push_back(static_cast<int>(I));
+  for (size_t I = 0; I != K + 1; ++I)
+    EXPECT_EQ(C.Preds[I], Found[I]) << "block " << I;
+
+  // Copies and moves keep long (heap) and short (inline) lists alike.
+  Cfg Copy = C;
+  EXPECT_EQ(Copy.Preds, C.Preds);
+  EXPECT_EQ(Copy.Succs, C.Succs);
+  const Cfg Moved = std::move(Copy);
+  EXPECT_EQ(Moved.Preds, C.Preds);
+  Copy = Moved;
+  EXPECT_EQ(Copy.Preds[K], (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
 } // namespace
