@@ -9,7 +9,9 @@
 #include "src/ir/Function.h"
 #include "src/ir/Verify.h"
 #include "src/opt/PhaseManager.h"
+#include "src/support/Flags.h"
 
+#include <algorithm>
 #include <csignal>
 
 using namespace pose;
@@ -43,37 +45,21 @@ bool pose::applyWrongCodeFault(Function &F) {
 
 bool FaultPlan::parse(const std::string &Spec, FaultPlan &Out) {
   FaultPlan Plan;
-  size_t Pos = 0;
-  while (Pos < Spec.size()) {
-    size_t End = Spec.find(',', Pos);
-    if (End == std::string::npos)
-      End = Spec.size();
-    const std::string Item = Spec.substr(Pos, End - Pos);
-    // "<letter>:<nth>[:<kind>]", nth a positive decimal number.
+  // Each item is "<letter>:<nth>[:<kind>]", nth a positive decimal number.
+  const bool Ok = parseList(Spec, [&Plan](std::string_view Item) {
     if (Item.size() < 3 || Item[1] != ':')
       return false;
-    int Index = -1;
-    for (int I = 0; I != NumPhases; ++I)
-      if (phaseCode(phaseByIndex(I)) == Item[0])
-        Index = I;
-    if (Index < 0)
-      return false;
-    size_t NthEnd = Item.find(':', 2);
-    if (NthEnd == std::string::npos)
-      NthEnd = Item.size();
-    if (NthEnd == 2)
-      return false;
+    int Index = 0;
+    while (Index != NumPhases && phaseCode(phaseByIndex(Index)) != Item[0])
+      ++Index;
+    const size_t NthEnd = std::min(Item.find(':', 2), Item.size());
     uint64_t Nth = 0;
-    for (size_t I = 2; I != NthEnd; ++I) {
-      if (Item[I] < '0' || Item[I] > '9')
-        return false;
-      Nth = Nth * 10 + static_cast<uint64_t>(Item[I] - '0');
-    }
-    if (Nth == 0)
+    if (Index == NumPhases ||
+        !parseDecimal(Item.substr(2, NthEnd - 2), Nth) || Nth == 0)
       return false;
     FaultKind Kind = FaultKind::Verifier;
     if (NthEnd != Item.size()) {
-      const std::string Name = Item.substr(NthEnd + 1);
+      const std::string_view Name = Item.substr(NthEnd + 1);
       if (Name == "segv")
         Kind = FaultKind::Segv;
       else if (Name == "kill")
@@ -86,9 +72,9 @@ bool FaultPlan::parse(const std::string &Spec, FaultPlan &Out) {
         return false;
     }
     Plan.add(phaseByIndex(Index), Nth, Kind);
-    Pos = End + 1;
-  }
-  if (Plan.empty())
+    return true;
+  });
+  if (!Ok)
     return false;
   Out = std::move(Plan);
   return true;

@@ -135,8 +135,9 @@ struct FaultPlan {
   /// Parses a comma-separated "<letter>:<nth>[:<kind>]" spec, e.g. "c:3",
   /// "c:3,s:1", or "s:2:segv" (the posec --inject-fault format); kind is
   /// one of segv/kill/hang/wrongcode and defaults to a verifier fault.
-  /// Returns false on an unknown phase letter, a missing/zero/non-numeric
-  /// count, an unknown kind, or any other malformed input; \p Out is
+  /// Returns false on an unknown phase letter, a missing, zero,
+  /// non-numeric or above-UINT64_MAX count, an unknown kind, an empty item
+  /// (such as a trailing comma), or any other malformed input; \p Out is
   /// unchanged on failure.
   static bool parse(const std::string &Spec, FaultPlan &Out);
 };

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/support/FaultSock.h"
+#include "src/support/Flags.h"
 
 #include <cerrno>
 
@@ -47,49 +48,26 @@ const char *sockFaultKindName(SockFaultKind K) {
 
 bool SockFaultSpec::parse(const std::string &Text,
                           std::vector<SockFaultSpec> &Out) {
-  if (Text.empty())
-    return false;
   std::vector<SockFaultSpec> Parsed;
-  size_t Pos = 0;
-  while (Pos <= Text.size()) {
-    size_t End = Text.find(',', Pos);
-    if (End == std::string::npos)
-      End = Text.size();
-    const std::string Item = Text.substr(Pos, End - Pos);
+  // Each item is "<kind>:<nth>", nth a positive decimal number.
+  const bool Ok = parseList(Text, [&Parsed](std::string_view Item) {
     const size_t Colon = Item.rfind(':');
-    if (Colon == std::string::npos || Colon == 0 || Colon + 1 == Item.size())
+    if (Colon == std::string_view::npos)
       return false;
-    const std::string Name = Item.substr(0, Colon);
+    const std::string_view Name = Item.substr(0, Colon);
     SockFaultSpec S;
-    bool Known = false;
-    for (uint8_t K = 0;
-         K <= static_cast<uint8_t>(SockFaultKind::StalledPeer); ++K)
-      if (Name == sockFaultKindName(static_cast<SockFaultKind>(K))) {
-        S.Kind = static_cast<SockFaultKind>(K);
-        Known = true;
-        break;
-      }
-    if (!Known)
+    uint8_t K = 0;
+    while (K <= static_cast<uint8_t>(SockFaultKind::StalledPeer) &&
+           Name != sockFaultKindName(static_cast<SockFaultKind>(K)))
+      ++K;
+    if (K > static_cast<uint8_t>(SockFaultKind::StalledPeer) ||
+        !parseDecimal(Item.substr(Colon + 1), S.Nth) || S.Nth == 0)
       return false;
-    uint64_t N = 0;
-    for (size_t I = Colon + 1; I != Item.size(); ++I) {
-      const char C = Item[I];
-      if (C < '0' || C > '9')
-        return false;
-      const uint64_t Digit = static_cast<uint64_t>(C - '0');
-      if (N > (UINT64_MAX - Digit) / 10)
-        return false;
-      N = N * 10 + Digit;
-    }
-    if (N == 0)
-      return false;
-    S.Nth = N;
+    S.Kind = static_cast<SockFaultKind>(K);
     Parsed.push_back(S);
-    if (End == Text.size())
-      break;
-    Pos = End + 1;
-  }
-  if (Parsed.empty())
+    return true;
+  });
+  if (!Ok)
     return false;
   Out = std::move(Parsed);
   return true;

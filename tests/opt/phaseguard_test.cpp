@@ -48,8 +48,18 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultPlan::parse("z:1", P)); // z is not a phase letter.
   EXPECT_FALSE(FaultPlan::parse("c:3,,s:1", P));
   EXPECT_FALSE(FaultPlan::parse("c:3,s:", P));
+  // Ordinals past 2^64-1 are rejected, not wrapped (2^64+1 would
+  // otherwise fire on application 1).
+  EXPECT_FALSE(FaultPlan::parse("s:18446744073709551616", P));
+  EXPECT_FALSE(FaultPlan::parse("s:18446744073709551617", P));
+  EXPECT_FALSE(FaultPlan::parse("s:1,", P)); // Empty trailing item.
+  EXPECT_FALSE(FaultPlan::parse(",s:1", P)); // Empty leading item.
   ASSERT_EQ(P.Faults.size(), 1u);
   EXPECT_EQ(P.Faults[0].Application, 7u);
+
+  ASSERT_TRUE(FaultPlan::parse("s:18446744073709551615", P));
+  ASSERT_EQ(P.Faults.size(), 1u);
+  EXPECT_EQ(P.Faults[0].Application, UINT64_MAX);
 }
 
 TEST(PhaseGuard, PassthroughMatchesPhaseManager) {

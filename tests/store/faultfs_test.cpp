@@ -176,6 +176,10 @@ TEST(IoFaultSpecParse, RejectsMalformedSpecs) {
   EXPECT_FALSE(IoFaultSpec::parse(":3", Out));             // No kind.
   EXPECT_FALSE(
       IoFaultSpec::parse("enospc:99999999999999999999", Out)); // Overflow.
+  EXPECT_FALSE(
+      IoFaultSpec::parse("enospc:18446744073709551616", Out)); // 2^64.
+  ASSERT_TRUE(IoFaultSpec::parse("enospc:18446744073709551615", Out));
+  EXPECT_EQ(Out[0].Nth, UINT64_MAX);
 }
 
 // The tentpole property: every fault kind, at every operation index a

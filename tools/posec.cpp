@@ -4,68 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Compile, optimize, run, and explore MC programs from the command line.
+// Compile, optimize, run, and explore MC programs from the command line:
 //
-//   posec prog.mc                         compile + batch-optimize, print RTL
-//   posec prog.mc --opt=none|batch|prob   pick the optimization strategy
-//   posec prog.mc --run [--entry=main]    simulate and print outputs
-//   posec prog.mc --enumerate=FUNC        exhaustively enumerate one function
-//   posec prog.mc --dot=FUNC              write FUNC's phase-order DAG as DOT
-//   posec prog.mc --sequence=sckh         apply an explicit phase sequence
-//   posec prog.mc --budget=N              enumeration budget
-//   posec prog.mc --jobs=N                worker threads (enumeration
-//                                         levels, batch functions)
-//   posec prog.mc --deadline-ms=N         wall-clock limit on optimization
-//   posec prog.mc --max-memory-mb=N       approx. memory budget (enumerate)
-//   posec prog.mc --verify-ir             verify after every phase, roll
-//                                         back and prune on failure
-//   posec prog.mc --inject-fault=c:3      fail the 3rd application of c
-//                                         (tests the rollback path)
-//   posec prog.mc --store=DIR             cache enumerated DAGs (and
-//                                         checkpoints of interrupted runs)
-//   posec prog.mc --resume --store=DIR    continue from a checkpoint
-//   posec prog.mc --analyze-store --store=DIR
-//                                         print interaction tables from
-//                                         the cached DAGs of prog.mc
-//   posec prog.mc --supervise --store=DIR enumerate every function in
-//                                         sandboxed worker processes with
-//                                         retry/quarantine/degradation
-//   posec prog.mc --supervise --sweep-jobs=N
-//                                         run up to N workers concurrently
-//                                         (identical output for any N)
-//   posec prog.mc --list-quarantine --store=DIR
-//                                         list quarantined jobs
-//   posec prog.mc --clear-quarantine --store=DIR
-//                                         clear quarantine records so the
-//                                         next sweep retries those jobs
-//   posec prog.mc --worker --enumerate=F --store=DIR
-//                                         supervised child mode: one job,
-//                                         result frame on stdout,
-//                                         documented exit code
-//   posec prog.mc --supervise --shard=K/N --store=DIR
-//                                         run only shard K of N: jobs are
-//                                         assigned by root-triple hash, so
-//                                         N disjoint supervisors cover the
-//                                         module exactly once
-//   posec --merge-store DST SRC...        union shard stores into DST with
-//                                         byte-level conflict detection
-//   posec --fsck --store=DIR [--repair]   re-verify every artifact frame;
-//                                         --repair moves damage aside and
-//                                         deletes orphaned temp files
-//   posec prog.mc --fault-io=SPEC ...     inject store I/O faults (short
-//                                         write, ENOSPC, EIO, crash around
-//                                         the committing rename)
-//   posec --workload=NAME ...             use an embedded benchmark program
-//                                         (bitcount, dijkstra, fft, jpeg,
-//                                         sha, stringsearch, crc32) as the
-//                                         input
-//   posec prog.mc --equiv                 semantic-equivalence collapse
-//                                         report: run every DAG instance on
-//                                         seeded test vectors and bucket by
-//                                         observed behavior
-//   posec prog.mc --equiv-check           differential phase-bug gate: exit
-//                                         11 if any two instances of one
-//                                         canonical function diverge
+//   posec prog.mc [--opt=none|batch|prob | --sequence=LETTERS] [--run]
+//   posec prog.mc --enumerate=FUNC | --dot=FUNC | --equiv | --equiv-check
+//   posec prog.mc --supervise --store=DIR    sandboxed whole-module sweep
+//   posec --merge-store=DST SRC...           union shard stores
+//   posec --fsck --store=DIR [--repair]      audit a store offline
+//
+// Every flag, with its range, its rules and its help text, is one row of
+// posecFlags() below; a command-line error prints the usage text rendered
+// from those rows.
 //
 //===----------------------------------------------------------------------===//
 
@@ -85,11 +34,11 @@
 #include "src/store/StoreAdmin.h"
 #include "src/store/StoreDriver.h"
 #include "src/support/FaultFs.h"
+#include "src/support/Flags.h"
 #include "src/support/StopToken.h"
 #include "src/workloads/Workloads.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -119,6 +68,7 @@ struct Options {
   bool Run = false;
   bool EmitRtl = false;
   bool VerifyIr = false;
+  bool ListPhases = false;   // --list-phases: print the phases, exit.
   bool Resume = false;       // --resume: continue from a stored checkpoint.
   bool AnalyzeStore = false; // --analyze-store: report on cached DAGs.
   bool ListQuarantine = false;  // --list-quarantine: print records, exit.
@@ -158,549 +108,271 @@ struct Options {
   std::string Workload; // --workload=NAME: embedded benchmark as input.
 };
 
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: posec <file.mc> [options]\n"
-      "  --opt=none|batch|prob   optimization strategy (default batch)\n"
-      "  --sequence=LETTERS      apply an explicit phase sequence instead\n"
-      "  --run                   simulate --entry (default main)\n"
-      "  --entry=NAME            entry function for --run\n"
-      "  --emit-rtl              print the final RTL of every function\n"
-      "  --enumerate=FUNC        exhaustively enumerate FUNC's space\n"
-      "  --dot=FUNC              print FUNC's phase-order DAG as Graphviz\n"
-      "  --budget=N              enumeration budget (active sequences per\n"
-      "                          level; default 1000000)\n"
-      "  --jobs=N                worker threads: enumeration expands each\n"
-      "                          level in parallel (identical DAG for any\n"
-      "                          N), batch compiles N functions at a time\n"
-      "                          (default 1)\n"
-      "  --deadline-ms=N         wall-clock limit for optimization and\n"
-      "                          enumeration (0 = unlimited)\n"
-      "  --max-memory-mb=N       approximate memory budget for\n"
-      "                          enumeration (0 = unlimited)\n"
-      "  --verify-ir             verify the IR after every phase; failures\n"
-      "                          roll back and prune that edge\n"
-      "  --inject-fault=SPEC     deterministic fault injection, e.g. c:3\n"
-      "                          or c:3,s:1 (Nth application of a phase)\n"
-      "  --model=FILE            load a trained interaction model for\n"
-      "                          --opt=prob instead of self-training\n"
-      "  --save-model=FILE       save the trained model after --opt=prob\n"
-      "  --store=DIR             persistent artifact store: finished DAGs\n"
-      "                          are cached and reused; runs stopped by a\n"
-      "                          deadline/memory budget/cancellation leave\n"
-      "                          a resumable checkpoint\n"
-      "  --resume                with --store: continue an interrupted\n"
-      "                          enumeration from its checkpoint (the\n"
-      "                          final DAG is identical to an\n"
-      "                          uninterrupted run)\n"
-      "  --analyze-store         with --store: print per-function cache\n"
-      "                          status and the interaction tables mined\n"
-      "                          from the cached complete DAGs\n"
-      "  --supervise             with --store: enumerate every function in\n"
-      "                          a sandboxed worker process, with bounded\n"
-      "                          retries, persistent quarantine of\n"
-      "                          crashing jobs, and graceful degradation\n"
-      "  --worker                supervised child mode (with --enumerate\n"
-      "                          and --store): prints a result frame on\n"
-      "                          stdout and uses the exit codes below\n"
-      "  --sweep-jobs=N          with --supervise: keep up to N worker\n"
-      "                          processes in flight (default 1; report,\n"
-      "                          artifacts, and quarantine records are\n"
-      "                          identical for any N)\n"
-      "  --list-quarantine       with --store: list this module's\n"
-      "                          quarantined jobs and exit\n"
-      "  --clear-quarantine      with --store: remove this module's\n"
-      "                          quarantine records so the next sweep\n"
-      "                          retries those jobs\n"
-      "  --worker-timeout-ms=N   with --supervise: SIGKILL a worker still\n"
-      "                          running after N ms (default 60000)\n"
-      "  --worker-rlimit-mb=N    with --supervise: RLIMIT_AS cap per\n"
-      "                          worker process (0 = none)\n"
-      "  --max-retries=N         with --supervise: retries per job after\n"
-      "                          the first attempt (default 2)\n"
-      "  --quarantine=DIR        with --supervise/--list-quarantine/\n"
-      "                          --clear-quarantine: directory for\n"
-      "                          quarantine records (default: the store)\n"
-      "  --fault-func=NAME       with --supervise: forward --inject-fault\n"
-      "                          only to NAME's worker\n"
-      "  --fault-attempts=N      crash faults fire only while the attempt\n"
-      "                          number is <= N (deterministic\n"
-      "                          crash-then-recover testing)\n"
-      "  --attempt=K             with --worker: this attempt's 1-based\n"
-      "                          number (set by the supervisor)\n"
-      "  --shard=K/N             with --supervise: run only the jobs whose\n"
-      "                          canonical root hashes to shard K of N\n"
-      "                          (1-based); N supervisors with disjoint K\n"
-      "                          cover the module exactly once, and their\n"
-      "                          merged stores are byte-identical to one\n"
-      "                          unsharded sweep\n"
-      "  --merge-store=DST SRC...\n"
-      "                          union the SRC stores into DST; identical\n"
-      "                          artifacts dedupe, byte-different ones for\n"
-      "                          the same key are a conflict (exit 10)\n"
-      "  --fsck                  with --store: re-verify every artifact\n"
-      "                          frame (magic, version, checksums, key,\n"
-      "                          payload decode); exit 9 when damage or\n"
-      "                          orphaned temp files were found\n"
-      "  --repair                with --fsck: move damaged artifacts to\n"
-      "                          <store>/lost+found/ and delete orphaned\n"
-      "                          temp files, so the next sweep recomputes\n"
-      "                          exactly what was lost\n"
-      "  --fault-io=SPEC         inject store I/O faults, e.g. enospc:2 or\n"
-      "                          crash-before-rename:1 (kinds: shortwrite,\n"
-      "                          enospc, eio, crash-before-rename,\n"
-      "                          crash-after-rename; Nth op of the class).\n"
-      "                          Execution-only: never part of the store\n"
-      "                          fingerprint. Crash kinds _exit(86)\n"
-      "  --workload=NAME         use an embedded benchmark program as the\n"
-      "                          input instead of a file (bitcount,\n"
-      "                          dijkstra, fft, jpeg, sha, stringsearch,\n"
-      "                          crc32)\n"
-      "  --equiv                 run every DAG instance on seeded test\n"
-      "                          vectors, bucket by observed behavior, and\n"
-      "                          print per-function collapse statistics\n"
-      "                          (semantic classes, cost spreads, optimal\n"
-      "                          leaves); enumerates every function unless\n"
-      "                          --enumerate=FUNC restricts it\n"
-      "  --equiv-check           differential phase-bug gate: exit 11 when\n"
-      "                          any two instances of one canonical\n"
-      "                          function diverge in behavior, naming the\n"
-      "                          sequence pair and first diverging vector\n"
-      "  --vector-seed=N         test-vector seed for --equiv/--equiv-check\n"
-      "                          (default 2026; part of the artifact key)\n"
-      "  --vectors=N             test vectors per signature (default 24)\n"
-      "  --list-phases           print the 15 phases and exit\n"
-      "\n"
-      "exit codes (--worker / --supervise / store admin):\n"
-      "  0 ok   1 error   2 usage   3 verifier failure   4 deadline\n"
-      "  5 memory budget   6 cancelled   7 worker crashed (quarantined)\n"
-      "  8 quarantined job(s) skipped   9 corrupt store (--fsck/--merge)\n"
-      "  10 merge conflict   11 equivalence divergence (--equiv-check)\n"
-      "  86 injected I/O crash (--fault-io)\n");
-}
+const char *const kExitCodes =
+    "\n"
+    "exit codes (--worker / --supervise / store admin):\n"
+    "  0 ok   1 error   2 usage   3 verifier failure   4 deadline\n"
+    "  5 memory budget   6 cancelled   7 worker crashed (quarantined)\n"
+    "  8 quarantined job(s) skipped   9 corrupt store (--fsck/--merge)\n"
+    "  10 merge conflict   11 equivalence divergence (--equiv-check)\n"
+    "  86 injected I/O crash (--fault-io)\n";
 
-/// Strict decimal parser for flag values: rejects empty strings, signs,
-/// whitespace, trailing garbage, and overflow (strtoull would silently
-/// accept all of those).
-bool parseUint(const char *S, uint64_t &Out) {
-  if (*S < '0' || *S > '9')
-    return false;
-  uint64_t V = 0;
-  for (const char *C = S; *C; ++C) {
-    if (*C < '0' || *C > '9')
-      return false;
-    const uint64_t Digit = static_cast<uint64_t>(*C - '0');
-    if (V > (UINT64_MAX - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-  }
-  Out = V;
-  return true;
-}
-
-bool parseArgs(int Argc, char **Argv, Options &O) {
-  // Flags that are only meaningful in one mode; tracked so a stray use is
-  // rejected instead of silently ignored.
-  bool SawSupervisorFlag = false, SawAttempt = false,
-       SawQuarantineDir = false, SawVectorFlag = false;
-  for (int I = 1; I < Argc; ++I) {
-    const std::string A = Argv[I];
-    auto Value = [&A](const char *Flag) -> const char * {
-      size_t L = std::strlen(Flag);
-      if (A.compare(0, L, Flag) == 0 && A.size() > L && A[L] == '=')
-        return A.c_str() + L + 1;
-      return nullptr;
-    };
-    if (A == "--run")
-      O.Run = true;
-    else if (A == "--emit-rtl")
-      O.EmitRtl = true;
-    else if (A == "--verify-ir")
-      O.VerifyIr = true;
-    else if (A == "--list-phases") {
-      for (int P = 0; P != NumPhases; ++P)
-        std::printf(" %c  %s\n", phaseCode(phaseByIndex(P)),
-                    phaseName(phaseByIndex(P)));
-      std::exit(0);
-    } else if (const char *V = Value("--opt"))
-      O.Opt = V;
-    else if (const char *V2 = Value("--sequence")) {
-      O.Sequence = V2;
-      O.Opt = "sequence";
-    } else if (const char *V3 = Value("--entry"))
-      O.Entry = V3;
-    else if (const char *V4 = Value("--enumerate"))
-      O.EnumerateFunc = V4;
-    else if (const char *V5 = Value("--dot"))
-      O.DotFunc = V5;
-    else if (const char *V6 = Value("--budget")) {
-      if (!parseUint(V6, O.Budget) || O.Budget == 0) {
-        std::fprintf(stderr,
-                     "--budget expects a positive integer, got '%s'\n", V6);
-        return false;
-      }
-    } else if (const char *VJ = Value("--jobs")) {
+/// posec's command line, one row per flag. Rules that depend on a flag's
+/// value or on the positional arguments are in checkOptions().
+std::vector<Flag> posecFlags(Options &O) {
+  std::vector<const char *> Workloads;
+  for (const Workload &W : allWorkloads())
+    Workloads.push_back(W.Name);
+  return flagTable(
+      choiceFlag("--opt", O.Opt, {"none", "batch", "prob"},
+                 "optimization strategy (default batch)"),
+      customFlag(
+          "--sequence", "LETTERS", "phase letters only (see --list-phases)",
+          [&O](const std::string &V) {
+            for (const char C : V) {
+              int P = 0;
+              while (P != NumPhases && phaseCode(phaseByIndex(P)) != C)
+                ++P;
+              if (P == NumPhases)
+                return false;
+            }
+            O.Sequence = V;
+            O.Opt = "sequence";
+            return true;
+          },
+          "apply an explicit phase sequence instead of an --opt strategy")
+          .excludes({"--opt"}),
+      switchFlag("--run", O.Run, "simulate --entry (default main)"),
+      textFlag("--entry", "NAME", O.Entry, "entry function for --run"),
+      switchFlag("--emit-rtl", O.EmitRtl,
+                 "print the final RTL of every function"),
+      textFlag("--enumerate", "FUNC", O.EnumerateFunc,
+               "exhaustively enumerate FUNC's space"),
+      textFlag("--dot", "FUNC", O.DotFunc,
+               "print FUNC's phase-order DAG as Graphviz"),
+      uintFlag("--budget", O.Budget, 1, UINT64_MAX,
+               "enumeration budget (active sequences per level; default "
+               "1000000)"),
       // Capped at u32: the thread-count plumbing is 32-bit, and a larger
       // value would otherwise truncate silently (e.g. 2^32+1 -> 1 job).
-      if (!parseUint(VJ, O.Jobs) || O.Jobs == 0 || O.Jobs > 0xffffffffULL) {
-        std::fprintf(stderr,
-                     "--jobs expects a positive integer <= 4294967295, "
-                     "got '%s'\n",
-                     VJ);
-        return false;
-      }
-    } else if (const char *VD = Value("--deadline-ms")) {
-      if (!parseUint(VD, O.DeadlineMs)) {
-        std::fprintf(
-            stderr, "--deadline-ms expects a non-negative integer, got '%s'\n",
-            VD);
-        return false;
-      }
-    } else if (const char *VM = Value("--max-memory-mb")) {
-      if (!parseUint(VM, O.MaxMemoryMb)) {
-        std::fprintf(
-            stderr,
-            "--max-memory-mb expects a non-negative integer, got '%s'\n", VM);
-        return false;
-      }
-    } else if (const char *VF = Value("--inject-fault")) {
-      if (!FaultPlan::parse(VF, O.Faults)) {
-        std::fprintf(stderr,
-                     "--inject-fault expects <phase>:<nth>[:<segv|kill|"
-                     "hang>][,...] with a known phase letter and a "
-                     "positive count, got '%s'\n",
-                     VF);
-        return false;
-      }
-      O.FaultSpecText = VF;
-    } else if (const char *V7 = Value("--model"))
-      O.ModelPath = V7;
-    else if (const char *V8 = Value("--save-model"))
-      O.SaveModelPath = V8;
-    else if (const char *V9 = Value("--store")) {
-      if (!*V9) {
-        std::fprintf(stderr, "--store expects a directory path\n");
-        return false;
-      }
-      O.StorePath = V9;
-    } else if (A == "--resume")
-      O.Resume = true;
-    else if (A == "--analyze-store")
-      O.AnalyzeStore = true;
-    else if (A == "--list-quarantine")
-      O.ListQuarantine = true;
-    else if (A == "--clear-quarantine")
-      O.ClearQuarantine = true;
-    else if (A == "--supervise")
-      O.Supervise = true;
-    else if (A == "--worker")
-      O.Worker = true;
-    else if (const char *VWT = Value("--worker-timeout-ms")) {
+      uintFlag("--jobs", O.Jobs, 1, UINT32_MAX,
+               "worker threads: enumeration expands each level in parallel "
+               "(identical DAG for any N), batch compiles N functions at a "
+               "time (default 1)"),
+      uintFlag("--deadline-ms", O.DeadlineMs, 0, UINT64_MAX,
+               "wall-clock limit for optimization and enumeration (0 = "
+               "unlimited)"),
+      uintFlag("--max-memory-mb", O.MaxMemoryMb, 0, UINT64_MAX,
+               "approximate memory budget for enumeration (0 = unlimited)"),
+      switchFlag("--verify-ir", O.VerifyIr,
+                 "verify the IR after every phase; failures roll back and "
+                 "prune that edge"),
+      customFlag(
+          "--inject-fault", "SPEC",
+          "<phase>:<nth>[:<kind>][,...] with a known phase letter, a "
+          "positive count and kind segv, kill, hang or wrongcode (default: "
+          "verifier)",
+          [&O](const std::string &V) {
+            if (!FaultPlan::parse(V, O.Faults))
+              return false;
+            O.FaultSpecText = V;
+            return true;
+          },
+          "deterministic fault injection: fail the Nth application of a "
+          "phase, e.g. c:3 or c:3,s:1; an optional third field picks the "
+          "kind: verifier (default), segv, kill, hang or wrongcode"),
+      textFlag("--model", "FILE", O.ModelPath,
+               "load a trained interaction model for --opt=prob instead of "
+               "self-training"),
+      textFlag("--save-model", "FILE", O.SaveModelPath,
+               "save the trained model after --opt=prob"),
+      textFlag("--store", "DIR", O.StorePath,
+               "persistent artifact store: finished DAGs are cached and "
+               "reused; runs stopped by a deadline/memory "
+               "budget/cancellation leave a resumable checkpoint"),
+      switchFlag("--resume", O.Resume,
+                 "continue an interrupted enumeration from its checkpoint "
+                 "(the final DAG is identical to an uninterrupted run)")
+          .needs({"--store"}),
+      switchFlag("--analyze-store", O.AnalyzeStore,
+                 "print per-function cache status and the interaction "
+                 "tables mined from the cached complete DAGs")
+          .needs({"--store"}),
+      switchFlag("--supervise", O.Supervise,
+                 "enumerate every function in a sandboxed worker process, "
+                 "with bounded retries, persistent quarantine of crashing "
+                 "jobs, and graceful degradation")
+          .needs({"--store"}),
+      switchFlag("--worker", O.Worker,
+                 "supervised child mode: prints a result frame on stdout "
+                 "and uses the exit codes below")
+          .needs({"--enumerate"})
+          .needs({"--store"})
+          .excludes({"--supervise"}),
+      uintFlag("--sweep-jobs", O.SweepJobs, 1, UINT64_MAX,
+               "keep up to N worker processes in flight (default 1; "
+               "report, artifacts, and quarantine records are identical "
+               "for any N)")
+          .needs({"--supervise"}),
+      switchFlag("--list-quarantine", O.ListQuarantine,
+                 "list this module's quarantined jobs and exit")
+          .needs({"--store"})
+          .excludes({"--supervise", "--worker"}),
+      switchFlag("--clear-quarantine", O.ClearQuarantine,
+                 "remove this module's quarantine records so the next sweep "
+                 "retries those jobs")
+          .needs({"--store"})
+          .excludes({"--supervise", "--worker"}),
       // Zero would disable the kill timer entirely, so one hung worker
       // stalls the whole sweep forever; refuse it at parse time.
-      if (!parseUint(VWT, O.WorkerTimeoutMs) || O.WorkerTimeoutMs == 0) {
-        std::fprintf(
-            stderr,
-            "--worker-timeout-ms expects a positive integer (0 would "
-            "disable the hung-worker kill timer), got '%s'\n",
-            VWT);
-        return false;
-      }
-      SawSupervisorFlag = true;
-    } else if (const char *VWR = Value("--worker-rlimit-mb")) {
-      if (!parseUint(VWR, O.WorkerRlimitMb)) {
-        std::fprintf(
-            stderr,
-            "--worker-rlimit-mb expects a non-negative integer, got '%s'\n",
-            VWR);
-        return false;
-      }
-      SawSupervisorFlag = true;
-    } else if (const char *VSJ = Value("--sweep-jobs")) {
-      if (!parseUint(VSJ, O.SweepJobs) || O.SweepJobs == 0) {
-        std::fprintf(stderr,
-                     "--sweep-jobs expects a positive integer, got '%s'\n",
-                     VSJ);
-        return false;
-      }
-      SawSupervisorFlag = true;
-    } else if (const char *VR = Value("--max-retries")) {
-      if (!parseUint(VR, O.MaxRetries)) {
-        std::fprintf(stderr,
-                     "--max-retries expects a non-negative integer, got "
-                     "'%s'\n",
-                     VR);
-        return false;
-      }
-      SawSupervisorFlag = true;
-    } else if (const char *VQ = Value("--quarantine")) {
-      if (!*VQ) {
-        std::fprintf(stderr, "--quarantine expects a directory path\n");
-        return false;
-      }
-      O.QuarantinePath = VQ;
-      SawQuarantineDir = true;
-    } else if (const char *VFF = Value("--fault-func")) {
-      if (!*VFF) {
-        std::fprintf(stderr, "--fault-func expects a function name\n");
-        return false;
-      }
-      O.FaultFunc = VFF;
-      SawSupervisorFlag = true;
-    } else if (const char *VFA = Value("--fault-attempts")) {
-      if (!parseUint(VFA, O.FaultAttempts) || O.FaultAttempts == 0) {
-        std::fprintf(stderr,
-                     "--fault-attempts expects a positive integer, got "
-                     "'%s'\n",
-                     VFA);
-        return false;
-      }
-    } else if (const char *VA = Value("--attempt")) {
-      if (!parseUint(VA, O.Attempt) || O.Attempt == 0) {
-        std::fprintf(stderr, "--attempt expects a positive integer, got "
-                             "'%s'\n",
-                     VA);
-        return false;
-      }
-      SawAttempt = true;
-    } else if (const char *VS = Value("--shard")) {
-      const std::string Spec = VS;
-      const size_t Slash = Spec.find('/');
-      if (Slash == std::string::npos ||
-          !parseUint(Spec.substr(0, Slash).c_str(), O.ShardIndex) ||
-          !parseUint(Spec.substr(Slash + 1).c_str(), O.ShardCount) ||
-          O.ShardIndex == 0 || O.ShardCount == 0 ||
-          O.ShardIndex > O.ShardCount) {
-        std::fprintf(stderr,
-                     "--shard expects K/N with 1 <= K <= N, got '%s'\n", VS);
-        return false;
-      }
-      SawSupervisorFlag = true;
-    } else if (const char *VMS = Value("--merge-store")) {
-      if (!*VMS) {
-        std::fprintf(stderr,
-                     "--merge-store expects a destination directory\n");
-        return false;
-      }
-      O.MergeDst = VMS;
-    } else if (A == "--fsck")
-      O.Fsck = true;
-    else if (A == "--repair")
-      O.Repair = true;
-    else if (const char *VIO = Value("--fault-io")) {
-      if (!IoFaultSpec::parse(VIO, O.FaultIo)) {
-        std::fprintf(stderr,
-                     "--fault-io expects <kind>:<nth>[,...] with kind one "
-                     "of shortwrite/enospc/eio/crash-before-rename/"
-                     "crash-after-rename and a positive index, got '%s'\n",
-                     VIO);
-        return false;
-      }
-      O.FaultIoSpecText = VIO;
-    } else if (A == "--equiv")
-      O.Equiv = true;
-    else if (A == "--equiv-check")
-      O.EquivCheck = true;
-    else if (const char *VVS = Value("--vector-seed")) {
-      if (!parseUint(VVS, O.VectorSeed)) {
-        std::fprintf(stderr,
-                     "--vector-seed expects a non-negative integer, got "
-                     "'%s'\n",
-                     VVS);
-        return false;
-      }
-      SawVectorFlag = true;
-    } else if (const char *VVC = Value("--vectors")) {
+      uintFlag("--worker-timeout-ms", O.WorkerTimeoutMs, 1, UINT64_MAX,
+               "SIGKILL a worker still running after N ms (default 60000)")
+          .needs({"--supervise"}),
+      uintFlag("--worker-rlimit-mb", O.WorkerRlimitMb, 0, UINT64_MAX,
+               "RLIMIT_AS cap per worker process (0 = none)")
+          .needs({"--supervise"}),
+      uintFlag("--max-retries", O.MaxRetries, 0, UINT64_MAX,
+               "retries per job after the first attempt (default 2)")
+          .needs({"--supervise"}),
+      textFlag("--quarantine", "DIR", O.QuarantinePath,
+               "directory for quarantine records (default: the store)")
+          .needs({"--supervise", "--list-quarantine", "--clear-quarantine"}),
+      textFlag("--fault-func", "NAME", O.FaultFunc,
+               "forward --inject-fault only to NAME's worker")
+          .needs({"--supervise"}),
+      uintFlag("--fault-attempts", O.FaultAttempts, 1, UINT64_MAX,
+               "crash faults fire only while the attempt number is <= N "
+               "(deterministic crash-then-recover testing)"),
+      uintFlag("--attempt", O.Attempt, 1, UINT64_MAX,
+               "this attempt's 1-based number (set by the supervisor)")
+          .needs({"--worker"}),
+      customFlag(
+          "--shard", "K/N", "K/N with 1 <= K <= N",
+          [&O](const std::string &V) {
+            const size_t Slash = V.find('/');
+            return Slash != std::string::npos &&
+                   parseDecimal(std::string_view(V).substr(0, Slash),
+                                O.ShardIndex) &&
+                   parseDecimal(std::string_view(V).substr(Slash + 1),
+                                O.ShardCount) &&
+                   O.ShardIndex != 0 && O.ShardIndex <= O.ShardCount;
+          },
+          "run only the jobs whose canonical root hashes to shard K of N "
+          "(1-based); N supervisors with disjoint K cover the module "
+          "exactly once, and their merged stores are byte-identical to "
+          "one unsharded sweep")
+          .needs({"--supervise"}),
+      textFlag("--merge-store", "DST", O.MergeDst,
+               "union the stores given as positional arguments into DST; "
+               "identical artifacts dedupe, byte-different ones for the "
+               "same key are a conflict (exit 10)")
+          .excludes({"--store", "--workload", "--fsck", "--supervise",
+                     "--worker", "--analyze-store", "--list-quarantine",
+                     "--clear-quarantine"}),
+      switchFlag("--fsck", O.Fsck,
+                 "re-verify every artifact frame (magic, version, "
+                 "checksums, key, payload decode); exit 9 when damage or "
+                 "orphaned temp files were found")
+          .needs({"--store"})
+          .excludes({"--workload", "--supervise", "--worker",
+                     "--analyze-store", "--list-quarantine",
+                     "--clear-quarantine"}),
+      switchFlag("--repair", O.Repair,
+                 "move damaged artifacts to <store>/lost+found/ and delete "
+                 "orphaned temp files, so the next sweep recomputes exactly "
+                 "what was lost")
+          .needs({"--fsck"}),
+      customFlag(
+          "--fault-io", "SPEC",
+          "<kind>:<nth>[,...] with kind one of shortwrite, enospc, eio, "
+          "crash-before-rename or crash-after-rename and a positive index",
+          [&O](const std::string &V) {
+            if (!IoFaultSpec::parse(V, O.FaultIo))
+              return false;
+            O.FaultIoSpecText = V;
+            return true;
+          },
+          "inject store I/O faults, e.g. enospc:2 or crash-before-rename:1 "
+          "(kinds: shortwrite, enospc, eio, crash-before-rename, "
+          "crash-after-rename; Nth op of the class). Execution-only: never "
+          "part of the store fingerprint. Crash kinds _exit(86)")
+          .needs({"--store", "--supervise"}),
+      choiceFlag("--workload", O.Workload, std::move(Workloads),
+                 "use an embedded benchmark program as the input instead of "
+                 "a file"),
+      switchFlag("--equiv", O.Equiv,
+                 "run every DAG instance on seeded test vectors, bucket by "
+                 "observed behavior, and print per-function collapse "
+                 "statistics (semantic classes, cost spreads, optimal "
+                 "leaves); enumerates every function unless --enumerate "
+                 "restricts it")
+          .excludes({"--equiv-check", "--dot", "--run", "--analyze-store"}),
+      // The gate re-runs instances in-process; under supervision it would
+      // race the workers it is meant to audit. Run it over the store after
+      // the sweep instead (--equiv workers persist the records it needs).
+      switchFlag("--equiv-check", O.EquivCheck,
+                 "differential phase-bug gate: exit 11 when any two "
+                 "instances of one canonical function diverge in behavior, "
+                 "naming the sequence pair and first diverging vector; "
+                 "standalone: use --equiv during a sweep, then run this "
+                 "over the store")
+          .excludes({"--worker", "--supervise", "--dot", "--run",
+                     "--analyze-store"}),
+      uintFlag("--vector-seed", O.VectorSeed, 0, UINT64_MAX,
+               "test-vector seed (default 2026; part of the artifact key)")
+          .needs({"--equiv", "--equiv-check"}),
       // Capped at u32: the vector count is stored 32-bit in the equiv
       // fingerprint; a larger value would truncate silently (2^32+1 -> 1
       // vector) instead of failing loudly here.
-      if (!parseUint(VVC, O.Vectors) || O.Vectors == 0 ||
-          O.Vectors > 0xffffffffULL) {
-        std::fprintf(stderr,
-                     "--vectors expects a positive integer <= 4294967295, "
-                     "got '%s'\n",
-                     VVC);
-        return false;
-      }
-      SawVectorFlag = true;
-    } else if (const char *VWL = Value("--workload")) {
-      if (!findWorkload(VWL)) {
-        std::fprintf(stderr, "unknown workload '%s'; available:", VWL);
-        for (const Workload &W : allWorkloads())
-          std::fprintf(stderr, " %s", W.Name);
-        std::fprintf(stderr, "\n");
-        return false;
-      }
-      O.Workload = VWL;
-    } else if (A.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option %s\n", A.c_str());
-      return false;
-    } else if (!O.MergeDst.empty())
-      // Positional arguments of a merge are the source stores.
-      O.MergeSrcs.push_back(A);
-    else if (O.InputPath.empty())
-      O.InputPath = A;
-    else {
-      std::fprintf(stderr, "multiple input files\n");
-      return false;
-    }
-  }
-  if (!O.MergeDst.empty() && !O.InputPath.empty()) {
-    // Flag order must not matter: a source listed before --merge-store
-    // was provisionally taken as the input file.
-    O.MergeSrcs.insert(O.MergeSrcs.begin(), O.InputPath);
-    O.InputPath.clear();
-  }
+      uintFlag("--vectors", O.Vectors, 1, UINT32_MAX,
+               "test vectors per signature (default 24)")
+          .needs({"--equiv", "--equiv-check"}),
+      switchFlag("--list-phases", O.ListPhases,
+                 "print the 15 phases and exit (no input needed)"));
+}
+
+/// The rules the flag table cannot state, because they depend on a flag's
+/// value or on the positional arguments \p Args. Fills in the input file
+/// or the merge sources.
+bool checkOptions(Options &O, std::vector<std::string> &Args,
+                  std::string &Error) {
+  auto Fail = [&Error](const char *Why) {
+    Error = Why;
+    return false;
+  };
   if (!O.MergeDst.empty()) {
-    if (!O.Workload.empty()) {
-      std::fprintf(stderr, "--merge-store takes no input program\n");
-      return false;
-    }
-    if (O.MergeSrcs.empty()) {
-      std::fprintf(stderr,
-                   "--merge-store needs at least one source store\n");
-      return false;
-    }
-    if (!O.StorePath.empty()) {
-      std::fprintf(stderr, "--merge-store takes its destination from the "
-                           "flag value and its sources as positional "
-                           "arguments; --store is not used\n");
-      return false;
-    }
-    if (O.Fsck || O.Supervise || O.Worker || O.AnalyzeStore ||
-        O.ListQuarantine || O.ClearQuarantine) {
-      std::fprintf(stderr, "--merge-store is a standalone mode\n");
-      return false;
-    }
-    return true;
-  }
-  if (O.Fsck) {
-    if (O.StorePath.empty()) {
-      std::fprintf(stderr, "--fsck requires --store=DIR\n");
-      return false;
-    }
-    if (O.Supervise || O.Worker || O.AnalyzeStore || O.ListQuarantine ||
-        O.ClearQuarantine) {
-      std::fprintf(stderr, "--fsck is a standalone mode\n");
-      return false;
-    }
-    if (!O.InputPath.empty() || !O.Workload.empty()) {
-      std::fprintf(stderr, "--fsck verifies the store itself and takes no "
-                           "input file\n");
-      return false;
-    }
-    return true;
-  }
-  if (O.Repair) {
-    std::fprintf(stderr, "--repair requires --fsck\n");
-    return false;
-  }
-  if (O.ShardCount != 0 && !O.Supervise) {
-    std::fprintf(stderr, "--shard requires --supervise\n");
-    return false;
-  }
-  if (!O.FaultIo.empty() && O.StorePath.empty() && !O.Supervise) {
-    std::fprintf(stderr, "--fault-io injects store I/O faults and "
-                         "requires --store=DIR (or --supervise)\n");
-    return false;
-  }
-  if ((O.Resume || O.AnalyzeStore) && O.StorePath.empty()) {
-    std::fprintf(stderr, "%s requires --store=DIR\n",
-                 O.Resume ? "--resume" : "--analyze-store");
-    return false;
-  }
-  if ((O.ListQuarantine || O.ClearQuarantine) && O.StorePath.empty()) {
-    std::fprintf(stderr, "%s requires --store=DIR\n",
-                 O.ListQuarantine ? "--list-quarantine"
-                                  : "--clear-quarantine");
-    return false;
-  }
-  if ((O.ListQuarantine || O.ClearQuarantine) && (O.Supervise || O.Worker)) {
-    std::fprintf(stderr, "--list-quarantine/--clear-quarantine are "
-                         "standalone modes\n");
-    return false;
-  }
-  if (O.Worker && O.Supervise) {
-    std::fprintf(stderr, "--worker and --supervise are exclusive\n");
-    return false;
-  }
-  if (O.Worker && (O.EnumerateFunc.empty() || O.StorePath.empty())) {
-    std::fprintf(stderr,
-                 "--worker requires --enumerate=FUNC and --store=DIR\n");
-    return false;
-  }
-  if (O.Supervise && O.StorePath.empty()) {
-    std::fprintf(stderr, "--supervise requires --store=DIR\n");
-    return false;
-  }
-  if (SawSupervisorFlag && !O.Supervise) {
-    std::fprintf(stderr,
-                 "--worker-timeout-ms/--worker-rlimit-mb/--sweep-jobs/"
-                 "--max-retries/--fault-func require --supervise\n");
-    return false;
-  }
-  if (SawQuarantineDir && !O.Supervise && !O.ListQuarantine &&
-      !O.ClearQuarantine) {
-    std::fprintf(stderr, "--quarantine requires --supervise, "
-                         "--list-quarantine, or --clear-quarantine\n");
-    return false;
-  }
-  if (SawAttempt && !O.Worker) {
-    std::fprintf(stderr, "--attempt requires --worker\n");
-    return false;
+    // Every positional argument of a merge is a source store, including
+    // those given before the flag.
+    O.MergeSrcs = std::move(Args);
+    if (O.MergeSrcs.empty())
+      return Fail("--merge-store needs at least one source store");
+  } else if (O.Fsck) {
+    if (!Args.empty())
+      return Fail("--fsck verifies the store itself and takes no input file");
+  } else if (Args.size() > 1) {
+    return Fail("multiple input files");
+  } else if (Args.size() == 1) {
+    if (!O.Workload.empty())
+      return Fail("give either an input file or --workload=NAME, not both");
+    O.InputPath = Args.front();
+  } else if (O.Workload.empty() && !O.ListPhases) {
+    return Fail("no input file (give one, or --workload=NAME)");
   }
   // Crash-class faults take the process down; an unsupervised process
   // would just lose the run, which is the very failure mode the
   // supervisor exists to absorb.
-  if (O.Faults.hasCrashFault() && !O.Worker && !O.Supervise) {
-    std::fprintf(stderr, "crash-class faults (segv/kill/hang) require "
-                         "--worker or --supervise\n");
-    return false;
-  }
+  if (O.Faults.hasCrashFault() && !O.Worker && !O.Supervise)
+    return Fail("crash-class faults (segv/kill/hang) require --worker or "
+                "--supervise");
   // Verifier faults shape the DAG and are part of the store fingerprint;
   // the supervisor only knows how to forward execution-only crash plans.
-  if (O.Supervise && !O.Faults.empty() && !O.Faults.allCrashFaults()) {
-    std::fprintf(stderr, "--supervise only supports all-crash-class "
-                         "--inject-fault plans (segv/kill/hang)\n");
-    return false;
-  }
-  if (O.FaultAttempts != 0 && O.FaultIo.empty() &&
-      (O.Faults.empty() || !O.Faults.allCrashFaults())) {
-    std::fprintf(stderr, "--fault-attempts requires an all-crash-class "
-                         "--inject-fault plan or a --fault-io plan\n");
-    return false;
-  }
-  if (!O.Workload.empty() && !O.InputPath.empty()) {
-    std::fprintf(stderr,
-                 "give either an input file or --workload=NAME, not both\n");
-    return false;
-  }
-  if (O.Equiv && O.EquivCheck) {
-    std::fprintf(stderr, "--equiv and --equiv-check are exclusive\n");
-    return false;
-  }
-  if (SawVectorFlag && !O.Equiv && !O.EquivCheck) {
-    std::fprintf(stderr,
-                 "--vector-seed/--vectors require --equiv or --equiv-check\n");
-    return false;
-  }
-  // The gate re-runs instances in-process; under supervision it would
-  // race the workers it is meant to audit. Run it over the store after
-  // the sweep instead (--equiv workers persist the records it needs).
-  if (O.EquivCheck && (O.Worker || O.Supervise)) {
-    std::fprintf(stderr, "--equiv-check is a standalone gate; use --equiv "
-                         "during the sweep and run --equiv-check "
-                         "afterwards\n");
-    return false;
-  }
-  if ((O.Equiv || O.EquivCheck) &&
-      (!O.DotFunc.empty() || O.Run || O.AnalyzeStore)) {
-    std::fprintf(stderr, "--equiv/--equiv-check cannot be combined with "
-                         "--dot/--run/--analyze-store\n");
-    return false;
-  }
-  return !O.InputPath.empty() || !O.Workload.empty();
+  if (O.Supervise && !O.Faults.empty() && !O.Faults.allCrashFaults())
+    return Fail("--supervise only supports all-crash-class --inject-fault "
+                "plans (segv/kill/hang)");
+  if (O.FaultAttempts != 0 && O.FaultIo.empty() && !O.Faults.allCrashFaults())
+    return Fail("--fault-attempts requires an all-crash-class --inject-fault "
+                "plan or a --fault-io plan");
+  return true;
 }
 
 /// Prints every guarded failure of \p R to stderr (a pruned edge is worth
@@ -1208,9 +880,21 @@ int analyzeStore(const Options &O, Module &M) {
 
 int main(int Argc, char **Argv) {
   Options O;
-  if (!parseArgs(Argc, Argv, O)) {
-    usage();
-    return 2;
+  const std::vector<Flag> Flags = posecFlags(O);
+  std::vector<std::string> Args;
+  std::string Error;
+  if (!parseFlags(Flags, Argc, Argv, Args, nullptr, Error) ||
+      !checkOptions(O, Args, Error)) {
+    std::fprintf(stderr, "%s\n%s", Error.c_str(),
+                 renderUsage("posec <file.mc> [options]", Flags, kExitCodes)
+                     .c_str());
+    return drive::ExitCode::Usage;
+  }
+  if (O.ListPhases) {
+    for (int P = 0; P != NumPhases; ++P)
+      std::printf(" %c  %s\n", phaseCode(phaseByIndex(P)),
+                  phaseName(phaseByIndex(P)));
+    return 0;
   }
 
   // Install the store I/O fault injector before any store is touched.
@@ -1232,7 +916,7 @@ int main(int Argc, char **Argv) {
 
   std::string Source;
   if (!O.Workload.empty()) {
-    // Embedded benchmark (validated by parseArgs).
+    // Embedded benchmark (a --workload choice row).
     Source = findWorkload(O.Workload)->Source;
   } else {
     std::ifstream In(O.InputPath);
@@ -1336,9 +1020,6 @@ int main(int Argc, char **Argv) {
                    Active.c_str());
       fixEntryExit(F);
     }
-  } else if (O.Opt != "none") {
-    std::fprintf(stderr, "unknown --opt value '%s'\n", O.Opt.c_str());
-    return 2;
   }
 
   if (O.EmitRtl || (!O.Run && O.EnumerateFunc.empty()))

@@ -11,11 +11,10 @@
 // sharing one artifact store. Identical requests — concurrent or
 // repeated — cost one computation.
 //
-//   posed --socket=PATH --store=DIR [--posec=BIN] [--max-jobs=N]
-//         [--max-inflight=N] [--request-timeout-ms=N] [--rlimit-mb=N]
-//         [--cache-entries=N] [--read-timeout-ms=N] [--max-queue=N]
-//         [--reload-store=DIR] [--watchdog] [--max-restarts=N]
-//         [--heartbeat-timeout-ms=N] [--fault-sock=SPEC] [--verbose]
+//   posed --socket=PATH --store=DIR [options]
+//
+// The options are the rows of the flag table in main(); a command-line
+// error prints the usage text rendered from them.
 //
 // Exit codes (src/drive/ExitCodes.h): 0 after a graceful SIGTERM/SIGINT
 // drain, 1 internal error, 2 usage, 12 socket setup failure, 13 when
@@ -27,10 +26,10 @@
 #include "src/serve/Daemon.h"
 #include "src/serve/Watchdog.h"
 #include "src/support/FaultSock.h"
+#include "src/support/Flags.h"
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -40,68 +39,6 @@
 using namespace pose;
 
 namespace {
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: posed --socket=PATH --store=DIR [options]\n"
-      "\n"
-      "  --socket=PATH            Unix-domain socket to serve on\n"
-      "  --store=DIR              shared artifact store for all requests\n"
-      "  --posec=BIN              posec binary to spawn (default: the\n"
-      "                           'posec' next to this executable)\n"
-      "  --max-jobs=N             concurrent posec children (default 4)\n"
-      "  --max-inflight=N         per-client queued+running cap "
-      "(default 8)\n"
-      "  --request-timeout-ms=N   admission deadline and child kill "
-      "timer\n"
-      "                           (default 300000; 0 = none)\n"
-      "  --rlimit-mb=N            RLIMIT_AS per child in MiB (default "
-      "0)\n"
-      "  --cache-entries=N        completed-response cache size "
-      "(default 256)\n"
-      "  --read-timeout-ms=N      drop peers making no I/O progress for\n"
-      "                           N ms (default 30000; 0 = off)\n"
-      "  --max-queue=N            global queued-request cap; beyond it\n"
-      "                           requests are shed with 'overloaded'\n"
-      "                           plus a retry-after hint (default 256;\n"
-      "                           0 = unlimited)\n"
-      "  --reload-store=DIR       staging store a Reload frame / SIGHUP\n"
-      "                           swaps in after it passes fsck\n"
-      "                           (default: reloads refused)\n"
-      "  --watchdog               supervise the daemon: hold the socket,\n"
-      "                           restart it on crash or hang, exit 13\n"
-      "                           when the restart budget runs out\n"
-      "  --max-restarts=N         watchdog restart budget (default 5;\n"
-      "                           0 = never restart)\n"
-      "  --heartbeat-timeout-ms=N watchdog hang detector: a daemon\n"
-      "                           silent this long is killed and\n"
-      "                           restarted (default 5000; 0 = off)\n"
-      "  --fault-sock=SPEC        inject socket faults for testing:\n"
-      "                           <kind>:<nth>[,...] with kind one of\n"
-      "                           short-write, eagain-storm, disconnect,\n"
-      "                           stalled-peer\n"
-      "  --verbose                per-request log lines on stderr\n");
-  return drive::ExitCode::Usage;
-}
-
-/// Strict decimal parser: rejects empty strings, signs, whitespace,
-/// trailing garbage, and overflow (same contract as posec's).
-bool parseUint(const char *S, uint64_t &Out) {
-  if (!S || !*S)
-    return false;
-  uint64_t V = 0;
-  for (const char *P = S; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    const uint64_t D = static_cast<uint64_t>(*P - '0');
-    if (V > (UINT64_MAX - D) / 10)
-      return false;
-    V = V * 10 + D;
-  }
-  Out = V;
-  return true;
-}
 
 /// Default posec path: the binary sitting next to posed itself.
 std::string siblingPosec() {
@@ -129,104 +66,73 @@ int main(int Argc, char **Argv) {
   O.ReadTimeoutMs = 30'000;
   O.MaxQueueDepth = 256;
 
-  for (int I = 1; I < Argc; ++I) {
-    const std::string A = Argv[I];
-    auto Value = [&](const char *Flag) -> const char * {
-      const size_t N = std::strlen(Flag);
-      if (A.compare(0, N, Flag) == 0 && A.size() > N && A[N] == '=')
-        return A.c_str() + N + 1;
-      return nullptr;
-    };
-    auto BadUint = [&](const char *Flag, const char *V) {
-      std::fprintf(stderr, "%s expects an unsigned integer, got '%s'\n",
-                   Flag, V);
-    };
-
-    if (const char *V = Value("--socket"))
-      O.SocketPath = V;
-    else if (const char *V2 = Value("--store"))
-      O.StoreDir = V2;
-    else if (const char *V3 = Value("--posec"))
-      O.PosecPath = V3;
-    else if (const char *V4 = Value("--max-jobs")) {
-      if (!parseUint(V4, O.MaxJobs) || O.MaxJobs == 0) {
-        std::fprintf(stderr, "--max-jobs expects a positive integer, got "
-                             "'%s'\n",
-                     V4);
-        return usage();
-      }
-    } else if (const char *V5 = Value("--max-inflight")) {
-      if (!parseUint(V5, O.MaxInFlightPerClient) ||
-          O.MaxInFlightPerClient == 0) {
-        std::fprintf(stderr, "--max-inflight expects a positive integer, "
-                             "got '%s'\n",
-                     V5);
-        return usage();
-      }
-    } else if (const char *V6 = Value("--request-timeout-ms")) {
-      if (!parseUint(V6, O.RequestTimeoutMs)) {
-        BadUint("--request-timeout-ms", V6);
-        return usage();
-      }
-    } else if (const char *V7 = Value("--rlimit-mb")) {
-      if (!parseUint(V7, O.WorkerRlimitMb)) {
-        BadUint("--rlimit-mb", V7);
-        return usage();
-      }
-    } else if (const char *V8 = Value("--cache-entries")) {
-      if (!parseUint(V8, O.CacheEntries)) {
-        BadUint("--cache-entries", V8);
-        return usage();
-      }
-    } else if (const char *V9 = Value("--read-timeout-ms")) {
-      if (!parseUint(V9, O.ReadTimeoutMs)) {
-        BadUint("--read-timeout-ms", V9);
-        return usage();
-      }
-    } else if (const char *V10 = Value("--max-queue")) {
-      if (!parseUint(V10, O.MaxQueueDepth)) {
-        BadUint("--max-queue", V10);
-        return usage();
-      }
-    } else if (const char *V11 = Value("--reload-store"))
-      O.ReloadStoreDir = V11;
-    else if (A == "--watchdog")
-      Watchdog = true;
-    else if (const char *V12 = Value("--max-restarts")) {
-      uint64_t N = 0;
-      if (!parseUint(V12, N) || N > 1'000'000) {
-        BadUint("--max-restarts", V12);
-        return usage();
-      }
-      W.MaxRestarts = static_cast<unsigned>(N);
-    } else if (const char *V13 = Value("--heartbeat-timeout-ms")) {
-      if (!parseUint(V13, W.HeartbeatTimeoutMs)) {
-        BadUint("--heartbeat-timeout-ms", V13);
-        return usage();
-      }
-    } else if (const char *V14 = Value("--fault-sock")) {
-      std::vector<SockFaultSpec> Parsed;
-      if (!SockFaultSpec::parse(V14, Parsed)) {
-        std::fprintf(stderr,
-                     "--fault-sock expects <kind>:<nth>[,<kind>:<nth>...] "
-                     "with kind one of short-write, eagain-storm, "
-                     "disconnect, stalled-peer and nth >= 1, got '%s'\n",
-                     V14);
-        return usage();
-      }
-      O.SockFaults.insert(O.SockFaults.end(), Parsed.begin(), Parsed.end());
-    } else if (A == "--verbose")
-      O.Verbose = true;
-    else {
-      std::fprintf(stderr, "unknown argument '%s'\n", A.c_str());
-      return usage();
-    }
+  uint64_t MaxRestarts = W.MaxRestarts;
+  const std::vector<Flag> Flags = flagTable(
+      textFlag("--socket", "PATH", O.SocketPath,
+               "Unix-domain socket to serve on")
+          .required(),
+      textFlag("--store", "DIR", O.StoreDir,
+               "shared artifact store for all requests")
+          .required(),
+      textFlag("--posec", "BIN", O.PosecPath,
+               "posec binary to spawn (default: the 'posec' next to this "
+               "executable)"),
+      uintFlag("--max-jobs", O.MaxJobs, 1, UINT64_MAX,
+               "concurrent posec children (default 4)"),
+      uintFlag("--max-inflight", O.MaxInFlightPerClient, 1, UINT64_MAX,
+               "per-client queued+running cap (default 8)"),
+      uintFlag("--request-timeout-ms", O.RequestTimeoutMs, 0, UINT64_MAX,
+               "admission deadline and child kill timer (default 300000; 0 "
+               "= none)"),
+      uintFlag("--rlimit-mb", O.WorkerRlimitMb, 0, UINT64_MAX,
+               "RLIMIT_AS per child in MiB (default 0)"),
+      uintFlag("--cache-entries", O.CacheEntries, 0, UINT64_MAX,
+               "completed-response cache size (default 256)"),
+      uintFlag("--read-timeout-ms", O.ReadTimeoutMs, 0, UINT64_MAX,
+               "drop peers making no I/O progress for N ms (default 30000; "
+               "0 = off)"),
+      uintFlag("--max-queue", O.MaxQueueDepth, 0, UINT64_MAX,
+               "global queued-request cap; beyond it requests are shed with "
+               "'overloaded' plus a retry-after hint (default 256; 0 = "
+               "unlimited)"),
+      textFlag("--reload-store", "DIR", O.ReloadStoreDir,
+               "staging store a Reload frame / SIGHUP swaps in after it "
+               "passes fsck (default: reloads refused)"),
+      switchFlag("--watchdog", Watchdog,
+                 "supervise the daemon: hold the socket, restart it on crash "
+                 "or hang, exit 13 when the restart budget runs out"),
+      uintFlag("--max-restarts", MaxRestarts, 0, 1'000'000,
+               "watchdog restart budget (default 5; 0 = never restart)"),
+      uintFlag("--heartbeat-timeout-ms", W.HeartbeatTimeoutMs, 0, UINT64_MAX,
+               "watchdog hang detector: a daemon silent this long is killed "
+               "and restarted (default 5000; 0 = off)"),
+      // Repeats append: each --fault-sock adds its faults to the plan.
+      customFlag(
+          "--fault-sock", "SPEC",
+          "<kind>:<nth>[,<kind>:<nth>...] with kind one of short-write, "
+          "eagain-storm, disconnect, stalled-peer and nth >= 1",
+          [&O](const std::string &V) {
+            std::vector<SockFaultSpec> Parsed;
+            if (!SockFaultSpec::parse(V, Parsed))
+              return false;
+            O.SockFaults.insert(O.SockFaults.end(), Parsed.begin(),
+                                Parsed.end());
+            return true;
+          },
+          "inject socket faults for testing: <kind>:<nth>[,...] with kind "
+          "one of short-write, eagain-storm, disconnect, stalled-peer"),
+      switchFlag("--verbose", O.Verbose, "per-request log lines on stderr"));
+  std::vector<std::string> Args;
+  std::string Error;
+  if (parseFlags(Flags, Argc, Argv, Args, nullptr, Error) && !Args.empty())
+    Error = "unexpected argument '" + Args.front() + "'";
+  if (!Error.empty()) {
+    std::fprintf(stderr, "%s\n%s", Error.c_str(),
+                 renderUsage("posed --socket=PATH --store=DIR [options]", Flags)
+                     .c_str());
+    return drive::ExitCode::Usage;
   }
-
-  if (O.SocketPath.empty() || O.StoreDir.empty()) {
-    std::fprintf(stderr, "--socket and --store are required\n");
-    return usage();
-  }
+  W.MaxRestarts = static_cast<unsigned>(MaxRestarts);
   if (O.PosecPath.empty())
     O.PosecPath = siblingPosec();
 

@@ -38,6 +38,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/serve/Protocol.h"
+#include "src/support/Flags.h"
 #include "src/support/RetryPolicy.h"
 
 #include <chrono>
@@ -56,46 +57,6 @@ using namespace pose;
 using namespace pose::serve;
 
 namespace {
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: posed-client --socket=PATH [options] [-- posec-args...]\n"
-      "\n"
-      "  --socket=PATH      daemon socket\n"
-      "  --count=N          total requests to issue (default 1)\n"
-      "  --connections=C    concurrent connections (default 1)\n"
-      "  --out=FILE         write the (common) response stdout here\n"
-      "  --ping             liveness probe instead of a run\n"
-      "  --stats            print daemon counters instead of a run\n"
-      "  --reload           ask the daemon to swap in its staging store\n"
-      "  --shutdown         ask the daemon to drain and exit\n"
-      "  --no-retry         fail immediately on connect-refused,\n"
-      "                     transport loss, or an 'overloaded' shed\n"
-      "                     instead of backing off and retrying\n"
-      "  --ignore-stderr    compare only stdout + exit code across\n"
-      "                     responses (stderr carries cache provenance,\n"
-      "                     which legitimately changes across a daemon\n"
-      "                     restart or a store reload)\n"
-      "  --quiet            no summary line on stderr\n");
-  return 1;
-}
-
-bool parseUint(const char *S, uint64_t &Out) {
-  if (!S || !*S)
-    return false;
-  uint64_t V = 0;
-  for (const char *P = S; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    const uint64_t D = static_cast<uint64_t>(*P - '0');
-    if (V > (UINT64_MAX - D) / 10)
-      return false;
-    V = V * 10 + D;
-  }
-  Out = V;
-  return true;
-}
 
 /// Connects to the daemon socket. On failure returns -1 with \p Err
 /// set and \p ConnErrno holding the connect(2) errno (0 for
@@ -353,55 +314,42 @@ int main(int Argc, char **Argv) {
   bool Quiet = false, NoRetry = false, IgnoreStderr = false;
   std::vector<std::string> Args;
 
-  for (int I = 1; I < Argc; ++I) {
-    const std::string A = Argv[I];
-    if (A == "--") {
-      for (++I; I < Argc; ++I)
-        Args.push_back(Argv[I]);
-      break;
-    }
-    auto Value = [&](const char *Flag) -> const char * {
-      const size_t N = std::strlen(Flag);
-      if (A.compare(0, N, Flag) == 0 && A.size() > N && A[N] == '=')
-        return A.c_str() + N + 1;
-      return nullptr;
-    };
-    if (const char *V = Value("--socket"))
-      Socket = V;
-    else if (const char *V2 = Value("--count")) {
-      if (!parseUint(V2, Count) || Count == 0) {
-        std::fprintf(stderr, "--count expects a positive integer\n");
-        return usage();
-      }
-    } else if (const char *V3 = Value("--connections")) {
-      if (!parseUint(V3, Connections) || Connections == 0) {
-        std::fprintf(stderr, "--connections expects a positive integer\n");
-        return usage();
-      }
-    } else if (const char *V4 = Value("--out"))
-      OutPath = V4;
-    else if (A == "--ping")
-      Ping = true;
-    else if (A == "--stats")
-      Stats = true;
-    else if (A == "--reload")
-      Reload = true;
-    else if (A == "--shutdown")
-      Shutdown = true;
-    else if (A == "--no-retry")
-      NoRetry = true;
-    else if (A == "--ignore-stderr")
-      IgnoreStderr = true;
-    else if (A == "--quiet")
-      Quiet = true;
-    else {
-      std::fprintf(stderr, "unknown argument '%s'\n", A.c_str());
-      return usage();
-    }
-  }
-  if (Socket.empty()) {
-    std::fprintf(stderr, "--socket is required\n");
-    return usage();
+  const std::vector<Flag> Flags = flagTable(
+      textFlag("--socket", "PATH", Socket, "daemon socket").required(),
+      uintFlag("--count", Count, 1, UINT64_MAX,
+               "total requests to issue (default 1)"),
+      uintFlag("--connections", Connections, 1, UINT64_MAX,
+               "concurrent connections (default 1)"),
+      textFlag("--out", "FILE", OutPath,
+               "write the (common) response stdout here"),
+      switchFlag("--ping", Ping, "liveness probe instead of a run"),
+      switchFlag("--stats", Stats, "print daemon counters instead of a run"),
+      switchFlag("--reload", Reload,
+                 "ask the daemon to swap in its staging store"),
+      switchFlag("--shutdown", Shutdown, "ask the daemon to drain and exit"),
+      switchFlag("--no-retry", NoRetry,
+                 "fail immediately on connect-refused, transport loss, or an "
+                 "'overloaded' shed instead of backing off and retrying"),
+      switchFlag("--ignore-stderr", IgnoreStderr,
+                 "compare only stdout + exit code across responses (stderr "
+                 "carries cache provenance, which legitimately changes "
+                 "across a daemon restart or a store reload)"),
+      switchFlag("--quiet", Quiet, "no summary line on stderr"));
+  // posec arguments only ever follow "--"; anything positional before it
+  // is a mistake.
+  std::vector<std::string> Stray;
+  std::string Error;
+  if (parseFlags(Flags, Argc, Argv, Stray, &Args, Error) && !Stray.empty())
+    Error = "unexpected argument '" + Stray.front() + "'";
+  if (Error.empty() && !Ping && !Reload && !Shutdown && !Stats && Args.empty())
+    Error = "no posec arguments after '--'";
+  if (!Error.empty()) {
+    std::fprintf(
+        stderr, "%s\n%s", Error.c_str(),
+        renderUsage("posed-client --socket=PATH [options] [-- posec-args...]",
+                    Flags)
+            .c_str());
+    return 1;
   }
 
   std::vector<uint8_t> Payload;
@@ -443,11 +391,6 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(S.ReloadsRejected),
                 static_cast<unsigned long long>(S.SockFaults));
     return 0;
-  }
-
-  if (Args.empty()) {
-    std::fprintf(stderr, "no posec arguments after '--'\n");
-    return usage();
   }
 
   // Spread Count requests over Connections concurrent connections, each
