@@ -8,82 +8,63 @@
 
 #include "src/ir/Function.h"
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 using namespace pose;
 
-std::vector<std::set<size_t>> pose::blockDependences(const BasicBlock &B) {
+BitMatrix pose::blockDependences(const BasicBlock &B) {
   const size_t N = B.Insts.size();
-  std::vector<std::set<size_t>> Preds(N);
-  // Last writer / readers per register, tracked by scanning forward.
-  std::map<RegNum, size_t> LastDef;
-  std::map<RegNum, std::vector<size_t>> ReadersSinceDef;
-  size_t LastIC = SIZE_MAX;
-  std::vector<size_t> ICReadersSince;
-  size_t LastMemWrite = SIZE_MAX; // Store or Call.
-  std::vector<size_t> MemReadsSince;
+  BitMatrix Preds(N, N);
+  // Every register, then IC, then memory is one resource with a last
+  // writer and the readers since that write, tracked by scanning forward.
+  // Loads read memory; stores and calls write it, so they are ordered with
+  // everything that touches memory while loads reorder among themselves.
+  RegNum MaxReg = 0;
+  for (const Rtl &I : B.Insts) {
+    if (I.definesReg())
+      MaxReg = std::max(MaxReg, I.Dst.getReg());
+    I.forEachUsedReg([&MaxReg](RegNum R) { MaxReg = std::max(MaxReg, R); });
+  }
+  const size_t IC = size_t(MaxReg) + 1, Memory = IC + 1;
+  constexpr uint32_t None = UINT32_MAX;
+  std::vector<uint32_t> LastWriter(Memory + 1, None);
+  BitMatrix Readers(Memory + 1, N);
+
+  auto Read = [&](size_t J, size_t Res) {
+    if (LastWriter[Res] != None)
+      Preds.set(J, LastWriter[Res]); // RAW.
+    Readers.set(Res, J);
+  };
+  auto Write = [&](size_t J, size_t Res) {
+    if (LastWriter[Res] != None)
+      Preds.set(J, LastWriter[Res]); // WAW.
+    Preds.unionRow(J, Readers, Res); // WAR.
+    Readers.clearRow(Res);
+    LastWriter[Res] = static_cast<uint32_t>(J);
+  };
 
   for (size_t J = 0; J != N; ++J) {
     const Rtl &I = B.Insts[J];
-    // RAW on registers.
-    I.forEachUsedReg([&](RegNum R) {
-      auto It = LastDef.find(R);
-      if (It != LastDef.end())
-        Preds[J].insert(It->second);
-      ReadersSinceDef[R].push_back(J);
-    });
-    // IC dependences.
-    if (I.usesIC()) {
-      if (LastIC != SIZE_MAX)
-        Preds[J].insert(LastIC);
-      ICReadersSince.push_back(J);
-    }
-    if (I.definesIC()) {
-      if (LastIC != SIZE_MAX)
-        Preds[J].insert(LastIC); // WAW on IC.
-      for (size_t R : ICReadersSince)
-        if (R != J)
-          Preds[J].insert(R); // WAR on IC.
-      ICReadersSince.clear();
-      LastIC = J;
-    }
-    // Memory dependences: loads may reorder among themselves; stores and
-    // calls are ordered with everything that touches memory or has
-    // observable effects.
-    const bool MemWrite = I.Opcode == Op::Store || I.Opcode == Op::Call;
-    const bool MemRead = I.Opcode == Op::Load;
-    if (MemRead) {
-      if (LastMemWrite != SIZE_MAX)
-        Preds[J].insert(LastMemWrite);
-      MemReadsSince.push_back(J);
-    }
-    if (MemWrite) {
-      if (LastMemWrite != SIZE_MAX)
-        Preds[J].insert(LastMemWrite);
-      for (size_t R : MemReadsSince)
-        if (R != J)
-          Preds[J].insert(R);
-      MemReadsSince.clear();
-      LastMemWrite = J;
-    }
-    // Register WAR and WAW.
-    if (I.definesReg()) {
-      RegNum D = I.Dst.getReg();
-      auto It = LastDef.find(D);
-      if (It != LastDef.end())
-        Preds[J].insert(It->second);
-      for (size_t R : ReadersSinceDef[D])
-        if (R != J)
-          Preds[J].insert(R);
-      ReadersSinceDef[D].clear();
-      LastDef[D] = J;
-    }
+    I.forEachUsedReg([&](RegNum R) { Read(J, R); });
+    if (I.usesIC())
+      Read(J, IC);
+    if (I.Opcode == Op::Load)
+      Read(J, Memory);
+    if (I.definesIC())
+      Write(J, IC);
+    if (I.Opcode == Op::Store || I.Opcode == Op::Call)
+      Write(J, Memory);
+    if (I.definesReg())
+      Write(J, I.Dst.getReg());
+    // An instruction that reads what it writes was among the readers; it
+    // does not precede itself.
+    Preds.reset(J, J);
     // Control transfers stay last: every earlier instruction precedes
     // them, and nothing may move past them (they are block-final anyway).
     if (I.isControl())
-      for (size_t K = 0; K != J; ++K)
-        Preds[J].insert(K);
+      Preds.setFirst(J, J);
   }
   return Preds;
 }
-

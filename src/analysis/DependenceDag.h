@@ -17,17 +17,17 @@
 #ifndef POSE_ANALYSIS_DEPENDENCEDAG_H
 #define POSE_ANALYSIS_DEPENDENCEDAG_H
 
-#include <cstddef>
-#include <set>
-#include <vector>
+#include "src/support/BitMatrix.h"
 
 namespace pose {
 
 struct BasicBlock;
 
-/// Returns, for each instruction index J of \p B, the set of earlier
-/// indices that must stay before J under any legal reordering.
-std::vector<std::set<size_t>> blockDependences(const BasicBlock &B);
+/// Returns the must-precede relation of \p B, one row per instruction:
+/// bit K of row J is set when the earlier instruction K must stay before
+/// J under any legal reordering. A predecessor reached by several kinds of
+/// dependence is one bit, so count(J) is J's exact predecessor count.
+BitMatrix blockDependences(const BasicBlock &B);
 
 } // namespace pose
 

@@ -8,6 +8,7 @@
 
 #include "src/core/InstanceTable.h"
 #include "src/ir/Function.h"
+#include "src/machine/RegisterAssign.h"
 #include "src/opt/PhaseManager.h"
 #include "src/support/ThreadPool.h"
 
@@ -339,10 +340,12 @@ EnumerationResult Enumerator::run(const Function &Root,
 
   // One guarded attempt of phase \p PI on \p E with application ordinal
   // \p Nth, recorded in \p T. \p Work is the caller's reusable working
+  // copy; it starts from \p From, E's instance or its register-assigned
   // copy. Workers run these; so does the commit, for a deferred attempt
   // whose prediction missed.
-  auto Attempt = [&](const FrontierEntry &E, int PI, uint64_t Nth,
-                     PhaseGuard &Guard, Function &Work, TaskResult &T) {
+  auto Attempt = [&](const FrontierEntry &E, const Function &From, int PI,
+                     uint64_t Nth, PhaseGuard &Guard, Function &Work,
+                     TaskResult &T) {
     const PhaseId P = phaseByIndex(PI);
     const uint16_t Bit = static_cast<uint16_t>(1u << PI);
     // The working copy is a refcounted handle copy of the parent's blocks
@@ -356,7 +359,7 @@ EnumerationResult Enumerator::run(const Function &Root,
         ++T.PhaseApplications;
       }
     } else {
-      Work = E.Instance;
+      Work = From;
     }
     ++T.Attempted;
     ++T.PhaseApplications;
@@ -523,8 +526,8 @@ EnumerationResult Enumerator::run(const Function &Root,
         return Link(E, P, Predicted, nullptr);
       }
       Inline.reset();
-      Attempt(E, PI, Base[I * NumPhases + PI] + 1, CommitGuard, CommitWork,
-              Inline);
+      Attempt(E, E.Instance, PI, Base[I * NumPhases + PI] + 1, CommitGuard,
+              CommitWork, Inline);
       T.DormantBits |= Inline.DormantBits;
       T.AttemptedBits |= Inline.AttemptedBits;
       T.Attempted += Inline.Attempted;
@@ -616,13 +619,17 @@ EnumerationResult Enumerator::run(const Function &Root,
       T.reset();
       PhaseGuard Guard(PM, GuardOpts);
       Function Work;
+      // c and k both start from the register-assigned entry: assign it
+      // once, at the first of them, and hand each a copy. Naive mode
+      // replays from the root instead.
+      Function Assigned;
       for (int PI = 0; PI != NumPhases; ++PI) {
+        const PhaseId P = phaseByIndex(PI);
         const uint16_t Bit = static_cast<uint16_t>(1u << PI);
         // Illegal phases count as dormant, and so does the phase on the
         // incoming edge: it was just active producing this node, and no
         // phase succeeds twice consecutively.
-        if (!PM.isLegal(phaseByIndex(PI), E.State) ||
-            (E.IncomingMask & Bit)) {
+        if (!PM.isLegal(P, E.State) || (E.IncomingMask & Bit)) {
           T.DormantBits |= Bit;
           continue;
         }
@@ -630,7 +637,16 @@ EnumerationResult Enumerator::run(const Function &Root,
           T.DeferredBits |= Bit;
           continue;
         }
-        Attempt(E, PI, Base[I * NumPhases + PI] + 1, Guard, Work, T);
+        const Function *From = &E.Instance;
+        if (!Config.NaiveReapply && !E.State.RegsAssigned &&
+            PM.requiresRegAssignment(P)) {
+          if (!Assigned.State.RegsAssigned) {
+            Assigned = E.Instance;
+            assignRegisters(Assigned);
+          }
+          From = &Assigned;
+        }
+        Attempt(E, *From, PI, Base[I * NumPhases + PI] + 1, Guard, Work, T);
       }
       T.Diags = Guard.takeDiagnostics();
 

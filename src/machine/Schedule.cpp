@@ -10,7 +10,6 @@
 #include "src/ir/Function.h"
 #include "src/machine/EntryExit.h"
 
-#include <set>
 #include <vector>
 
 using namespace pose;
@@ -34,42 +33,44 @@ bool readsResultOf(const Rtl &Consumer, const Rtl &Producer) {
 /// was a load. Ties break toward original order (determinism).
 std::vector<size_t> scheduleBlock(const BasicBlock &B) {
   const size_t N = B.Insts.size();
-  std::vector<std::set<size_t>> Preds = blockDependences(B);
-  std::vector<int> Pending(N, 0);
-  std::vector<std::vector<size_t>> Succs(N);
+  const BitMatrix Preds = blockDependences(B);
+  std::vector<size_t> Pending(N);
+  std::vector<size_t> Ready;
   for (size_t J = 0; J != N; ++J) {
-    Pending[J] = static_cast<int>(Preds[J].size());
-    for (size_t P : Preds[J])
-      Succs[P].push_back(J);
-  }
-  std::set<size_t> Ready;
-  for (size_t J = 0; J != N; ++J)
+    Pending[J] = Preds.count(J);
     if (Pending[J] == 0)
-      Ready.insert(J);
+      Ready.push_back(J);
+  }
 
   std::vector<size_t> Order;
   Order.reserve(N);
-  int LastIssued = -1;
+  const Rtl *LastIssued = nullptr;
   while (!Ready.empty()) {
-    size_t Best = SIZE_MAX;
-    for (size_t J : Ready) {
-      const bool Stalls =
-          LastIssued >= 0 &&
-          B.Insts[static_cast<size_t>(LastIssued)].Opcode == Op::Load &&
-          readsResultOf(B.Insts[J], B.Insts[static_cast<size_t>(LastIssued)]);
-      if (Stalls)
-        continue;
-      Best = J;
-      break; // Ready is ordered ascending: first non-stalling wins.
+    // The first non-stalling ready instruction in program order; if every
+    // one stalls, the first in program order.
+    size_t BestAt = 0, FirstAt = 0;
+    bool Found = false;
+    for (size_t K = 0; K != Ready.size(); ++K) {
+      const size_t J = Ready[K];
+      if (J < Ready[FirstAt])
+        FirstAt = K;
+      const bool Stalls = LastIssued && LastIssued->Opcode == Op::Load &&
+                          readsResultOf(B.Insts[J], *LastIssued);
+      if (!Stalls && (!Found || J < Ready[BestAt])) {
+        BestAt = K;
+        Found = true;
+      }
     }
-    if (Best == SIZE_MAX)
-      Best = *Ready.begin(); // Everything stalls; take program order.
-    Ready.erase(Best);
+    if (!Found)
+      BestAt = FirstAt;
+    const size_t Best = Ready[BestAt];
+    Ready[BestAt] = Ready.back();
+    Ready.pop_back();
     Order.push_back(Best);
-    LastIssued = static_cast<int>(Best);
-    for (size_t S : Succs[Best])
-      if (--Pending[S] == 0)
-        Ready.insert(S);
+    LastIssued = &B.Insts[Best];
+    for (size_t S = Best + 1; S != N; ++S) // Successors come later.
+      if (Preds.test(S, Best) && --Pending[S] == 0)
+        Ready.push_back(S);
   }
   assert(Order.size() == N && "dependence cycle in a basic block");
   return Order;

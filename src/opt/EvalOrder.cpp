@@ -21,51 +21,46 @@
 #include "src/ir/Function.h"
 #include "src/opt/Phases.h"
 
-#include <map>
-#include <set>
+#include <climits>
 
 using namespace pose;
 
 namespace {
 
 /// Greedy schedule of one block. Returns the new order (indices into the
-/// original instruction vector).
-std::vector<size_t> scheduleBlock(const Function &F, const BasicBlock &B,
-                                  const BitVector &LiveOut) {
+/// original instruction vector). \p UsesLeft, indexed by register, must be
+/// all zero on entry; it is again on return.
+std::vector<size_t> scheduleBlock(const BasicBlock &B,
+                                  const BitVector &LiveOut,
+                                  std::vector<int> &UsesLeft) {
   const size_t N = B.Insts.size();
-  std::vector<std::set<size_t>> Preds = blockDependences(B);
-  std::vector<int> PendingPreds(N, 0);
-  std::vector<std::vector<size_t>> Succs(N);
+  const BitMatrix Preds = blockDependences(B);
+  std::vector<size_t> PendingPreds(N);
+  std::vector<size_t> Ready;
   for (size_t J = 0; J != N; ++J) {
-    PendingPreds[J] = static_cast<int>(Preds[J].size());
-    for (size_t P : Preds[J])
-      Succs[P].push_back(J);
+    PendingPreds[J] = Preds.count(J);
+    if (PendingPreds[J] == 0)
+      Ready.push_back(J);
   }
   // Remaining use counts per register, to know when an instruction's
   // operand dies (its last use in this block and not live out).
-  std::map<RegNum, int> UsesLeft;
   for (const Rtl &I : B.Insts)
     I.forEachUsedReg([&](RegNum R) { ++UsesLeft[R]; });
-
-  std::set<size_t> Ready;
-  for (size_t J = 0; J != N; ++J)
-    if (PendingPreds[J] == 0)
-      Ready.insert(J);
 
   std::vector<size_t> Order;
   Order.reserve(N);
   while (!Ready.empty()) {
     // Score = registers freed minus registers created; higher is better.
-    size_t Best = SIZE_MAX;
-    int BestScore = INT32_MIN;
-    for (size_t J : Ready) {
+    // A register an instruction reads twice has two uses left, so it is
+    // never counted twice.
+    size_t BestAt = 0;
+    int BestScore = INT_MIN;
+    for (size_t K = 0; K != Ready.size(); ++K) {
+      const size_t J = Ready[K];
       const Rtl &I = B.Insts[J];
       int Freed = 0;
-      std::set<RegNum> Seen;
       I.forEachUsedReg([&](RegNum R) {
-        if (!Seen.insert(R).second)
-          return;
-        if (UsesLeft.at(R) == 1 && !LiveOut.test(R) &&
+        if (UsesLeft[R] == 1 && !LiveOut.test(R) &&
             !(I.definesReg() && I.Dst.getReg() == R))
           ++Freed;
       });
@@ -73,19 +68,20 @@ std::vector<size_t> scheduleBlock(const Function &F, const BasicBlock &B,
       int Score = Freed - Created;
       // Prefer higher score; break ties toward original program order so
       // the schedule is deterministic and respects source structure.
-      if (Score > BestScore || (Score == BestScore && J < Best)) {
+      if (Score > BestScore || (Score == BestScore && J < Ready[BestAt])) {
         BestScore = Score;
-        Best = J;
+        BestAt = K;
       }
     }
-    Ready.erase(Best);
+    const size_t Best = Ready[BestAt];
+    Ready[BestAt] = Ready.back();
+    Ready.pop_back();
     Order.push_back(Best);
     B.Insts[Best].forEachUsedReg([&](RegNum R) { --UsesLeft[R]; });
-    for (size_t S : Succs[Best])
-      if (--PendingPreds[S] == 0)
-        Ready.insert(S);
+    for (size_t S = Best + 1; S != N; ++S) // Successors come later.
+      if (Preds.test(S, Best) && --PendingPreds[S] == 0)
+        Ready.push_back(S);
   }
-  (void)F;
   assert(Order.size() == N && "dependence cycle in a basic block");
   return Order;
 }
@@ -99,11 +95,12 @@ bool EvalOrderPhase::apply(Function &F) const {
   bool Changed = false;
   Cfg C = Cfg::build(F);
   Liveness LV(F, C);
+  std::vector<int> UsesLeft(LV.numRegs(), 0);
   for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
     const BasicBlock &B = F.Blocks[BI];
     if (B.Insts.size() < 3)
       continue;
-    std::vector<size_t> Order = scheduleBlock(F, B, LV.liveOut(BI));
+    std::vector<size_t> Order = scheduleBlock(B, LV.liveOut(BI), UsesLeft);
     bool Identity = true;
     for (size_t J = 0; J != Order.size(); ++J)
       Identity &= (Order[J] == J);

@@ -25,6 +25,8 @@
 #include "src/opt/Phases.h"
 
 #include <bitset>
+#include <optional>
+#include <vector>
 
 using namespace pose;
 
@@ -38,28 +40,43 @@ struct LoopDefs {
   size_t Index = 0;
 };
 
-/// Counts the instructions inside \p L that define register \p R.
-LoopDefs defsInLoop(const Function &F, const Loop &L, RegNum R) {
-  LoopDefs Defs;
-  for (int B : L.Blocks) {
-    const BasicBlock &Blk = F.Blocks[static_cast<size_t>(B)];
-    for (size_t J = 0; J != Blk.Insts.size(); ++J)
-      if (Blk.Insts[J].definesReg() && Blk.Insts[J].Dst.getReg() == R) {
-        if (Defs.Count == 0) {
+/// The in-loop definitions of every register of one loop, gathered in one
+/// scan of its body and indexed by register number.
+class LoopDefTable {
+public:
+  LoopDefTable(const Function &F, const Loop &L) {
+    for (int B : L.Blocks) {
+      const BasicBlock &Blk = F.Blocks[static_cast<size_t>(B)];
+      for (size_t J = 0; J != Blk.Insts.size(); ++J) {
+        if (!Blk.Insts[J].definesReg())
+          continue;
+        const RegNum R = Blk.Insts[J].Dst.getReg();
+        if (R >= ByReg.size())
+          ByReg.resize(R + 1);
+        LoopDefs &Defs = ByReg[R];
+        if (Defs.Count++ == 0) {
           Defs.Block = B;
           Defs.Index = J;
         }
-        ++Defs.Count;
       }
+    }
   }
-  return Defs;
-}
 
-/// True when every register source of \p I has no definition inside \p L.
-bool sourcesInvariant(const Function &F, const Loop &L, const Rtl &I) {
+  /// The definitions of \p R inside the loop.
+  LoopDefs of(RegNum R) const {
+    return R < ByReg.size() ? ByReg[R] : LoopDefs();
+  }
+
+private:
+  std::vector<LoopDefs> ByReg;
+};
+
+/// True when every register source of \p I has no definition inside the
+/// loop.
+bool sourcesInvariant(const LoopDefTable &Defs, const Rtl &I) {
   bool Invariant = true;
   I.forEachUsedReg([&](RegNum R) {
-    if (defsInLoop(F, L, R).Count != 0)
+    if (Defs.of(R).Count != 0)
       Invariant = false;
   });
   return Invariant;
@@ -120,9 +137,10 @@ size_t getOrCreatePreheader(Function &F, const Loop &L) {
 }
 
 /// Attempts one loop-invariant hoist out of \p L. Returns true if code
-/// changed.
+/// changed. \p LV is computed on first use, for the code \p C describes.
 bool hoistOneInvariant(Function &F, const Loop &L, const Cfg &C,
-                       const Dominators &D, const Liveness &LV) {
+                       const Dominators &D, const LoopDefTable &Defs,
+                       std::optional<Liveness> &LV) {
   size_t H = static_cast<size_t>(L.Header);
   if (!backEdgesExplicit(F, L, C))
     return false;
@@ -135,14 +153,16 @@ bool hoistOneInvariant(Function &F, const Loop &L, const Cfg &C,
       if (I.hasSideEffects() || I.readsMemory() || I.definesIC() ||
           !I.definesReg())
         continue;
-      if (!sourcesInvariant(F, L, I))
+      if (!sourcesInvariant(Defs, I))
         continue;
       RegNum R = I.Dst.getReg();
-      if (defsInLoop(F, L, R).Count != 1)
+      if (Defs.of(R).Count != 1)
         continue;
       // The old value of R must not be consumed inside the loop before
       // the definition: if it were, R would be live into the header.
-      if (LV.liveIn(H).test(R))
+      if (!LV)
+        LV.emplace(F, C);
+      if (LV->liveIn(H).test(R))
         continue;
       // Hoist into the preheader.
       Rtl Moved = I;
@@ -162,7 +182,7 @@ bool hoistOneInvariant(Function &F, const Loop &L, const Cfg &C,
 /// t = i * r (unit-step basic induction variable i, invariant r) with an
 /// accumulator register updated alongside i's increment.
 bool strengthReduceOneIv(Function &F, const Loop &L, const Cfg &C,
-                         const Dominators &D) {
+                         const Dominators &D, const LoopDefTable &Defs) {
   if (!backEdgesExplicit(F, L, C))
     return false;
   for (int B : L.Blocks) {
@@ -175,10 +195,10 @@ bool strengthReduceOneIv(Function &F, const Loop &L, const Cfg &C,
       for (int IvSide = 0; IvSide != 2; ++IvSide) {
         RegNum IV = MulI.Src[IvSide].getReg();
         RegNum Inv = MulI.Src[1 - IvSide].getReg();
-        if (defsInLoop(F, L, Inv).Count != 0)
+        if (Defs.of(Inv).Count != 0)
           continue; // Multiplier must be invariant.
         // IV must have exactly one in-loop def: IV = IV +/- 1.
-        const LoopDefs IvDefs = defsInLoop(F, L, IV);
+        const LoopDefs IvDefs = Defs.of(IV);
         if (IvDefs.Count != 1)
           continue;
         const Rtl &Step =
@@ -190,7 +210,7 @@ bool strengthReduceOneIv(Function &F, const Loop &L, const Cfg &C,
         // The product must be the only in-loop def of its register, and
         // both the multiply and the step must run once per iteration.
         RegNum T = MulI.Dst.getReg();
-        if (T == IV || defsInLoop(F, L, T).Count != 1)
+        if (T == IV || Defs.of(T).Count != 1)
           continue;
         if (!dominatesLatchesAndExits(F, L, C, D, B) ||
             !dominatesLatchesAndExits(F, L, C, D, IvDefs.Block))
@@ -251,10 +271,13 @@ bool LoopTransformsPhase::apply(Function &F) const {
     Cfg C = Cfg::build(F);
     Dominators D(F, C);
     LoopInfo LI(F, C, D);
-    Liveness LV(F, C);
+    // Liveness only once a hoist candidate needs it: most attempts find
+    // none.
+    std::optional<Liveness> LV;
     for (const Loop &L : LI.loops()) {
-      if (hoistOneInvariant(F, L, C, D, LV) ||
-          strengthReduceOneIv(F, L, C, D)) {
+      const LoopDefTable Defs(F, L);
+      if (hoistOneInvariant(F, L, C, D, Defs, LV) ||
+          strengthReduceOneIv(F, L, C, D, Defs)) {
         Progress = true;
         Changed = true;
         break; // Analyses are stale; restart.

@@ -56,8 +56,10 @@ public:
 
   /// Attempts phase \p P on \p F: performs implicit register assignment
   /// when required, applies the phase, and runs the implicit CFG cleanup
-  /// if the phase was active. \p P must be legal for \p F. Returns the
-  /// active/dormant outcome.
+  /// if the phase was active. Each apply runs to the phase's own fixed
+  /// point, so the phase is applied again only while that cleanup changes
+  /// the code. \p P must be legal for \p F. Returns the active/dormant
+  /// outcome.
   bool attempt(PhaseId P, Function &F) const;
 
   /// Applies a whole sequence (by designation letters, e.g. "sckh"),

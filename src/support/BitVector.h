@@ -113,6 +113,14 @@ public:
     return N;
   }
 
+  /// Calls \p Fn with the index of each set bit, in ascending order.
+  template <typename FnT> void forEach(FnT Fn) const {
+    const uint64_t *W = words();
+    for (size_t I = 0, E = numWords(); I != E; ++I)
+      for (uint64_t Bits = W[I]; Bits; Bits &= Bits - 1)
+        Fn(I * 64 + static_cast<size_t>(__builtin_ctzll(Bits)));
+  }
+
   bool any() const {
     const uint64_t *W = words();
     return std::any_of(W, W + numWords(), [](uint64_t X) { return X != 0; });

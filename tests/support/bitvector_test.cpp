@@ -181,4 +181,15 @@ TEST(BitVector, EqualityComparesSizeAndEveryBit) {
   }
 }
 
+TEST(BitVector, ForEachVisitsSetBitsInOrder) {
+  BitVector V(300); // Wider than the inline words.
+  V.set(299);
+  V.set(0);
+  V.set(64);
+  V.set(65);
+  std::vector<size_t> Seen;
+  V.forEach([&Seen](size_t I) { Seen.push_back(I); });
+  EXPECT_EQ(Seen, (std::vector<size_t>{0, 64, 65, 299}));
+}
+
 } // namespace
