@@ -83,18 +83,6 @@ void BM_CanonicalizeFastColdSuite(benchmark::State &State) {
 }
 BENCHMARK(BM_CanonicalizeFastColdSuite);
 
-/// KeepBytes mode (paranoid exact comparison): the buffer is copied out,
-/// so this bounds the fast path's advantage from below.
-void BM_CanonicalizeFastKeepBytes(benchmark::State &State) {
-  std::vector<Function> &Fns = suite();
-  CanonicalScratch Scratch;
-  for (auto _ : State)
-    for (const Function &F : Fns)
-      benchmark::DoNotOptimize(
-          canonicalize(F, Scratch, /*KeepBytes=*/true));
-}
-BENCHMARK(BM_CanonicalizeFastKeepBytes);
-
 /// Single large function (sha_transform), reference vs fast, for a
 /// per-function view uncontaminated by the small functions in the suite.
 void BM_CanonicalizeReferenceSha(benchmark::State &State) {

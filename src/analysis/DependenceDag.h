@@ -6,11 +6,10 @@
 ///
 /// \file
 /// The must-precede relation between instructions of one basic block,
-/// shared by the two in-block reordering passes (evaluation order
-/// determination and the final instruction scheduler): register RAW/WAR/
-/// WAW, condition-code dependences, memory ordering (stores and calls are
-/// barriers; loads may reorder among themselves), and block-final control
-/// transfers.
+/// used by the in-block reordering pass (evaluation order determination):
+/// register RAW/WAR/WAW, condition-code dependences, memory ordering
+/// (stores and calls are barriers; loads may reorder among themselves),
+/// and block-final control transfers.
 ///
 //===----------------------------------------------------------------------===//
 

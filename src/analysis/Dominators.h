@@ -29,9 +29,6 @@ public:
   /// Returns true if block \p A dominates block \p B.
   bool dominates(size_t A, size_t B) const { return DomSets[B].test(A); }
 
-  /// Returns the full dominator set of \p Block.
-  const BitVector &domSet(size_t Block) const { return DomSets[Block]; }
-
   /// Returns true if \p Block is reachable from the entry block.
   bool isReachable(size_t Block) const { return Reachable[Block]; }
 

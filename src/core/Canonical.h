@@ -56,9 +56,8 @@ struct HashTripleHasher {
 };
 
 /// Canonicalized instance: the hash triple, and optionally the exact
-/// canonical byte string (paranoid collision-free comparison mode used by
-/// the tests to validate the paper's "we have never encountered an
-/// instance" claim about triple collisions).
+/// canonical byte string (kept by the tests that check the paper's claim
+/// that equal triples never hid differing instances).
 struct CanonicalForm {
   HashTriple Hash;
   std::vector<uint8_t> Bytes; ///< Empty unless requested.

@@ -171,7 +171,7 @@ struct ActiveResult {
   /// The resulting instance, kept only for a target the commit resolves:
   /// it is either new at this level or a same-level duplicate.
   Function Instance;
-  CanonicalForm CF;
+  HashTriple Hash;
 };
 
 /// Everything the attempts on one frontier entry produced. Slots are
@@ -254,9 +254,9 @@ EnumerationResult Enumerator::run(const Function &Root,
 
   // Captures the continuation for a transient stop: the pending frontier,
   // the level counter, the application numbering valid at that barrier
-  // (a discarded in-flight level hands back the pre-level snapshot), and
-  // (paranoid mode) the canonical bytes. Call after Finish() so Partial
-  // carries the final stop reason and weights.
+  // (a discarded in-flight level hands back the pre-level snapshot).
+  // Call after Finish() so Partial carries the final stop reason and
+  // weights.
   auto Capture = [&](std::vector<FrontierEntry> &&Pending,
                      uint64_t PendingBytes, uint32_t LevelCounter,
                      const uint64_t (&Counts)[NumPhases]) {
@@ -269,18 +269,6 @@ EnumerationResult Enumerator::run(const Function &Root,
     for (int P = 0; P != NumPhases; ++P)
       Out->AppCount[P] = Counts[P];
     Out->FrontierBytes = PendingBytes;
-    Out->Paranoid = Config.ParanoidCompare;
-    // The checkpoint codec predates the arena: flatten the hash-consed
-    // spans back into per-node byte vectors so the serialized format is
-    // unchanged (COW/arena storage is an in-memory representation only).
-    Out->NodeBytes.clear();
-    if (Config.ParanoidCompare) {
-      Out->NodeBytes.reserve(R.Nodes.size());
-      for (uint32_t I = 0; I != R.Nodes.size(); ++I) {
-        ByteSpan S = Table.bytesFor(I);
-        Out->NodeBytes.emplace_back(S.Data, S.Data + S.Size);
-      }
-    }
   };
 
   if (From) {
@@ -290,10 +278,6 @@ EnumerationResult Enumerator::run(const Function &Root,
     R = std::move(From->Partial);
     for (uint32_t I = 0; I != R.Nodes.size(); ++I)
       Table.tryEmplace(R.Nodes[I].Hash, I);
-    if (Config.ParanoidCompare)
-      for (uint32_t I = 0;
-           I != R.Nodes.size() && I != From->NodeBytes.size(); ++I)
-        Table.recordBytes(I, From->NodeBytes[I]);
     Frontier = std::move(From->Frontier);
     Level = From->LevelCounter;
     FrontierBytes = From->FrontierBytes;
@@ -309,18 +293,15 @@ EnumerationResult Enumerator::run(const Function &Root,
       return R;
     }
   } else {
-    CanonicalForm CF = canonicalize(Root, threadScratch(),
-                                    Config.ParanoidCompare,
+    CanonicalForm CF = canonicalize(Root, threadScratch(), /*KeepBytes=*/false,
                                     Config.RemapRegisters);
     DagNode N;
     N.Hash = CF.Hash;
     N.CodeSize = CF.Hash.InstCount;
     N.CfHash = controlFlowHash(Root);
     R.Nodes.push_back(N);
-    Gov.charge(sizeof(DagNode) + CF.Bytes.size());
+    Gov.charge(sizeof(DagNode));
     Table.tryEmplace(CF.Hash, 0);
-    if (Config.ParanoidCompare)
-      Table.recordBytes(0, CF.Bytes);
 
     FrontierEntry E;
     E.Node = 0;
@@ -373,10 +354,11 @@ EnumerationResult Enumerator::run(const Function &Root,
     }
     ActiveResult A;
     A.P = P;
-    A.CF = canonicalize(Work, threadScratch(), Config.ParanoidCompare,
-                        Config.RemapRegisters);
+    A.Hash = canonicalize(Work, threadScratch(), /*KeepBytes=*/false,
+                          Config.RemapRegisters)
+                 .Hash;
     // Only committed nodes are in the table, so a hit is final.
-    if (std::optional<uint32_t> Hit = Table.lookup(A.CF.Hash))
+    if (std::optional<uint32_t> Hit = Table.lookup(A.Hash))
       A.KnownTarget = *Hit;
     else
       A.Instance = std::move(Work);
@@ -489,24 +471,19 @@ EnumerationResult Enumerator::run(const Function &Root,
       uint32_t Child = A.KnownTarget;
       bool Inserted = false;
       if (Child == UINT32_MAX) {
-        auto [Id, IsNew] = Table.tryEmplace(
-            A.CF.Hash, static_cast<uint32_t>(R.Nodes.size()));
+        auto [Id, IsNew] =
+            Table.tryEmplace(A.Hash, static_cast<uint32_t>(R.Nodes.size()));
         Child = Id;
         Inserted = IsNew;
       }
       if (Inserted) {
         DagNode Nd;
-        Nd.Hash = A.CF.Hash;
-        Nd.CodeSize = A.CF.Hash.InstCount;
+        Nd.Hash = A.Hash;
+        Nd.CodeSize = A.Hash.InstCount;
         Nd.CfHash = controlFlowHash(A.Instance);
         Nd.Level = Level;
         R.Nodes.push_back(Nd);
-        Gov.charge(sizeof(DagNode) + A.CF.Bytes.size());
-        if (Config.ParanoidCompare)
-          Table.recordBytes(Child, A.CF.Bytes);
-      } else if (Config.ParanoidCompare &&
-                 !(Table.bytesFor(Child) == A.CF.Bytes)) {
-        ++R.HashCollisions;
+        Gov.charge(sizeof(DagNode));
       }
       return Link(E, A.P, Child, Inserted ? &A : nullptr);
     };
@@ -582,7 +559,6 @@ EnumerationResult Enumerator::run(const Function &Root,
     const uint64_t AttemptedBefore = R.AttemptedPhases;
     const uint64_t ApplicationsBefore = R.PhaseApplications;
     const uint64_t PredictedBefore = R.PredictedEdges;
-    const uint64_t CollisionsBefore = R.HashCollisions;
     const uint64_t ChargedBefore = Gov.chargedBytes();
 
     // Entries are committed as soon as every earlier one is, by whichever
@@ -687,7 +663,6 @@ EnumerationResult Enumerator::run(const Function &Root,
       R.AttemptedPhases = AttemptedBefore;
       R.PhaseApplications = ApplicationsBefore;
       R.PredictedEdges = PredictedBefore;
-      R.HashCollisions = CollisionsBefore;
       Gov.release(Gov.chargedBytes() - ChargedBefore);
       Finish(Why);
       if (isResumableStop(Why))

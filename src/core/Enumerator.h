@@ -115,9 +115,6 @@ struct EnumeratorConfig {
   uint64_t MaxLevelSequences = 1'000'000;
   /// Additional safety valve on total distinct instances.
   uint64_t MaxTotalNodes = 4'000'000;
-  /// Keep canonical bytes and verify triple matches exactly (paranoid
-  /// collision detection; slower and memory hungry).
-  bool ParanoidCompare = false;
   /// Disable the Section 4.3 enhancements: every evaluation re-applies
   /// the entire phase prefix to a fresh copy of the unoptimized function
   /// (Figure 6's "naive" column).
@@ -151,8 +148,8 @@ struct EnumeratorConfig {
   /// it fires, the in-flight level is discarded and the result (and
   /// checkpoint) is the DAG of the previous level boundary.
   uint64_t DeadlineMs = 0;
-  /// Approximate memory budget in bytes, tracked by node, canonical-byte
-  /// and frontier-instance accounting; 0 = unlimited. Checked at level
+  /// Approximate memory budget in bytes, tracked by node, edge and
+  /// frontier-instance accounting; 0 = unlimited. Checked at level
   /// boundaries.
   uint64_t MaxMemoryBytes = 0;
   /// Cooperative cancellation (not owned; may be nullptr). Polled like
@@ -189,9 +186,6 @@ struct EnumerationResult {
   /// Largest active sequence length (the "Len" column of Table 3).
   uint32_t MaxActiveLength = 0;
   std::vector<LevelStat> Levels;
-  /// Paranoid mode: number of hash-triple collisions with differing
-  /// canonical bytes (the paper reports never seeing one).
-  uint64_t HashCollisions = 0;
   /// Independence pruning: edges completed by prediction instead of
   /// running the optimizer.
   uint64_t PredictedEdges = 0;
@@ -264,10 +258,6 @@ struct EnumerationCheckpoint {
   /// Partial.ApproxMemoryBytes; split out so the resumed engine can
   /// release it at its first barrier).
   uint64_t FrontierBytes = 0;
-  /// ParanoidCompare: canonical bytes per node (indexed by node id), so
-  /// exact collision detection continues across the resume.
-  bool Paranoid = false;
-  std::vector<std::vector<uint8_t>> NodeBytes;
 };
 
 /// True for stop reasons that leave a resumable checkpoint behind.

@@ -33,17 +33,6 @@ std::pair<uint32_t, bool> InstanceTable::tryEmplace(const HashTriple &T,
   return {It->second, Inserted};
 }
 
-void InstanceTable::recordBytes(uint32_t Id,
-                                const std::vector<uint8_t> &Bytes) {
-  if (Id >= Spans.size())
-    Spans.resize(Id + 1);
-  Spans[Id] = BytesArena.store(Bytes);
-}
-
-ByteSpan InstanceTable::bytesFor(uint32_t Id) const {
-  return Id < Spans.size() ? Spans[Id] : ByteSpan{};
-}
-
 size_t InstanceTable::size() const {
   size_t N = 0;
   for (uint32_t I = 0; I <= Mask; ++I) {

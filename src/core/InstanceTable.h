@@ -23,14 +23,12 @@
 #define POSE_CORE_INSTANCETABLE_H
 
 #include "src/core/Canonical.h"
-#include "src/support/Arena.h"
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 namespace pose {
 
@@ -57,23 +55,6 @@ public:
   /// for hot paths).
   size_t size() const;
 
-  unsigned shardCount() const { return Mask + 1; }
-
-  /// Hash-consed canonical byte storage (ParanoidCompare mode): one
-  /// immutable arena-backed buffer per distinct instance, keyed by node
-  /// id, so every copy of an instance's canonical form shares the single
-  /// stored buffer.
-  ///
-  /// Same determinism contract as tryEmplace: record and read only on the
-  /// committing thread (workers never consult stored bytes — paranoid
-  /// comparison is part of the commit), so the arena needs no lock and
-  /// spans stay stable for the table's lifetime.
-  void recordBytes(uint32_t Id, const std::vector<uint8_t> &Bytes);
-  ByteSpan bytesFor(uint32_t Id) const;
-
-  /// Bytes of canonical storage held by the arena (accounting).
-  uint64_t canonicalBytes() const { return BytesArena.bytesAllocated(); }
-
 private:
   struct Shard {
     mutable std::mutex M;
@@ -88,9 +69,6 @@ private:
 
   std::unique_ptr<Shard[]> Shards;
   uint32_t Mask;
-  /// Commit-thread-only canonical byte storage; see recordBytes().
-  Arena BytesArena;
-  std::vector<ByteSpan> Spans;
 };
 
 } // namespace pose

@@ -121,10 +121,6 @@ public:
     return N->Body;
   }
 
-  bool unique() const {
-    return N && N->Refs.load(std::memory_order_acquire) == 1;
-  }
-
   /// Stable identity of the shared storage — equal for handles that share
   /// one block. Used by sharing-aware accounting and the COW tests; never
   /// by anything whose output must be deterministic.
@@ -232,11 +228,6 @@ public:
   void eraseAt(size_t I) {
     H.erase(H.begin() + static_cast<std::ptrdiff_t>(I));
   }
-  /// Erases blocks [\p B, \p E).
-  void eraseRange(size_t B, size_t E) {
-    H.erase(H.begin() + static_cast<std::ptrdiff_t>(B),
-            H.begin() + static_cast<std::ptrdiff_t>(E));
-  }
   void insertAt(size_t I, BasicBlock B) {
     H.insert(H.begin() + static_cast<std::ptrdiff_t>(I),
              BlockHandle(std::move(B)));
@@ -248,8 +239,6 @@ public:
 
   /// Shared-storage identity of block \p I (see BlockHandle::identity).
   const void *identity(size_t I) const { return H[I].identity(); }
-  /// True when block \p I is not shared with any other list.
-  bool uniqueAt(size_t I) const { return H[I].unique(); }
 
   /// Materializes every shared block (see Function::deepCopy).
   void unshareAll() {

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Parses the textual RTL syntax produced by the printer, so functions can
-/// round-trip through text. Used by IR-level test cases and the posec
-/// tool's --parse-rtl mode.
+/// round-trip through text. It serves the IR-level test cases, which
+/// write functions as RTL text; no tool reads RTL.
 ///
 /// Grammar (one construct per line; '#' starts a comment):
 ///

@@ -183,11 +183,6 @@ struct Rtl {
     }
   }
 
-  bool isUnary() const {
-    return Opcode == Op::Neg || Opcode == Op::Not || Opcode == Op::Mov ||
-           Opcode == Op::Lea;
-  }
-
   /// Returns true for instructions that transfer control (must be last in
   /// their basic block).
   bool isControl() const {

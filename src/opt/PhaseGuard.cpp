@@ -16,22 +16,6 @@
 
 using namespace pose;
 
-const char *pose::faultKindName(FaultKind K) {
-  switch (K) {
-  case FaultKind::Verifier:
-    return "verifier";
-  case FaultKind::Segv:
-    return "segv";
-  case FaultKind::Kill:
-    return "kill";
-  case FaultKind::Hang:
-    return "hang";
-  case FaultKind::WrongCode:
-    return "wrongcode";
-  }
-  return "?";
-}
-
 bool pose::applyWrongCodeFault(Function &F) {
   for (size_t BI = 0; BI != F.Blocks.size(); ++BI)
     for (size_t J = 0; J != F.Blocks[BI].Insts.size(); ++J)

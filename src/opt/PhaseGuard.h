@@ -66,10 +66,6 @@ enum class FaultKind : uint8_t {
                 ///< is exactly what it exists to prove able to fail.
 };
 
-/// Short lower-case name ("verifier", "segv", "kill", "hang",
-/// "wrongcode").
-const char *faultKindName(FaultKind K);
-
 /// True for the kinds that take the process down (Segv/Kill/Hang).
 inline bool isCrashKind(FaultKind K) {
   return K == FaultKind::Segv || K == FaultKind::Kill ||
@@ -197,8 +193,6 @@ public:
     std::lock_guard<std::mutex> Lock(DiagsMutex);
     return std::move(Diags);
   }
-
-  const PhaseManager &manager() const { return PM; }
 
 private:
   const PhaseManager &PM;

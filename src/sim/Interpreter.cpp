@@ -166,7 +166,6 @@ RunResult Interpreter::run(const std::string &Name,
   R.DynamicInsts = St.Steps;
   R.Output = std::move(St.Output);
   R.BlockCounts = std::move(St.BlockCounts);
-  R.LoadUseStalls = St.LoadUseStalls;
   return R;
 }
 
@@ -245,15 +244,6 @@ bool Interpreter::callFunction(const Function &F,
     const Rtl &I = B.Insts[Index];
     if (Index == 0 && &F == St.ProfileTarget)
       ++St.BlockCounts[Block];
-    // Load-use stall accounting for the final scheduler's pipeline model.
-    if (St.LastWasLoad) {
-      bool Uses = false;
-      I.forEachUsedReg([&](RegNum R2) { Uses |= (R2 == St.LastLoadDst); });
-      St.LoadUseStalls += Uses;
-    }
-    St.LastWasLoad = (I.Opcode == Op::Load);
-    if (St.LastWasLoad)
-      St.LastLoadDst = I.Dst.getReg();
     if (++St.Steps > St.StepLimit) {
       St.Error = "step limit exceeded in " + F.Name;
       return false;

@@ -36,10 +36,6 @@ struct RunResult {
   std::string Error;            ///< Trap description when !Ok.
   int32_t ReturnValue = 0;
   uint64_t DynamicInsts = 0;    ///< Total RTLs executed.
-  /// Load-use stalls: times an instruction consumed the result of the
-  /// immediately preceding load (the one-cycle load delay the final
-  /// instruction scheduler tries to hide).
-  uint64_t LoadUseStalls = 0;
   std::vector<int32_t> Output;  ///< Words written via the out() builtin.
   /// When profiling was requested (setProfileFunction): number of times
   /// each basic block of the profiled function executed, indexed by block
@@ -109,9 +105,6 @@ private:
     int Depth = 0;
     const Function *ProfileTarget = nullptr;
     std::vector<uint64_t> BlockCounts;
-    uint64_t LoadUseStalls = 0;
-    bool LastWasLoad = false;
-    RegNum LastLoadDst = 0;
   };
 
   const Function *bodyFor(int32_t GlobalId) const;

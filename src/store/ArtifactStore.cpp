@@ -93,7 +93,6 @@ uint64_t configFingerprint(const EnumeratorConfig &Config) {
   uint64_t H = 0xCBF29CE484222325ull;
   H = mix(H, Config.MaxLevelSequences);
   H = mix(H, Config.MaxTotalNodes);
-  H = mix(H, Config.ParanoidCompare);
   H = mix(H, Config.NaiveReapply);
   H = mix(H, Config.RemapRegisters);
   H = mix(H, Config.UseIndependencePruning);

@@ -63,7 +63,10 @@ namespace store {
 /// per DAG), and configFingerprint started mixing the fault *kind* of
 /// non-crash injected faults so wrong-code plans key separately from
 /// verifier plans.
-constexpr uint32_t kFormatVersion = 5;
+/// Version 6: the enumerator's exact-compare mode was removed, so results
+/// dropped the hash-collision counter, checkpoints the mode flag and the
+/// per-node canonical bytes, and configFingerprint the mode's mix.
+constexpr uint32_t kFormatVersion = 6;
 
 /// What an artifact file contains.
 enum class ArtifactKind : uint32_t {

@@ -9,9 +9,9 @@
 /// little-endian writer and a bounds-checked reader. The reader never
 /// throws and never reads past the end — any overrun latches a failure
 /// flag and yields zeros, so decoders can run to completion and make one
-/// ok() check at the end. Strings and blobs carry explicit lengths; a
-/// length that exceeds the remaining input fails immediately instead of
-/// allocating attacker-controlled amounts of memory.
+/// ok() check at the end. Strings carry explicit lengths; a length that
+/// exceeds the remaining input fails immediately instead of allocating
+/// attacker-controlled amounts of memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,10 +41,6 @@ public:
   void str(const std::string &S) {
     u64(S.size());
     Buf.insert(Buf.end(), S.begin(), S.end());
-  }
-  void blob(const std::vector<uint8_t> &B) {
-    u64(B.size());
-    Buf.insert(Buf.end(), B.begin(), B.end());
   }
 
   const std::vector<uint8_t> &bytes() const { return Buf; }
@@ -87,16 +83,6 @@ public:
                   static_cast<size_t>(N));
     Pos += static_cast<size_t>(N);
     return S;
-  }
-  std::vector<uint8_t> blob() {
-    uint64_t N = u64();
-    if (N > Size - Pos || Failed) {
-      Failed = true;
-      return {};
-    }
-    std::vector<uint8_t> B(Data + Pos, Data + Pos + N);
-    Pos += static_cast<size_t>(N);
-    return B;
   }
 
   /// True while no read has overrun the buffer.

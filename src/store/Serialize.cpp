@@ -304,7 +304,6 @@ void encodeResult(ByteWriter &W, const EnumerationResult &Res) {
     W.u64(L.Attempted);
     W.u64(L.Active);
   }
-  W.u64(Res.HashCollisions);
   W.u64(Res.PredictedEdges);
   W.u64(Res.Diagnostics.size());
   for (const PhaseDiagnostic &D : Res.Diagnostics)
@@ -343,7 +342,6 @@ bool decodeResult(ByteReader &R, EnumerationResult &Res) {
     L.Attempted = R.u64();
     L.Active = R.u64();
   }
-  Res.HashCollisions = R.u64();
   Res.PredictedEdges = R.u64();
   size_t NDiags;
   if (!decodeCount(R, NDiags))
@@ -366,10 +364,6 @@ void encodeCheckpoint(ByteWriter &W, const EnumerationCheckpoint &C) {
   for (uint64_t Count : C.AppCount)
     W.u64(Count);
   W.u64(C.FrontierBytes);
-  W.u8(C.Paranoid);
-  W.u64(C.NodeBytes.size());
-  for (const std::vector<uint8_t> &B : C.NodeBytes)
-    W.blob(B);
 }
 
 bool decodeCheckpoint(ByteReader &R, EnumerationCheckpoint &C) {
@@ -389,17 +383,6 @@ bool decodeCheckpoint(ByteReader &R, EnumerationCheckpoint &C) {
   for (uint64_t &Count : C.AppCount)
     Count = R.u64();
   C.FrontierBytes = R.u64();
-  if (!decodeBool(R, C.Paranoid))
-    return false;
-  size_t NBytes;
-  if (!decodeCount(R, NBytes))
-    return false;
-  C.NodeBytes.resize(NBytes);
-  for (std::vector<uint8_t> &B : C.NodeBytes) {
-    B = R.blob();
-    if (!R.ok())
-      return false;
-  }
   return R.ok();
 }
 

@@ -43,7 +43,7 @@ void encodeResult(ByteWriter &W, const EnumerationResult &Res);
 bool decodeResult(ByteReader &R, EnumerationResult &Res);
 
 /// Resumable checkpoints (partial result + committed frontier + engine
-/// counters + paranoid byte cache).
+/// counters).
 void encodeCheckpoint(ByteWriter &W, const EnumerationCheckpoint &C);
 bool decodeCheckpoint(ByteReader &R, EnumerationCheckpoint &C);
 

@@ -62,9 +62,9 @@ private:
 /// Aggregates the three stop conditions behind one check() call. All
 /// limits are optional; a default-constructed governor never stops
 /// anything. Memory is *accounted*, not measured: callers charge() and
-/// release() their dominant allocations (DAG nodes, canonical bytes,
-/// frontier instances), which keeps the check deterministic across runs
-/// and platforms.
+/// release() their dominant allocations (DAG nodes and edges, frontier
+/// instances), which keeps the check deterministic across runs and
+/// platforms.
 ///
 /// Accounting is atomic, so one governor may be shared by a pool of
 /// workers (the parallel enumerator, parallel batch compilation): charges

@@ -184,6 +184,7 @@ TEST(EntryExitFinalization, AddsActivationRecordCode) {
       Rets += (I.Opcode == Op::Ret);
   fixEntryExit(F);
   EXPECT_GT(F.instructionCount(), Before);
+  EXPECT_EQ(F.Blocks[0].Insts[0].Opcode, Op::Prologue);
   fixEntryExit(F); // Idempotent.
   EXPECT_EQ(F.instructionCount(),
             Before + 1 /*prologue*/ + Rets /*one epilogue per ret*/);

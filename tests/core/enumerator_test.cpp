@@ -70,17 +70,6 @@ TEST(Enumerator, DeterministicAcrossRuns) {
   }
 }
 
-TEST(Enumerator, ParanoidModeSeesNoCollisions) {
-  Module M = compileOrDie(SumSource);
-  EnumeratorConfig Cfg;
-  Cfg.ParanoidCompare = true;
-  EnumerationResult R = enumerateFn(M, "f", Cfg);
-  EXPECT_TRUE(R.complete());
-  // The paper: "we have never encountered an instance" of a triple
-  // collision. Neither must we.
-  EXPECT_EQ(R.HashCollisions, 0u);
-}
-
 TEST(Enumerator, WeightsAreConsistent) {
   Module M = compileOrDie(SumSource);
   EnumerationResult R = enumerateFn(M, "f");

@@ -7,11 +7,10 @@
 // The enumerator's whole contract is "byte-identical for every job count":
 // node ids, edge order, every statistic, every diagnostic, the accounted
 // memory and the stop reason. This suite enforces that differentially —
-// over every workload function under enumeration budgets, under paranoid
-// comparison, in naive re-apply mode, with injected verifier faults and
-// with independence pruning — and checks that Deadline/Cancelled stops,
-// which discard the in-flight level, still yield self-consistent partial
-// DAGs.
+// over every workload function under enumeration budgets, in naive
+// re-apply mode, with injected verifier faults and with independence
+// pruning — and checks that Deadline/Cancelled stops, which discard the
+// in-flight level, still yield self-consistent partial DAGs.
 //
 // The Jobs=1 results are also pinned to recorded digests. They were taken
 // from the separate sequential engine the enumerator had before the
@@ -57,7 +56,6 @@ void expectIdentical(const EnumerationResult &A, const EnumerationResult &B,
   EXPECT_EQ(A.AttemptedPhases, B.AttemptedPhases) << What;
   EXPECT_EQ(A.PhaseApplications, B.PhaseApplications) << What;
   EXPECT_EQ(A.MaxActiveLength, B.MaxActiveLength) << What;
-  EXPECT_EQ(A.HashCollisions, B.HashCollisions) << What;
   EXPECT_EQ(A.PredictedEdges, B.PredictedEdges) << What;
   EXPECT_EQ(A.ApproxMemoryBytes, B.ApproxMemoryBytes) << What;
 
@@ -130,7 +128,9 @@ uint64_t resultDigest(const EnumerationResult &R) {
   Mix(R.AttemptedPhases);
   Mix(R.PhaseApplications);
   Mix(R.MaxActiveLength);
-  Mix(R.HashCollisions);
+  // The results once carried a hash-collision count here, always 0 in
+  // these runs; mixing the 0 keeps the recorded digests valid.
+  Mix(0);
   Mix(R.PredictedEdges);
   Mix(R.ApproxMemoryBytes);
   Mix(R.Nodes.size());
@@ -248,19 +248,6 @@ const Golden CappedGoldens[] = {
     {"crc32/main", 0xccd278f8eb196cbdull},
 };
 
-/// bitcount's functions, paranoid under cappedConfig().
-const Golden ParanoidBitcountGoldens[] = {
-    {"bit_count", 0x050805c7b4dd381cull},
-    {"bit_shifter", 0xf5f8674813dc5b0full},
-    {"ntbl_bitcount", 0xb441a1bd34bb1aa1ull},
-    {"btbl_init", 0x79777beaeedeb2f9ull},
-    {"btbl_bitcount", 0x472ffffc61e38d02ull},
-    {"bitcount_swar", 0xaa2b1deeb56a01b2ull},
-    {"bitcount_recursive", 0xb231016ca0edfff0ull},
-    {"bitcount_dense", 0x852bf74b69a81f4cull},
-    {"main", 0x1ae0edffe98b0e30ull},
-};
-
 /// bitcount's functions under cappedConfig() with faults "c:5,i:2".
 const Golden FaultedBitcountGoldens[] = {
     {"bit_count", 0xfdad81745dfda40full},
@@ -341,34 +328,6 @@ TEST(ParallelEnumerator, CompleteSpaceIdenticalAndComplete) {
     EnumerationResult Par = enumerateWithJobs(F, {}, Jobs);
     EXPECT_EQ(Par.Stop, StopReason::Complete);
     expectIdentical(Seq, Par, "sum jobs=" + std::to_string(Jobs));
-  }
-}
-
-TEST(ParallelEnumerator, ParanoidCompareIdentical) {
-  // Paranoid mode keeps canonical bytes per node and counts collisions;
-  // the barrier must route byte buffers in the same order for any job
-  // count.
-  Module M = compileOrDie(SumSource);
-  Function &F = functionNamed(M, "f");
-  EnumeratorConfig Cfg;
-  Cfg.ParanoidCompare = true;
-  EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
-  EXPECT_EQ(Seq.HashCollisions, 0u);
-  EXPECT_EQ(resultDigest(Seq), 0x4934eb7031f3164aull);
-  EnumerationResult Par = enumerateWithJobs(F, Cfg, 4);
-  expectIdentical(Seq, Par, "paranoid");
-
-  const Workload *W = findWorkload("bitcount");
-  ASSERT_NE(W, nullptr);
-  Module MW = compileOrDie(W->Source);
-  EnumeratorConfig Capped = cappedConfig();
-  Capped.ParanoidCompare = true;
-  size_t Index = 0;
-  for (Function &FW : MW.Functions) {
-    EnumerationResult S = enumerateWithJobs(FW, Capped, 1);
-    expectGolden(ParanoidBitcountGoldens, Index++, FW.Name, S);
-    EnumerationResult P = enumerateWithJobs(FW, Capped, 4);
-    expectIdentical(S, P, "paranoid " + FW.Name);
   }
 }
 

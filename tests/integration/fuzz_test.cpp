@@ -19,6 +19,7 @@
 #include "src/support/Rng.h"
 #include "tests/common/Helpers.h"
 #include "tests/common/ProgramGenerator.h"
+#include "tests/common/TripleCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -71,7 +72,8 @@ TEST_P(FuzzTest, RandomProgramsSurvivePhaseStorms) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range(0, 24));
 
 TEST(FuzzEnumerate, SmallRandomFunctionsEnumerateAndPreserve) {
-  // Full enumeration + leaf differential check on small random programs.
+  // Full enumeration, the merge-triple check on every edge, and a leaf
+  // differential check on small random programs.
   for (int Seed = 100; Seed != 106; ++Seed) {
     ProgramGenerator Gen(static_cast<uint64_t>(Seed));
     std::string Source = Gen.generate();
@@ -85,13 +87,13 @@ TEST(FuzzEnumerate, SmallRandomFunctionsEnumerateAndPreserve) {
     PhaseManager PM;
     EnumeratorConfig Cfg;
     Cfg.MaxLevelSequences = 30'000;
-    Cfg.ParanoidCompare = true;
     Enumerator E(PM, Cfg);
     for (Function &F : M.Functions) {
       if (F.instructionCount() > 80)
         continue;
       EnumerationResult R = E.enumerate(F);
-      EXPECT_EQ(R.HashCollisions, 0u);
+      expectEqualTriplesHaveEqualBytes(
+          F, PM, R, "seed " + std::to_string(Seed) + " " + F.Name);
       if (!R.complete())
         continue;
       DagPaths Paths(R);

@@ -8,7 +8,8 @@
 // Any change to a phase, to canonicalization, or to the enumerator that
 // alters one of these spaces shows up here first — with the understanding
 // that an intentional optimizer change legitimately updates these numbers
-// (like a compiler's golden-output tests).
+// (like a compiler's golden-output tests). The same spaces also check the
+// paper's claim that the merge triple never joins different instances.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #include "src/opt/PhaseManager.h"
 #include "src/workloads/Workloads.h"
 #include "tests/common/Helpers.h"
+#include "tests/common/TripleCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -134,6 +136,21 @@ TEST(GoldenSpace, KnownSpacesStayStable) {
     EXPECT_EQ(S.LeafCodeSizeMin, G.BestSize) << Key;
     EXPECT_EQ(S.LeafCodeSizeMax, G.WorstSize) << Key;
   }
+}
+
+TEST(GoldenSpace, EqualTriplesHaveEqualCanonicalBytes) {
+  PhaseManager PM;
+  Enumerator E(PM, EnumeratorConfig{});
+  uint64_t Edges = 0;
+  for (const Workload &W : allWorkloads()) {
+    Module M = compileOrDie(W.Source);
+    for (const Function &F : M.Functions)
+      Edges += expectEqualTriplesHaveEqualBytes(
+          F, PM, E.enumerate(F), std::string(W.Name) + "/" + F.Name);
+  }
+  // One edge per active attempt of the suite: every instance-table hit
+  // or insert of a Table 3 run (perfbench's core.active).
+  EXPECT_EQ(Edges, 34'761u);
 }
 
 } // namespace

@@ -178,43 +178,6 @@ TEST(CheckpointResume, BudgetCappedWorkloadReachesTheSameVerdict) {
   expectByteIdentical(Clean, Resumed, "node-capped f");
 }
 
-TEST(CheckpointResume, ParanoidModeSurvivesResume) {
-  // Paranoid collision detection needs the canonical bytes of every
-  // already-interned node; the checkpoint must carry them or the resumed
-  // half would misreport collisions.
-  Module M = compileOrDie(SumSource);
-  Function &F = functionNamed(M, "f");
-  EnumeratorConfig Cfg;
-  Cfg.ParanoidCompare = true;
-  EnumerationResult Clean = cleanRun(F, Cfg, 1);
-
-  int Interruptions = 0;
-  EnumerationResult Resumed =
-      resumeLadder(F, Cfg, 30'000, 30'000, 1, {4, 1}, Interruptions);
-  ASSERT_GE(Interruptions, 1);
-  expectByteIdentical(Clean, Resumed, "paranoid ladder");
-  EXPECT_EQ(Resumed.HashCollisions, Clean.HashCollisions);
-}
-
-TEST(CheckpointResume, ParanoidParallelFirstLadderIsByteIdentical) {
-  // The paranoid ladder above starts at jobs=1; this one starts at
-  // jobs=4, so canonical-byte capture at a multi-threaded barrier
-  // (hash-consed arena spans flattened into the codec's NodeBytes) and
-  // re-recording on a single-threaded resume are both crossed.
-  Module M = compileOrDie(SumSource);
-  Function &F = functionNamed(M, "f");
-  EnumeratorConfig Cfg;
-  Cfg.ParanoidCompare = true;
-  EnumerationResult Clean = cleanRun(F, Cfg, 1);
-
-  int Interruptions = 0;
-  EnumerationResult Resumed =
-      resumeLadder(F, Cfg, 30'000, 30'000, 4, {1, 4}, Interruptions);
-  ASSERT_GE(Interruptions, 1);
-  expectByteIdentical(Clean, Resumed, "paranoid parallel-first ladder");
-  EXPECT_EQ(Resumed.HashCollisions, Clean.HashCollisions);
-}
-
 TEST(CheckpointResume, NaiveReapplyModeSurvivesResume) {
   // Naive mode stores paths, not instances: the checkpointed frontier
   // must replay prefixes identically, including the PhaseApplications

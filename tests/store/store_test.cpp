@@ -269,15 +269,22 @@ TEST(ArtifactStore, FutureFormatVersionRejected) {
   ASSERT_TRUE(Store.prepare(Error)) << Error;
   ASSERT_TRUE(Store.saveResult(FX.Root, FX.Fp, FX.Res, Error)) << Error;
   const std::string Path = Store.pathFor(FX.Root, ArtifactKind::Result);
-  std::vector<uint8_t> Bytes = readFile(Path);
-  // The version field is the little-endian u32 right after the 8-byte
-  // magic.
-  Bytes[8] = static_cast<uint8_t>(kFormatVersion + 1);
-  writeFile(Path, Bytes);
-  EnumerationResult Out;
-  EXPECT_EQ(Store.loadResult(FX.Root, FX.Fp, Out, Error),
-            LoadStatus::Rejected);
-  EXPECT_NE(Error.find("version"), std::string::npos) << Error;
+  const std::vector<uint8_t> Saved = readFile(Path);
+  // A future version, and the previous one: an artifact written before
+  // the last format bump is regenerated, never decoded.
+  for (uint32_t Version : {kFormatVersion + 1, kFormatVersion - 1}) {
+    std::vector<uint8_t> Bytes = Saved;
+    // The version field is the little-endian u32 right after the 8-byte
+    // magic.
+    Bytes[8] = static_cast<uint8_t>(Version);
+    writeFile(Path, Bytes);
+    EnumerationResult Out;
+    Error.clear();
+    EXPECT_EQ(Store.loadResult(FX.Root, FX.Fp, Out, Error),
+              LoadStatus::Rejected)
+        << "version " << Version;
+    EXPECT_NE(Error.find("version"), std::string::npos) << Error;
+  }
 }
 
 TEST(ArtifactStore, ArtifactForDifferentRootRejected) {
