@@ -19,6 +19,7 @@
 
 #include "src/ir/Function.h"
 #include "src/support/Crc32.h"
+#include "src/support/Fnv.h"
 
 #include <algorithm>
 #include <map>
@@ -429,25 +430,19 @@ uint64_t pose::controlFlowHash(const Function &F) {
   uint32_t Next = 0;
   for (size_t I = 0; I != F.Blocks.size(); ++I)
     Ordinal[I] = F.Blocks[I].empty() ? UINT32_MAX : Next++;
-  uint64_t H = 0xCBF29CE484222325ull;
-  auto Mix = [&H](uint32_t V) {
-    for (int K = 0; K != 4; ++K) {
-      H ^= (V >> (8 * K)) & 0xFF;
-      H *= 0x100000001B3ull;
-    }
-  };
-  Mix(Next); // Non-empty block count.
+  Fnv1a H;
+  H.le32(Next); // Non-empty block count.
   for (size_t I = 0; I != F.Blocks.size(); ++I) {
     if (F.Blocks[I].empty())
       continue;
-    Mix(Ordinal[I]);
+    H.le32(Ordinal[I]);
     for (int S : C.Succs[I]) {
       // Resolve empty successors forward to the next real block.
       size_t T = static_cast<size_t>(S);
       while (T < F.Blocks.size() && F.Blocks[T].empty())
         ++T;
-      Mix(T < F.Blocks.size() ? Ordinal[T] : UINT32_MAX);
+      H.le32(T < F.Blocks.size() ? Ordinal[T] : UINT32_MAX);
     }
   }
-  return H;
+  return H.value();
 }

@@ -10,6 +10,7 @@
 #include "src/ir/Function.h"
 #include "src/machine/RegisterAssign.h"
 #include "src/opt/PhaseManager.h"
+#include "src/support/Fnv.h"
 #include "src/support/ThreadPool.h"
 
 #include <algorithm>
@@ -32,42 +33,36 @@ namespace {
 /// job counts and interrupted runs. Content hashing is deterministic
 /// by construction; a (vanishingly rare) 64-bit collision merely
 /// undercounts the approximate charge and does so identically everywhere.
-uint64_t footprintMix(uint64_t H, uint64_t V) {
-  H ^= V;
-  return H * 0x100000001B3ull;
-}
-
 uint64_t blockContentKey(const BasicBlock &B) {
-  uint64_t H = 0xCBF29CE484222325ull;
-  H = footprintMix(H, static_cast<uint32_t>(B.Label));
-  H = footprintMix(H, B.Insts.size());
+  Fnv1a H;
+  H.word(static_cast<uint32_t>(B.Label));
+  H.word(B.Insts.size());
   auto Mix = [&H](const Operand &O) {
-    H = footprintMix(H, (static_cast<uint64_t>(O.Kind) << 32) |
-                            static_cast<uint32_t>(O.Value));
+    H.word((static_cast<uint64_t>(O.Kind) << 32) |
+           static_cast<uint32_t>(O.Value));
   };
   for (const Rtl &I : B.Insts) {
-    H = footprintMix(H, (static_cast<uint64_t>(I.Opcode) << 8) |
-                            static_cast<uint64_t>(I.CC));
+    H.word((static_cast<uint64_t>(I.Opcode) << 8) |
+           static_cast<uint64_t>(I.CC));
     Mix(I.Dst);
     for (const Operand &S : I.Src)
       Mix(S);
-    H = footprintMix(H, I.Args.size());
+    H.word(I.Args.size());
     for (const Operand &A : I.Args)
       Mix(A);
   }
-  return H;
+  return H.value();
 }
 
 uint64_t slotContentKey(const SlotList &Slots) {
-  uint64_t H = 0x84222325CBF29CE4ull;
-  H = footprintMix(H, Slots.size());
+  Fnv1a H(0x84222325CBF29CE4ull);
+  H.word(Slots.size());
   for (const StackSlot &S : Slots) {
-    for (char C : S.Name)
-      H = footprintMix(H, static_cast<uint8_t>(C));
-    H = footprintMix(H, static_cast<uint32_t>(S.SizeWords));
-    H = footprintMix(H, (S.IsArray ? 2u : 0u) | (S.IsParam ? 1u : 0u));
+    H.bytes(S.Name);
+    H.word(static_cast<uint32_t>(S.SizeWords));
+    H.word((S.IsArray ? 2u : 0u) | (S.IsParam ? 1u : 0u));
   }
-  return H;
+  return H.value();
 }
 
 /// Distinct-content sets for one frontier's worth of accounting; reset at

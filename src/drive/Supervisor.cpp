@@ -14,6 +14,7 @@
 #include "src/opt/PhaseGuard.h"
 #include "src/sem/Equivalence.h"
 #include "src/store/ArtifactStore.h"
+#include "src/support/Fnv.h"
 #include "src/support/Subprocess.h"
 
 #include <algorithm>
@@ -237,13 +238,8 @@ uint64_t shardOfRoot(const HashTriple &Root, uint64_t ShardCount) {
   // arithmetic, identical on every host — std::hash or byte-order
   // dependent folding would silently assign roots to different shards on
   // different machines, breaking the disjoint-cover guarantee.
-  uint64_t H = 0xCBF29CE484222325ull;
-  const uint32_t Words[3] = {Root.InstCount, Root.ByteSum, Root.Crc};
-  for (uint32_t W : Words)
-    for (int I = 0; I != 4; ++I) {
-      H ^= (W >> (8 * I)) & 0xFF;
-      H *= 0x100000001B3ull;
-    }
+  const uint64_t H =
+      Fnv1a().le32(Root.InstCount).le32(Root.ByteSum).le32(Root.Crc).value();
   return H % ShardCount;
 }
 

@@ -8,6 +8,7 @@
 
 #include "src/core/DagPaths.h"
 #include "src/ir/Function.h"
+#include "src/support/Fnv.h"
 
 #include <algorithm>
 #include <map>
@@ -16,12 +17,6 @@ namespace pose {
 namespace sem {
 
 namespace {
-
-uint64_t mix(uint64_t H, uint64_t V) {
-  H ^= V;
-  H *= 0x100000001B3ull; // FNV-1a prime, widened.
-  return H;
-}
 
 /// The vector set one equivalence computation actually runs: every
 /// generated vector whose root run fits the step budget, with the
@@ -60,38 +55,37 @@ void digestInstance(Interpreter &Sim, const std::string &Name,
                     const Function &Inst, const VectorPlan &P,
                     uint64_t &Behavior, uint64_t &Dynamic, bool &AllOk) {
   Sim.overrideFunction(Name, &Inst);
-  uint64_t H = 0xCBF29CE484222325ull;
-  H = mix(H, P.Used.size());
+  Fnv1a H;
+  H.word(P.Used.size());
   Dynamic = 0;
   AllOk = true;
   for (size_t K = 0; K != P.Used.size(); ++K) {
     const RunResult R = Sim.run(Name, P.All[P.Used[K]], P.Limits[K]);
-    H = mix(H, behaviorDigest(R));
+    H.word(behaviorDigest(R));
     Dynamic += R.DynamicInsts;
     AllOk = AllOk && R.Ok;
   }
-  Behavior = H;
+  Behavior = H.value();
 }
 
 } // namespace
 
 uint64_t behaviorDigest(const RunResult &R) {
-  uint64_t H = 0xCBF29CE484222325ull;
-  H = mix(H, R.Ok ? 1 : 0);
+  Fnv1a H;
+  H.word(R.Ok ? 1 : 0);
   if (R.Ok) {
-    H = mix(H, static_cast<uint32_t>(R.ReturnValue));
-    H = mix(H, R.Output.size());
+    H.word(static_cast<uint32_t>(R.ReturnValue));
+    H.word(R.Output.size());
     for (int32_t W : R.Output)
-      H = mix(H, static_cast<uint32_t>(W));
+      H.word(static_cast<uint32_t>(W));
   } else {
     // Trap class only: a legally rescheduled instance may trap at a
     // different point, with different partial output (file comment).
     const std::string Kind = R.trapKind();
-    H = mix(H, Kind.size());
-    for (char C : Kind)
-      H = mix(H, static_cast<uint8_t>(C));
+    H.word(Kind.size());
+    H.bytes(Kind);
   }
-  return H;
+  return H.value();
 }
 
 std::string renderBehavior(const RunResult &R) {

@@ -78,158 +78,123 @@ std::vector<uint8_t> pose::serve::encodeReload() {
   return encodeFrame(MsgKind::Reload, {});
 }
 
-std::vector<uint8_t> pose::serve::encodeRunRequest(const RunRequest &R) {
+namespace {
+
+template <class Io> bool io(Io &S, RunRequest &R) {
+  S.u64(R.Id);
+  uint32_t N = static_cast<uint32_t>(R.Args.size());
+  S.u32(N);
+  S.check(N != 0 && N <= kMaxRunArgs, [&] {
+    return "argument count " + std::to_string(N) + " outside 1.." +
+           std::to_string(kMaxRunArgs);
+  });
+  S.items(R.Args, N, [&](std::string &A) {
+    S.str(A);
+    S.check(A.size() <= kMaxArgLen, [] {
+      return "argument longer than " + std::to_string(kMaxArgLen) + " bytes";
+    });
+    // An embedded NUL would silently truncate at execv.
+    S.check(A.find('\0') == std::string::npos,
+            [] { return "argument contains a NUL byte"; });
+  });
+  return S.ok();
+}
+
+template <class Io> bool io(Io &S, RunResponse &R) {
+  S.u64(R.Id);
+  S.tag(R.Served, ServedFrom::Computed, ServedFrom::Cached,
+        [] { return "unknown served-from value"; });
+  S.i32(R.ExitCode);
+  S.str(R.Stdout);
+  S.str(R.Stderr);
+  return S.ok();
+}
+
+template <class Io> bool io(Io &S, ErrorResponse &E) {
+  S.u64(E.Id);
+  S.tag(E.Code, ErrorCode::BadFrame, ErrorCode::ReloadRejected,
+        [] { return "unknown error code"; });
+  S.str(E.Message);
+  S.u32(E.RetryAfterMs);
+  return S.ok();
+}
+
+template <class Io> bool io(Io &S, StatsReport &R) {
+  uint32_t Version = kStatsVersion;
+  S.u32(Version);
+  // An explicit refusal beats misreading shifted counters: a version-1
+  // payload (or a future version-3 one) decodes to garbage, not to
+  // plausibly-wrong numbers.
+  S.check(Version == kStatsVersion, [&] {
+    return "unsupported stats payload version " + std::to_string(Version) +
+           " (this client speaks version " + std::to_string(kStatsVersion) +
+           ")";
+  });
+  for (uint64_t *C :
+       {&R.Requests, &R.Computed, &R.Coalesced, &R.CacheHits, &R.Errors,
+        &R.Clients, &R.Running, &R.Queued, &R.Shed, &R.ReadTimeouts,
+        &R.Restarts, &R.Reloads, &R.ReloadsRejected, &R.SockFaults})
+    S.u64(*C);
+  return S.ok();
+}
+
+template <class T>
+std::vector<uint8_t> encodePayload(MsgKind Kind, const T &X) {
   ByteWriter W;
-  W.u64(R.Id);
-  W.u32(static_cast<uint32_t>(R.Args.size()));
-  for (const std::string &A : R.Args)
-    W.str(A);
-  return encodeFrame(MsgKind::Run, W.bytes());
+  io(W, const_cast<T &>(X));
+  return encodeFrame(Kind, W.bytes());
+}
+
+/// Decodes all of \p Payload into \p X; \p Why names the first broken
+/// rule, or says the \p What payload does not decode.
+template <class T>
+bool decodePayload(const std::vector<uint8_t> &Payload, T &X,
+                   const char *What, std::string &Why) {
+  ByteReader B(Payload);
+  X = T();
+  if (io(B, X) && B.atEnd())
+    return true;
+  Why = B.why().empty() ? std::string(What) + " payload does not decode"
+                        : B.why();
+  return false;
+}
+
+} // namespace
+
+std::vector<uint8_t> pose::serve::encodeRunRequest(const RunRequest &R) {
+  return encodePayload(MsgKind::Run, R);
 }
 
 bool pose::serve::decodeRunRequest(const std::vector<uint8_t> &Payload,
                                    RunRequest &R, std::string &Why) {
-  ByteReader B(Payload);
-  R.Id = B.u64();
-  const uint32_t N = B.u32();
-  if (N == 0 || N > kMaxRunArgs) {
-    Why = "argument count " + std::to_string(N) + " outside 1.." +
-          std::to_string(kMaxRunArgs);
-    return false;
-  }
-  R.Args.clear();
-  R.Args.reserve(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    std::string A = B.str();
-    if (A.size() > kMaxArgLen) {
-      Why = "argument longer than " + std::to_string(kMaxArgLen) + " bytes";
-      return false;
-    }
-    if (A.find('\0') != std::string::npos) {
-      // An embedded NUL would silently truncate at execv.
-      Why = "argument contains a NUL byte";
-      return false;
-    }
-    R.Args.push_back(std::move(A));
-  }
-  if (!B.ok() || !B.atEnd()) {
-    Why = "run request payload does not decode";
-    return false;
-  }
-  return true;
+  return decodePayload(Payload, R, "run request", Why);
 }
 
 std::vector<uint8_t> pose::serve::encodeRunResponse(const RunResponse &R) {
-  ByteWriter W;
-  W.u64(R.Id);
-  W.u32(static_cast<uint32_t>(R.Served));
-  W.i32(R.ExitCode);
-  W.str(R.Stdout);
-  W.str(R.Stderr);
-  return encodeFrame(MsgKind::RunResult, W.bytes());
+  return encodePayload(MsgKind::RunResult, R);
 }
 
 bool pose::serve::decodeRunResponse(const std::vector<uint8_t> &Payload,
                                     RunResponse &R, std::string &Why) {
-  ByteReader B(Payload);
-  R.Id = B.u64();
-  const uint32_t Served = B.u32();
-  if (Served > static_cast<uint32_t>(ServedFrom::Cached)) {
-    Why = "unknown served-from value";
-    return false;
-  }
-  R.Served = static_cast<ServedFrom>(Served);
-  R.ExitCode = B.i32();
-  R.Stdout = B.str();
-  R.Stderr = B.str();
-  if (!B.ok() || !B.atEnd()) {
-    Why = "run response payload does not decode";
-    return false;
-  }
-  return true;
+  return decodePayload(Payload, R, "run response", Why);
 }
 
 std::vector<uint8_t> pose::serve::encodeErrorResponse(const ErrorResponse &E) {
-  ByteWriter W;
-  W.u64(E.Id);
-  W.u32(static_cast<uint32_t>(E.Code));
-  W.str(E.Message);
-  W.u32(E.RetryAfterMs);
-  return encodeFrame(MsgKind::Error, W.bytes());
+  return encodePayload(MsgKind::Error, E);
 }
 
 bool pose::serve::decodeErrorResponse(const std::vector<uint8_t> &Payload,
                                       ErrorResponse &E, std::string &Why) {
-  ByteReader B(Payload);
-  E.Id = B.u64();
-  const uint32_t Code = B.u32();
-  if (Code < static_cast<uint32_t>(ErrorCode::BadFrame) ||
-      Code > static_cast<uint32_t>(ErrorCode::ReloadRejected)) {
-    Why = "unknown error code";
-    return false;
-  }
-  E.Code = static_cast<ErrorCode>(Code);
-  E.Message = B.str();
-  E.RetryAfterMs = B.u32();
-  if (!B.ok() || !B.atEnd()) {
-    Why = "error response payload does not decode";
-    return false;
-  }
-  return true;
+  return decodePayload(Payload, E, "error response", Why);
 }
 
 std::vector<uint8_t> pose::serve::encodeStatsReport(const StatsReport &S) {
-  ByteWriter W;
-  W.u32(kStatsVersion);
-  W.u64(S.Requests);
-  W.u64(S.Computed);
-  W.u64(S.Coalesced);
-  W.u64(S.CacheHits);
-  W.u64(S.Errors);
-  W.u64(S.Clients);
-  W.u64(S.Running);
-  W.u64(S.Queued);
-  W.u64(S.Shed);
-  W.u64(S.ReadTimeouts);
-  W.u64(S.Restarts);
-  W.u64(S.Reloads);
-  W.u64(S.ReloadsRejected);
-  W.u64(S.SockFaults);
-  return encodeFrame(MsgKind::StatsReport, W.bytes());
+  return encodePayload(MsgKind::StatsReport, S);
 }
 
 bool pose::serve::decodeStatsReport(const std::vector<uint8_t> &Payload,
                                     StatsReport &S, std::string &Why) {
-  ByteReader B(Payload);
-  const uint32_t Version = B.u32();
-  if (!B.ok() || Version != kStatsVersion) {
-    // An explicit refusal beats misreading shifted counters: a version-1
-    // payload (or a future version-3 one) decodes to garbage, not to
-    // plausibly-wrong numbers.
-    Why = "unsupported stats payload version " + std::to_string(Version) +
-          " (this client speaks version " + std::to_string(kStatsVersion) +
-          ")";
-    return false;
-  }
-  S.Requests = B.u64();
-  S.Computed = B.u64();
-  S.Coalesced = B.u64();
-  S.CacheHits = B.u64();
-  S.Errors = B.u64();
-  S.Clients = B.u64();
-  S.Running = B.u64();
-  S.Queued = B.u64();
-  S.Shed = B.u64();
-  S.ReadTimeouts = B.u64();
-  S.Restarts = B.u64();
-  S.Reloads = B.u64();
-  S.ReloadsRejected = B.u64();
-  S.SockFaults = B.u64();
-  if (!B.ok() || !B.atEnd()) {
-    Why = "stats report payload does not decode";
-    return false;
-  }
-  return true;
+  return decodePayload(Payload, S, "stats report", Why);
 }
 
 void FrameReader::feed(const uint8_t *Data, size_t N) {

@@ -9,10 +9,10 @@
 /// Unix-domain socket, in the same framing discipline as the store and
 /// the POSEWRK worker frame: a fixed magic, explicit payload length, and
 /// CRC32 over both header and payload, so a truncated or damaged frame
-/// is detected before a single payload byte is trusted. Payloads are
-/// encoded with the store's bounds-checked little-endian ByteIo codecs —
-/// a malicious length can fail a decode, never allocate unbounded
-/// memory.
+/// is detected before a single payload byte is trusted. Each payload's
+/// format is one io() field list (Protocol.cpp) over the store's
+/// bounds-checked little-endian ByteWriter/ByteReader — a malicious
+/// length can fail a decode, never allocate unbounded memory.
 ///
 /// One frame carries one message. Requests: Ping (liveness), Run (a
 /// posec command line to execute), Stats (scheduler counters), Shutdown

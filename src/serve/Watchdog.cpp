@@ -7,6 +7,7 @@
 #include "src/serve/Watchdog.h"
 
 #include "src/drive/ExitCodes.h"
+#include "src/support/Fnv.h"
 #include "src/support/RetryPolicy.h"
 
 #include <cerrno>
@@ -56,17 +57,6 @@ void setNonBlocking(int Fd) {
   const int Flags = ::fcntl(Fd, F_GETFL, 0);
   if (Flags >= 0)
     ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
-}
-
-/// Deterministic jitter salt: the same socket path always retries on
-/// the same schedule (FNV-1a, like the store's name hashing).
-uint64_t saltOf(const std::string &S) {
-  uint64_t H = 1469598103934665603ull;
-  for (const char C : S) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 1099511628211ull;
-  }
-  return H;
 }
 
 struct ChildOutcome {
@@ -194,7 +184,9 @@ int pose::serve::runWatchdog(const ServeOptions &O,
 
   const RetryPolicy Policy{W.MaxRestarts, /*BaseDelayMs=*/100,
                            /*MaxDelayMs=*/5'000, /*JitterPct=*/20};
-  const uint64_t Salt = saltOf(O.SocketPath);
+  // Deterministic jitter salt: the same socket path always retries on
+  // the same schedule.
+  const uint64_t Salt = Fnv1a().bytes(O.SocketPath).value();
 
   auto Cleanup = [&] {
     ::close(ListenFd);

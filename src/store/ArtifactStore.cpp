@@ -9,6 +9,7 @@
 #include "src/store/ByteIo.h"
 #include "src/store/Serialize.h"
 #include "src/support/Crc32.h"
+#include "src/support/Fnv.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -40,12 +41,6 @@ constexpr size_t kOffHeaderCrc = 48;
 static_assert(kFrameHeaderSize == kOffHeaderCrc + 4,
               "frame layout and offsets out of sync");
 
-uint64_t mix(uint64_t H, uint64_t V) {
-  H ^= V;
-  H *= 0x100000001B3ull; // FNV-1a prime, widened.
-  return H;
-}
-
 std::string hex32(uint32_t V) {
   char Buf[16];
   std::snprintf(Buf, sizeof(Buf), "0x%08x", V);
@@ -73,6 +68,122 @@ std::string errnoText(int Err) {
          std::to_string(Err) + ")";
 }
 
+/// Everything checkArtifact verifies except the payload decode: the file
+/// reads, its frame is intact, and its header names \p Kind and \p Root.
+/// The header's fingerprint goes to \p Fingerprint.
+FrameVerdict readFrame(const std::string &Path, const HashTriple &Root,
+                       ArtifactKind Kind, std::vector<uint8_t> &Bytes,
+                       uint64_t &Fingerprint, std::string &Error) {
+  if (!readFileBytes(Path, Bytes)) {
+    Error = "cannot be read";
+    return FrameVerdict::Missing;
+  }
+  if (Bytes.size() < kFrameHeaderSize) {
+    Error = "is truncated: " + std::to_string(Bytes.size()) +
+            " bytes, a frame header is " +
+            std::to_string(kFrameHeaderSize);
+    return FrameVerdict::Truncated;
+  }
+  ByteReader R(Bytes);
+  for (size_t I = 0; I != sizeof(kMagic); ++I) {
+    const uint8_t Got = R.u8();
+    const uint8_t Want = static_cast<uint8_t>(kMagic[I]);
+    if (Got != Want) {
+      Error = "is not a POSE artifact (bad magic at offset " +
+              std::to_string(I) + ": byte " + hex32(Got) + ", expected " +
+              hex32(Want) + ")";
+      return FrameVerdict::Corrupt;
+    }
+  }
+  const uint32_t Version = R.u32();
+  if (Version != kFormatVersion) {
+    Error = "has format version " + std::to_string(Version) +
+            " (at offset " + std::to_string(kOffVersion) +
+            "), this build reads version " + std::to_string(kFormatVersion);
+    return FrameVerdict::Corrupt;
+  }
+  const uint32_t RawKind = R.u32();
+  HashTriple Stored;
+  Stored.InstCount = R.u32();
+  Stored.ByteSum = R.u32();
+  Stored.Crc = R.u32();
+  Fingerprint = R.u64();
+  const uint64_t PayloadSize = R.u64();
+  const uint32_t PayloadCrc = R.u32();
+  const uint32_t HeaderCrc = R.u32();
+  const uint32_t ComputedHeaderCrc = crc32(Bytes.data(), kOffHeaderCrc);
+  if (HeaderCrc != ComputedHeaderCrc) {
+    Error = "header checksum mismatch at offset " +
+            std::to_string(kOffHeaderCrc) + ": stored " + hex32(HeaderCrc) +
+            ", computed " + hex32(ComputedHeaderCrc);
+    return FrameVerdict::Corrupt;
+  }
+  const uint64_t Held = Bytes.size() - kFrameHeaderSize;
+  if (PayloadSize != Held) {
+    Error = "payload length mismatch at offset " +
+            std::to_string(kOffPayloadSize) + ": header promises " +
+            std::to_string(PayloadSize) + " payload bytes, file holds " +
+            std::to_string(Held);
+    return Held < PayloadSize ? FrameVerdict::Truncated
+                              : FrameVerdict::Corrupt;
+  }
+  const uint32_t ComputedPayloadCrc =
+      crc32(Bytes.data() + kFrameHeaderSize, Held);
+  if (PayloadCrc != ComputedPayloadCrc) {
+    Error = "payload checksum mismatch at offset " +
+            std::to_string(kOffPayloadCrc) + ": stored " + hex32(PayloadCrc) +
+            ", computed " + hex32(ComputedPayloadCrc);
+    return FrameVerdict::Corrupt;
+  }
+  // The kind and key live in the file name too; a mismatch means the file
+  // was renamed or copied over another key's path, and a lookup for the
+  // named key would decode the wrong artifact.
+  if (RawKind != static_cast<uint32_t>(Kind)) {
+    Error = "holds a different artifact kind at offset " +
+            std::to_string(kOffKind) + ": stored " +
+            artifactKindName(static_cast<ArtifactKind>(RawKind)) + " (" +
+            std::to_string(RawKind) + "), expected " +
+            artifactKindName(Kind);
+    return FrameVerdict::Corrupt;
+  }
+  if (Stored != Root) {
+    Error = "is keyed to a different root function at offset " +
+            std::to_string(kOffRoot) + ": stored " + tripleText(Stored) +
+            ", expected " + tripleText(Root);
+    return FrameVerdict::Corrupt;
+  }
+  return FrameVerdict::Ok;
+}
+
+/// The validity rule of every artifact kind: the payload of \p File
+/// decodes completely as T, under T's codec rules.
+template <class T> bool decodePayload(const std::vector<uint8_t> &File, T &X) {
+  ByteReader R(File.data() + kFrameHeaderSize,
+               File.size() - kFrameHeaderSize);
+  return decode(R, X) && R.atEnd();
+}
+
+/// decodePayload as the type \p Kind stores.
+bool payloadDecodes(ArtifactKind Kind, const std::vector<uint8_t> &File) {
+  auto As = [&File](auto X) { return decodePayload(File, X); };
+  switch (Kind) {
+  case ArtifactKind::Result:
+    return As(EnumerationResult());
+  case ArtifactKind::Checkpoint:
+    return As(EnumerationCheckpoint());
+  case ArtifactKind::Quarantine:
+    return As(QuarantineRecord());
+  case ArtifactKind::Equivalence:
+    return As(sem::EquivRecord());
+  }
+  return false;
+}
+
+// The payload CRC already matched, so the bytes are what the writer
+// wrote: the writer and this reader disagree about the encoding itself.
+constexpr const char *kUndecodable =
+    "payload passes its checksum but does not decode";
+
 } // namespace
 
 const char *artifactKindName(ArtifactKind K) {
@@ -90,16 +201,16 @@ const char *artifactKindName(ArtifactKind K) {
 }
 
 uint64_t configFingerprint(const EnumeratorConfig &Config) {
-  uint64_t H = 0xCBF29CE484222325ull;
-  H = mix(H, Config.MaxLevelSequences);
-  H = mix(H, Config.MaxTotalNodes);
-  H = mix(H, Config.NaiveReapply);
-  H = mix(H, Config.RemapRegisters);
-  H = mix(H, Config.UseIndependencePruning);
+  Fnv1a H;
+  H.word(Config.MaxLevelSequences);
+  H.word(Config.MaxTotalNodes);
+  H.word(Config.NaiveReapply);
+  H.word(Config.RemapRegisters);
+  H.word(Config.UseIndependencePruning);
   for (int X = 0; X != NumPhases; ++X)
     for (int Y = 0; Y != NumPhases; ++Y)
-      H = mix(H, Config.TrainedIndependence[X][Y]);
-  H = mix(H, Config.VerifyIr);
+      H.word(Config.TrainedIndependence[X][Y]);
+  H.word(Config.VerifyIr);
   // Injected verifier faults prune edges and wrong-code faults mutate
   // instances, so both shape the DAG like any other config switch; an
   // empty plan fingerprints like no plan. Crash-class faults kill the
@@ -110,19 +221,16 @@ uint64_t configFingerprint(const EnumeratorConfig &Config) {
     for (const FaultPlan::Fault &F : Config.Faults->Faults) {
       if (isCrashKind(F.Kind))
         continue;
-      H = mix(H, static_cast<uint64_t>(F.Phase));
-      H = mix(H, F.Application);
-      H = mix(H, static_cast<uint64_t>(F.Kind));
+      H.word(static_cast<uint64_t>(F.Phase));
+      H.word(F.Application);
+      H.word(static_cast<uint64_t>(F.Kind));
     }
-  return H;
+  return H.value();
 }
 
 uint64_t equivFingerprint(uint64_t ConfigFp, uint64_t VectorSeed,
                           uint64_t VectorCount) {
-  uint64_t H = ConfigFp;
-  H = mix(H, VectorSeed);
-  H = mix(H, VectorCount);
-  return H;
+  return Fnv1a(ConfigFp).word(VectorSeed).word(VectorCount).value();
 }
 
 ArtifactStore::ArtifactStore(std::string Directory, StoreIo *Io)
@@ -140,10 +248,9 @@ bool ArtifactStore::prepare(std::string &Error) const {
 
 std::string ArtifactStore::pathFor(const HashTriple &Root,
                                    ArtifactKind Kind) const {
-  char Name[64];
-  std::snprintf(Name, sizeof(Name), "%08x-%08x-%08x.%s.pose", Root.InstCount,
-                Root.ByteSum, Root.Crc, artifactKindName(Kind));
-  return (fs::path(Dir) / Name).string();
+  return (fs::path(Dir) /
+          (tripleText(Root) + "." + artifactKindName(Kind) + ".pose"))
+      .string();
 }
 
 std::vector<std::string> ArtifactStore::reclaimTmp() const {
@@ -166,10 +273,38 @@ std::vector<std::string> ArtifactStore::reclaimTmp() const {
   return Removed;
 }
 
-bool ArtifactStore::writeArtifact(const HashTriple &Root, ArtifactKind Kind,
-                                  uint64_t Fingerprint,
-                                  const std::vector<uint8_t> &Payload,
-                                  std::string &Error) const {
+bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Bytes) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  // Block reads: a character iterator costs more than the payload decode.
+  Bytes.clear();
+  char Chunk[16384];
+  do {
+    In.read(Chunk, sizeof(Chunk));
+    Bytes.insert(Bytes.end(), Chunk, Chunk + In.gcount());
+  } while (In);
+  return In.eof() && !In.bad();
+}
+
+FrameVerdict checkArtifact(const std::string &Path, const HashTriple &Root,
+                           ArtifactKind Kind, std::vector<uint8_t> &Bytes,
+                           std::string &Error) {
+  uint64_t Fingerprint = 0;
+  const FrameVerdict V = readFrame(Path, Root, Kind, Bytes, Fingerprint, Error);
+  if (V != FrameVerdict::Ok)
+    return V;
+  if (!payloadDecodes(Kind, Bytes)) {
+    Error = kUndecodable;
+    return FrameVerdict::Corrupt;
+  }
+  return FrameVerdict::Ok;
+}
+
+template <class T>
+bool ArtifactStore::save(const HashTriple &Root, ArtifactKind Kind,
+                         uint64_t Fingerprint, const T &X,
+                         std::string &Error) const {
   ByteWriter W;
   for (char C : kMagic)
     W.u8(static_cast<uint8_t>(C));
@@ -179,11 +314,13 @@ bool ArtifactStore::writeArtifact(const HashTriple &Root, ArtifactKind Kind,
   W.u32(Root.ByteSum);
   W.u32(Root.Crc);
   W.u64(Fingerprint);
-  W.u64(Payload.size());
-  W.u32(crc32(Payload));
+  ByteWriter Payload;
+  encode(Payload, X);
+  W.u64(Payload.bytes().size());
+  W.u32(crc32(Payload.bytes()));
   W.u32(crc32(W.bytes())); // Header CRC over everything above.
   std::vector<uint8_t> File = W.take();
-  File.insert(File.end(), Payload.begin(), Payload.end());
+  File.insert(File.end(), Payload.bytes().begin(), Payload.bytes().end());
 
   const std::string Path = pathFor(Root, Kind);
   const std::string Tmp = Path + ".tmp";
@@ -208,127 +345,36 @@ bool ArtifactStore::writeArtifact(const HashTriple &Root, ArtifactKind Kind,
   return true;
 }
 
-FrameVerdict inspectFrame(const std::vector<uint8_t> &Bytes,
-                          ArtifactFrame &Out, std::string &Error) {
-  if (Bytes.size() < kFrameHeaderSize) {
-    Error = "is truncated: " + std::to_string(Bytes.size()) +
-            " bytes, a frame header is " +
-            std::to_string(kFrameHeaderSize);
-    return FrameVerdict::Truncated;
-  }
-  ByteReader R(Bytes);
-  for (size_t I = 0; I != sizeof(kMagic); ++I) {
-    const uint8_t Got = R.u8();
-    const uint8_t Want = static_cast<uint8_t>(kMagic[I]);
-    if (Got != Want) {
-      Error = "is not a POSE artifact (bad magic at offset " +
-              std::to_string(I) + ": byte " + hex32(Got) + ", expected " +
-              hex32(Want) + ")";
-      return FrameVerdict::Corrupt;
-    }
-  }
-  Out.Version = R.u32();
-  if (Out.Version != kFormatVersion) {
-    Error = "has format version " + std::to_string(Out.Version) +
-            " (at offset " + std::to_string(kOffVersion) +
-            "), this build reads version " + std::to_string(kFormatVersion);
-    return FrameVerdict::Corrupt;
-  }
-  Out.RawKind = R.u32();
-  Out.Root.InstCount = R.u32();
-  Out.Root.ByteSum = R.u32();
-  Out.Root.Crc = R.u32();
-  Out.Fingerprint = R.u64();
-  Out.PayloadSize = R.u64();
-  Out.PayloadCrc = R.u32();
-  const uint32_t HeaderCrc = R.u32();
-  const uint32_t ComputedHeaderCrc = crc32(Bytes.data(), kOffHeaderCrc);
-  if (HeaderCrc != ComputedHeaderCrc) {
-    Error = "header checksum mismatch at offset " +
-            std::to_string(kOffHeaderCrc) + ": stored " + hex32(HeaderCrc) +
-            ", computed " + hex32(ComputedHeaderCrc);
-    return FrameVerdict::Corrupt;
-  }
-  if (Out.RawKind < static_cast<uint32_t>(ArtifactKind::Result) ||
-      Out.RawKind > static_cast<uint32_t>(ArtifactKind::Equivalence)) {
-    Error = "has unknown artifact kind " + std::to_string(Out.RawKind) +
-            " at offset " + std::to_string(kOffKind);
-    return FrameVerdict::Corrupt;
-  }
-  const uint64_t Held = Bytes.size() - kFrameHeaderSize;
-  if (Out.PayloadSize != Held) {
-    Error = "payload length mismatch at offset " +
-            std::to_string(kOffPayloadSize) + ": header promises " +
-            std::to_string(Out.PayloadSize) + " payload bytes, file holds " +
-            std::to_string(Held);
-    return Held < Out.PayloadSize ? FrameVerdict::Truncated
-                                  : FrameVerdict::Corrupt;
-  }
-  const uint32_t ComputedPayloadCrc = crc32(
-      Bytes.data() + kFrameHeaderSize, Bytes.size() - kFrameHeaderSize);
-  if (Out.PayloadCrc != ComputedPayloadCrc) {
-    Error = "payload checksum mismatch at offset " +
-            std::to_string(kOffPayloadCrc) + ": stored " +
-            hex32(Out.PayloadCrc) + ", computed " +
-            hex32(ComputedPayloadCrc);
-    return FrameVerdict::Corrupt;
-  }
-  return FrameVerdict::Ok;
-}
-
-LoadStatus ArtifactStore::readArtifact(const HashTriple &Root,
-                                       ArtifactKind Kind, uint64_t Fingerprint,
-                                       std::vector<uint8_t> &Payload,
-                                       std::string &Error) const {
+template <class T>
+LoadStatus ArtifactStore::load(const HashTriple &Root, ArtifactKind Kind,
+                               uint64_t Fingerprint, T &X,
+                               std::string &Error) const {
   const std::string Path = pathFor(Root, Kind);
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return LoadStatus::Miss;
-  std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
-                             std::istreambuf_iterator<char>());
-  if (!In.good() && !In.eof()) {
-    Error = "cannot read '" + Path + "'";
-    return LoadStatus::Rejected;
-  }
-  ArtifactFrame F;
+  std::vector<uint8_t> Bytes;
+  uint64_t Stored = 0;
   std::string Why;
-  if (inspectFrame(Bytes, F, Why) != FrameVerdict::Ok) {
-    Error = "'" + Path + "' " + Why;
-    return LoadStatus::Rejected;
-  }
-  if (F.RawKind != static_cast<uint32_t>(Kind)) {
-    Error = "'" + Path + "' holds a different artifact kind at offset " +
-            std::to_string(kOffKind) + ": stored " +
-            artifactKindName(static_cast<ArtifactKind>(F.RawKind)) +
-            ", expected " + artifactKindName(Kind);
-    return LoadStatus::Rejected;
-  }
-  if (F.Root != Root) {
-    Error = "'" + Path +
-            "' is keyed to a different root function at offset " +
-            std::to_string(kOffRoot) + ": stored " + tripleText(F.Root) +
-            ", expected " + tripleText(Root);
-    return LoadStatus::Rejected;
-  }
-  if (F.Fingerprint != Fingerprint) {
-    Error = "'" + Path +
-            "' was produced under a different enumerator configuration "
+  const FrameVerdict V = readFrame(Path, Root, Kind, Bytes, Stored, Why);
+  if (V == FrameVerdict::Missing)
+    return LoadStatus::Miss;
+  if (V == FrameVerdict::Ok) {
+    if (Stored != Fingerprint)
+      Why = "was produced under a different enumerator configuration "
             "(fingerprint at offset " +
-            std::to_string(kOffFingerprint) + ": stored " +
-            hex64(F.Fingerprint) + ", expected " + hex64(Fingerprint) + ")";
-    return LoadStatus::Rejected;
+            std::to_string(kOffFingerprint) + ": stored " + hex64(Stored) +
+            ", expected " + hex64(Fingerprint) + ")";
+    else if (!decodePayload(Bytes, X))
+      Why = kUndecodable;
+    else
+      return LoadStatus::Hit;
   }
-  Payload.assign(Bytes.begin() + kFrameHeaderSize, Bytes.end());
-  return LoadStatus::Hit;
+  Error = "'" + Path + "' " + Why;
+  return LoadStatus::Rejected;
 }
 
 bool ArtifactStore::saveResult(const HashTriple &Root, uint64_t Fingerprint,
                                const EnumerationResult &Res,
                                std::string &Error) const {
-  ByteWriter W;
-  encodeResult(W, Res);
-  if (!writeArtifact(Root, ArtifactKind::Result, Fingerprint, W.bytes(),
-                     Error))
+  if (!save(Root, ArtifactKind::Result, Fingerprint, Res, Error))
     return false;
   removeCheckpoint(Root);
   removeQuarantine(Root);
@@ -338,50 +384,25 @@ bool ArtifactStore::saveResult(const HashTriple &Root, uint64_t Fingerprint,
   return true;
 }
 
-bool ArtifactStore::saveCheckpoint(const HashTriple &Root,
-                                   uint64_t Fingerprint,
-                                   const EnumerationCheckpoint &C,
-                                   std::string &Error) const {
-  ByteWriter W;
-  encodeCheckpoint(W, C);
-  return writeArtifact(Root, ArtifactKind::Checkpoint, Fingerprint, W.bytes(),
-                       Error);
-}
-
 LoadStatus ArtifactStore::loadResult(const HashTriple &Root,
                                      uint64_t Fingerprint,
                                      EnumerationResult &Res,
                                      std::string &Error) const {
-  std::vector<uint8_t> Payload;
-  LoadStatus S =
-      readArtifact(Root, ArtifactKind::Result, Fingerprint, Payload, Error);
-  if (S != LoadStatus::Hit)
-    return S;
-  ByteReader R(Payload);
-  if (!decodeResult(R, Res) || !R.atEnd()) {
-    Error = "'" + pathFor(Root, ArtifactKind::Result) +
-            "' payload does not decode (file damaged)";
-    return LoadStatus::Rejected;
-  }
-  return LoadStatus::Hit;
+  return load(Root, ArtifactKind::Result, Fingerprint, Res, Error);
+}
+
+bool ArtifactStore::saveCheckpoint(const HashTriple &Root,
+                                   uint64_t Fingerprint,
+                                   const EnumerationCheckpoint &C,
+                                   std::string &Error) const {
+  return save(Root, ArtifactKind::Checkpoint, Fingerprint, C, Error);
 }
 
 LoadStatus ArtifactStore::loadCheckpoint(const HashTriple &Root,
                                          uint64_t Fingerprint,
                                          EnumerationCheckpoint &C,
                                          std::string &Error) const {
-  std::vector<uint8_t> Payload;
-  LoadStatus S = readArtifact(Root, ArtifactKind::Checkpoint, Fingerprint,
-                              Payload, Error);
-  if (S != LoadStatus::Hit)
-    return S;
-  ByteReader R(Payload);
-  if (!decodeCheckpoint(R, C) || !R.atEnd() || !C.Valid) {
-    Error = "'" + pathFor(Root, ArtifactKind::Checkpoint) +
-            "' payload does not decode (file damaged)";
-    return LoadStatus::Rejected;
-  }
-  return LoadStatus::Hit;
+  return load(Root, ArtifactKind::Checkpoint, Fingerprint, C, Error);
 }
 
 void ArtifactStore::removeCheckpoint(const HashTriple &Root) const {
@@ -392,28 +413,14 @@ bool ArtifactStore::saveQuarantine(const HashTriple &Root,
                                    uint64_t Fingerprint,
                                    const QuarantineRecord &Q,
                                    std::string &Error) const {
-  ByteWriter W;
-  encodeQuarantine(W, Q);
-  return writeArtifact(Root, ArtifactKind::Quarantine, Fingerprint, W.bytes(),
-                       Error);
+  return save(Root, ArtifactKind::Quarantine, Fingerprint, Q, Error);
 }
 
 LoadStatus ArtifactStore::loadQuarantine(const HashTriple &Root,
                                          uint64_t Fingerprint,
                                          QuarantineRecord &Q,
                                          std::string &Error) const {
-  std::vector<uint8_t> Payload;
-  LoadStatus S = readArtifact(Root, ArtifactKind::Quarantine, Fingerprint,
-                              Payload, Error);
-  if (S != LoadStatus::Hit)
-    return S;
-  ByteReader R(Payload);
-  if (!decodeQuarantine(R, Q) || !R.atEnd()) {
-    Error = "'" + pathFor(Root, ArtifactKind::Quarantine) +
-            "' payload does not decode (file damaged)";
-    return LoadStatus::Rejected;
-  }
-  return LoadStatus::Hit;
+  return load(Root, ArtifactKind::Quarantine, Fingerprint, Q, Error);
 }
 
 void ArtifactStore::removeQuarantine(const HashTriple &Root) const {
@@ -424,28 +431,14 @@ bool ArtifactStore::saveEquivalence(const HashTriple &Root,
                                     uint64_t Fingerprint,
                                     const sem::EquivRecord &E,
                                     std::string &Error) const {
-  ByteWriter W;
-  encodeEquivalence(W, E);
-  return writeArtifact(Root, ArtifactKind::Equivalence, Fingerprint,
-                       W.bytes(), Error);
+  return save(Root, ArtifactKind::Equivalence, Fingerprint, E, Error);
 }
 
 LoadStatus ArtifactStore::loadEquivalence(const HashTriple &Root,
                                           uint64_t Fingerprint,
                                           sem::EquivRecord &E,
                                           std::string &Error) const {
-  std::vector<uint8_t> Payload;
-  LoadStatus S = readArtifact(Root, ArtifactKind::Equivalence, Fingerprint,
-                              Payload, Error);
-  if (S != LoadStatus::Hit)
-    return S;
-  ByteReader R(Payload);
-  if (!decodeEquivalence(R, E) || !R.atEnd()) {
-    Error = "'" + pathFor(Root, ArtifactKind::Equivalence) +
-            "' payload does not decode (file damaged)";
-    return LoadStatus::Rejected;
-  }
-  return LoadStatus::Hit;
+  return load(Root, ArtifactKind::Equivalence, Fingerprint, E, Error);
 }
 
 void ArtifactStore::removeEquivalence(const HashTriple &Root) const {

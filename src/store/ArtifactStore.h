@@ -84,34 +84,32 @@ const char *artifactKindName(ArtifactKind K);
 /// fingerprint, payload size, payload CRC, header CRC.
 constexpr size_t kFrameHeaderSize = 8 + 4 + 4 + 12 + 8 + 8 + 4 + 4;
 
-/// The decoded frame header of an artifact file.
-struct ArtifactFrame {
-  uint32_t Version = 0;
-  uint32_t RawKind = 0; ///< Validated to name an ArtifactKind.
-  HashTriple Root;
-  uint64_t Fingerprint = 0;
-  uint64_t PayloadSize = 0;
-  uint32_t PayloadCrc = 0;
-};
-
-/// Outcome of a structural frame check.
+/// Outcome of checking one artifact file.
 enum class FrameVerdict {
-  Ok,        ///< Frame and payload verified; \ref ArtifactFrame valid.
+  Ok,        ///< Verified end to end.
+  Missing,   ///< The file cannot be opened or read.
   Truncated, ///< Shorter than a header, or than the payload it promises
              ///< (a torn write).
-  Corrupt,   ///< Structurally damaged: bad magic, version, header CRC,
-             ///< unknown kind, trailing bytes, or payload CRC mismatch.
+  Corrupt,   ///< Damaged: bad magic, version, header CRC, trailing bytes,
+             ///< payload CRC, a kind or root other than expected, or a
+             ///< payload that does not decode as its kind.
 };
 
-/// Structurally validates \p Bytes as one artifact file: magic, format
-/// version, header CRC, known kind, payload length against the file
-/// size, payload CRC. The key and fingerprint are decoded into \p Out
-/// but not judged — callers with expectations (readArtifact) compare
-/// them, callers without (fsck, merge) trust the header CRC. On failure
-/// \p Error holds a diagnostic naming the byte offset and the
-/// expected-vs-actual values.
-FrameVerdict inspectFrame(const std::vector<uint8_t> &Bytes,
-                          ArtifactFrame &Out, std::string &Error);
+/// The one artifact check, shared by store lookups, fsck and merge:
+/// reads \p Path and verifies magic, format version, header CRC, payload
+/// length against the file size and payload CRC; requires the header to
+/// name \p Kind and \p Root; and requires the payload to decode
+/// completely as that kind (the codec's own rules included). The
+/// fingerprint is not judged: lookups compare it, fsck and merge trust
+/// the header CRC. On success \p Bytes holds the file; otherwise
+/// \p Error names the byte offset and the expected-vs-actual values.
+FrameVerdict checkArtifact(const std::string &Path, const HashTriple &Root,
+                           ArtifactKind Kind, std::vector<uint8_t> &Bytes,
+                           std::string &Error);
+
+/// Reads the whole file at \p Path; false when it cannot be opened or
+/// read.
+bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Bytes);
 
 /// Fingerprint of the EnumeratorConfig fields that determine the DAG:
 /// budgets, pruning switches, the trained independence matrix, verifier
@@ -215,12 +213,12 @@ public:
   void removeEquivalence(const HashTriple &Root) const;
 
 private:
-  bool writeArtifact(const HashTriple &Root, ArtifactKind Kind,
-                     uint64_t Fingerprint, const std::vector<uint8_t> &Payload,
-                     std::string &Error) const;
-  LoadStatus readArtifact(const HashTriple &Root, ArtifactKind Kind,
-                          uint64_t Fingerprint, std::vector<uint8_t> &Payload,
-                          std::string &Error) const;
+  template <class T>
+  bool save(const HashTriple &Root, ArtifactKind Kind, uint64_t Fingerprint,
+            const T &X, std::string &Error) const;
+  template <class T>
+  LoadStatus load(const HashTriple &Root, ArtifactKind Kind,
+                  uint64_t Fingerprint, T &X, std::string &Error) const;
 
   std::string Dir;
   StoreIo *Io;

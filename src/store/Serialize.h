@@ -6,15 +6,19 @@
 ///
 /// \file
 /// Exact binary codecs for the types the artifact store persists: function
-/// instances, enumeration results, and resumable checkpoints. "Exact"
-/// means a decode(encode(X)) round trip reproduces X field for field —
-/// including allocation counters and phase state of function instances —
-/// so a resumed enumeration is byte-identical to an uninterrupted one.
+/// instances, enumeration results, resumable checkpoints, quarantine
+/// records and equivalence records. "Exact" means a decode(encode(X))
+/// round trip reproduces X field for field — including allocation counters
+/// and phase state of function instances — so a resumed enumeration is
+/// byte-identical to an uninterrupted one.
 ///
-/// Decoders are strict: every enum value is range-checked, every boolean
-/// must be 0 or 1, and any violation (or buffer overrun) returns false.
-/// They deliberately do NOT require the reader to be exhausted, so codecs
-/// compose; the framing layer (ArtifactStore) rejects trailing bytes.
+/// Each type's format is one io() field list (see ByteIo.h), so the
+/// encoder and the decoder cannot drift apart. Decoding is strict: every
+/// enum value is range-checked, every boolean must be 0 or 1, every node
+/// index must name a node of its DAG, a checkpoint must be Valid, and any
+/// violation (or buffer overrun) returns false. Decoders deliberately do
+/// NOT require the reader to be exhausted, so codecs compose; the framing
+/// layer (ArtifactStore) rejects trailing bytes.
 ///
 /// The encoding is little-endian with explicit lengths and no padding; it
 /// is covered by \ref kFormatVersion in ArtifactStore.h — any change here
@@ -33,30 +37,69 @@
 namespace pose {
 namespace store {
 
+/// The field lists, defined for ByteWriter and ByteReader in
+/// Serialize.cpp.
+template <class Io> bool io(Io &S, Function &F);
+template <class Io> bool io(Io &S, EnumerationResult &Res);
+template <class Io> bool io(Io &S, EnumerationCheckpoint &C);
+template <class Io> bool io(Io &S, QuarantineRecord &Q);
+template <class Io> bool io(Io &S, sem::EquivRecord &E);
+
+/// Encodes \p X through its field list.
+template <class T> void encode(ByteWriter &W, const T &X) {
+  io(W, const_cast<T &>(X));
+}
+
+/// Resets \p X and strictly decodes it from \p R.
+template <class T> bool decode(ByteReader &R, T &X) {
+  X = T();
+  return io(R, X);
+}
+
 /// Function instances (exact: slots, blocks, phase state, counters).
-void encodeFunction(ByteWriter &W, const Function &F);
-bool decodeFunction(ByteReader &R, Function &F);
+inline void encodeFunction(ByteWriter &W, const Function &F) {
+  encode(W, F);
+}
+inline bool decodeFunction(ByteReader &R, Function &F) {
+  return decode(R, F);
+}
 
 /// Complete or partial enumeration results (nodes, edges, level stats,
 /// diagnostics, stop reason, accounting).
-void encodeResult(ByteWriter &W, const EnumerationResult &Res);
-bool decodeResult(ByteReader &R, EnumerationResult &Res);
+inline void encodeResult(ByteWriter &W, const EnumerationResult &Res) {
+  encode(W, Res);
+}
+inline bool decodeResult(ByteReader &R, EnumerationResult &Res) {
+  return decode(R, Res);
+}
 
 /// Resumable checkpoints (partial result + committed frontier + engine
 /// counters).
-void encodeCheckpoint(ByteWriter &W, const EnumerationCheckpoint &C);
-bool decodeCheckpoint(ByteReader &R, EnumerationCheckpoint &C);
+inline void encodeCheckpoint(ByteWriter &W, const EnumerationCheckpoint &C) {
+  encode(W, C);
+}
+inline bool decodeCheckpoint(ByteReader &R, EnumerationCheckpoint &C) {
+  return decode(R, C);
+}
 
 /// Quarantine records (worker failure class + signal/exit metadata).
-void encodeQuarantine(ByteWriter &W, const QuarantineRecord &Q);
-bool decodeQuarantine(ByteReader &R, QuarantineRecord &Q);
+inline void encodeQuarantine(ByteWriter &W, const QuarantineRecord &Q) {
+  encode(W, Q);
+}
+inline bool decodeQuarantine(ByteReader &R, QuarantineRecord &Q) {
+  return decode(R, Q);
+}
 
 /// Equivalence records (vector provenance + per-node behavior digests).
 /// The decoder enforces the type's invariants: the three per-node arrays
 /// have equal length, AllOk bytes are 0/1, and UsedVectors is strictly
 /// ascending with every index below VectorsRequested.
-void encodeEquivalence(ByteWriter &W, const sem::EquivRecord &E);
-bool decodeEquivalence(ByteReader &R, sem::EquivRecord &E);
+inline void encodeEquivalence(ByteWriter &W, const sem::EquivRecord &E) {
+  encode(W, E);
+}
+inline bool decodeEquivalence(ByteReader &R, sem::EquivRecord &E) {
+  return decode(R, E);
+}
 
 } // namespace store
 } // namespace pose

@@ -6,13 +6,8 @@
 
 #include "src/store/StoreAdmin.h"
 
-#include "src/store/ByteIo.h"
-#include "src/store/Serialize.h"
-
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 namespace fs = std::filesystem;
 
@@ -39,87 +34,10 @@ bool parseHex32(const std::string &Text, size_t Pos, uint32_t &Out) {
   return true;
 }
 
-bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Bytes) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  Bytes.assign((std::istreambuf_iterator<char>(In)),
-               std::istreambuf_iterator<char>());
-  return In.good() || In.eof();
-}
-
 bool endsWith(const std::string &Name, const char *Suffix) {
   const size_t Len = std::char_traits<char>::length(Suffix);
   return Name.size() >= Len &&
          Name.compare(Name.size() - Len, Len, Suffix) == 0;
-}
-
-/// Full verification of one artifact file's bytes against its file name:
-/// frame structure (inspectFrame), then the name/header cross-checks
-/// readArtifact would apply, then a strict payload decode. Returns
-/// FsckState::Ok / Truncated / Corrupt with \p Detail set on failure.
-FsckState verifyArtifactBytes(const std::vector<uint8_t> &Bytes,
-                              const HashTriple &NameRoot,
-                              ArtifactKind NameKind, std::string &Detail) {
-  ArtifactFrame F;
-  const FrameVerdict V = inspectFrame(Bytes, F, Detail);
-  if (V == FrameVerdict::Truncated)
-    return FsckState::Truncated;
-  if (V == FrameVerdict::Corrupt)
-    return FsckState::Corrupt;
-  // The kind and key live in the file name too; a mismatch means the file
-  // was renamed or copied over another key's path, and a lookup for the
-  // named key would decode the wrong artifact.
-  if (F.RawKind != static_cast<uint32_t>(NameKind)) {
-    Detail = std::string("holds a different artifact kind than its file "
-                         "name says: header ") +
-             artifactKindName(static_cast<ArtifactKind>(F.RawKind)) +
-             ", name " + artifactKindName(NameKind);
-    return FsckState::Corrupt;
-  }
-  if (F.Root != NameRoot) {
-    char Buf[40];
-    std::snprintf(Buf, sizeof(Buf), "%08x-%08x-%08x", F.Root.InstCount,
-                  F.Root.ByteSum, F.Root.Crc);
-    Detail = std::string("is keyed to a different root function than its "
-                         "file name says: header ") +
-             Buf;
-    return FsckState::Corrupt;
-  }
-  ByteReader R(Bytes.data() + kFrameHeaderSize,
-               Bytes.size() - kFrameHeaderSize);
-  bool Decodes = false;
-  switch (NameKind) {
-  case ArtifactKind::Result: {
-    EnumerationResult Res;
-    Decodes = decodeResult(R, Res) && R.atEnd();
-    break;
-  }
-  case ArtifactKind::Checkpoint: {
-    EnumerationCheckpoint C;
-    Decodes = decodeCheckpoint(R, C) && R.atEnd() && C.Valid;
-    break;
-  }
-  case ArtifactKind::Quarantine: {
-    QuarantineRecord Q;
-    Decodes = decodeQuarantine(R, Q) && R.atEnd();
-    break;
-  }
-  case ArtifactKind::Equivalence: {
-    sem::EquivRecord E;
-    Decodes = decodeEquivalence(R, E) && R.atEnd();
-    break;
-  }
-  }
-  if (!Decodes) {
-    // The payload CRC already matched, so the bytes are what the writer
-    // wrote — which means the writer and this reader disagree about the
-    // encoding itself.
-    Detail = "payload passes its checksum but does not decode";
-    return FsckState::Corrupt;
-  }
-  Detail.clear();
-  return FsckState::Ok;
 }
 
 /// Sorted regular-file names directly inside \p Dir (subdirectories such
@@ -227,26 +145,19 @@ FsckReport fsckStore(const std::string &Dir, bool Repair, StoreIo *Io) {
     }
 
     std::vector<uint8_t> Bytes;
-    if (!readFileBytes(Path, Bytes)) {
+    switch (checkArtifact(Path, Root, Kind, Bytes, E.Detail)) {
+    case FrameVerdict::Ok:
+      ++Rep.Intact;
+      continue; // Intact artifacts are counted, not listed.
+    case FrameVerdict::Truncated:
+      E.State = FsckState::Truncated;
+      ++Rep.Truncated;
+      break;
+    case FrameVerdict::Missing:
+    case FrameVerdict::Corrupt:
       E.State = FsckState::Corrupt;
-      E.Detail = "cannot be read";
       ++Rep.Corrupt;
-    } else {
-      E.State = verifyArtifactBytes(Bytes, Root, Kind, E.Detail);
-      switch (E.State) {
-      case FsckState::Ok:
-        ++Rep.Intact;
-        continue; // Intact artifacts are counted, not listed.
-      case FsckState::Truncated:
-        ++Rep.Truncated;
-        break;
-      case FsckState::Corrupt:
-        ++Rep.Corrupt;
-        break;
-      case FsckState::OrphanTmp:
-      case FsckState::Foreign:
-        break; // Unreachable from verifyArtifactBytes.
-      }
+      break;
     }
 
     if (Repair) {
@@ -331,13 +242,15 @@ MergeReport mergeStores(const std::string &Dst,
 
       std::vector<uint8_t> Bytes;
       std::string Why;
-      ArtifactFrame F;
-      if (!readFileBytes(SrcPath, Bytes)) {
+      switch (checkArtifact(SrcPath, Root, Kind, Bytes, Why)) {
+      case FrameVerdict::Ok:
+        break;
+      case FrameVerdict::Missing:
         Rep.Status = MergeStatus::IoError;
         Rep.Error = "cannot read '" + SrcPath + "'";
         return Rep;
-      }
-      if (inspectFrame(Bytes, F, Why) != FrameVerdict::Ok) {
+      case FrameVerdict::Truncated:
+      case FrameVerdict::Corrupt:
         Rep.Status = MergeStatus::CorruptSource;
         Rep.Error = "source artifact '" + SrcPath + "' " + Why +
                     "; run --fsck on '" + Src + "' first";

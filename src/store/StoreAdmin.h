@@ -10,7 +10,8 @@
 ///
 /// fsck re-verifies every frame in a store from nothing but the bytes on
 /// disk — magic, version, header CRC, kind-vs-filename, key-vs-filename,
-/// payload CRC, and a full payload decode — and classifies what it finds:
+/// payload CRC, and a full payload decode, the same checkArtifact() a
+/// store lookup and a merge apply — and classifies what it finds:
 /// intact, truncated (torn write), corrupt (damaged bytes), an orphaned
 /// `*.pose.tmp` from a writer that died before its rename, or a foreign
 /// file it refuses to touch. With repair, damaged artifacts are moved
@@ -126,9 +127,10 @@ struct MergeReport {
 /// needed), copying atomically (temp + rename) so an interrupted merge
 /// leaves no torn destination files. Sources are processed in argument
 /// order, files in sorted order, so the outcome is deterministic. Every
-/// source artifact is frame-verified before it is allowed in; a merge
-/// stops at the first conflict or corrupt source without touching the
-/// conflicting key. \p Io null = processStoreIo().
+/// source artifact passes the check fsck applies (checkArtifact) before
+/// it is allowed in; a merge stops at the first conflict or corrupt
+/// source without touching the conflicting key. \p Io null =
+/// processStoreIo().
 MergeReport mergeStores(const std::string &Dst,
                         const std::vector<std::string> &Srcs,
                         StoreIo *Io = nullptr);

@@ -11,7 +11,8 @@
 // workers crash mid-commit on their first attempt. Plus the operator
 // surface: torn-rename recovery through the real posec binary, and the
 // documented exit codes for --fsck (9), --fsck --repair (0), and a
-// merge conflict (10).
+// merge conflict (10), including for CRC-valid artifacts whose node
+// indices point outside their DAG.
 //
 //===----------------------------------------------------------------------===//
 
@@ -366,6 +367,98 @@ TEST(MergeCli, ConflictExitsTenAndNamesTheKey) {
   EXPECT_EQ(Ok.ExitCode, 0) << Ok.Stderr;
   EXPECT_NE(Ok.Stdout.find("1 identical (deduped)"), std::string::npos)
       << Ok.Stdout;
+}
+
+// A node index is trusted as a subscript by every reader of a DAG
+// (interaction mining, checkpoint resume), so an artifact whose indices
+// point past its node array is damaged even when its checksums hold: the
+// load is Rejected and --fsck exits StoreCorrupt (9).
+TEST(FsckCli, OutOfRangeNodeIndicesAreRejected) {
+  Module M = compileOrDie(SweepSource);
+  Function &F = functionNamed(M, "f");
+  PhaseManager PM;
+  const HashTriple Root = canonicalize(F, false, true).Hash;
+
+  EnumeratorConfig Cfg;
+  const uint64_t Fp = store::configFingerprint(Cfg);
+  const EnumerationResult Res = Enumerator(PM, Cfg).enumerate(F);
+  ASSERT_TRUE(Res.complete());
+  EnumeratorConfig Budgeted = Cfg;
+  Budgeted.MaxMemoryBytes = 20'000;
+  EnumerationCheckpoint Cp;
+  Enumerator(PM, Budgeted).enumerate(F, &Cp);
+  ASSERT_TRUE(Cp.Valid);
+  ASSERT_FALSE(Cp.Frontier.empty());
+  const uint32_t Known = static_cast<uint32_t>(Cp.Partial.Nodes.size());
+
+  // Each damaged artifact goes into a store of its own; the unmodified
+  // ones are the control.
+  auto Check = [&](const std::string &Name, auto Save, auto Load,
+                   store::LoadStatus Want) {
+    const std::string Dir = freshDir("index-" + Name);
+    const store::ArtifactStore S(Dir);
+    std::string Error;
+    ASSERT_TRUE(S.prepare(Error)) << Error;
+    ASSERT_TRUE(Save(S, Error)) << Error;
+    EXPECT_EQ(Load(S, Error), Want) << Name << ": " << Error;
+    SubprocessResult Fsck = runPosec({"--fsck", "--store=" + Dir});
+    ASSERT_EQ(Fsck.Kind, ExitKind::Exited) << Fsck.Error;
+    EXPECT_EQ(Fsck.ExitCode, Want == store::LoadStatus::Hit
+                                 ? 0
+                                 : static_cast<int>(ExitCode::StoreCorrupt))
+        << Name << ": " << Fsck.Stdout;
+  };
+  auto CheckResult = [&](const std::string &Name, const EnumerationResult &R,
+                         store::LoadStatus Want) {
+    Check(
+        Name,
+        [&](const store::ArtifactStore &S, std::string &E) {
+          return S.saveResult(Root, Fp, R, E);
+        },
+        [&](const store::ArtifactStore &S, std::string &E) {
+          EnumerationResult Out;
+          return S.loadResult(Root, Fp, Out, E);
+        },
+        Want);
+  };
+  auto CheckCheckpoint = [&](const std::string &Name,
+                             const EnumerationCheckpoint &C,
+                             store::LoadStatus Want) {
+    Check(
+        Name,
+        [&](const store::ArtifactStore &S, std::string &E) {
+          return S.saveCheckpoint(Root, Fp, C, E);
+        },
+        [&](const store::ArtifactStore &S, std::string &E) {
+          EnumerationCheckpoint Out;
+          return S.loadCheckpoint(Root, Fp, Out, E);
+        },
+        Want);
+  };
+
+  CheckResult("result-intact", Res, store::LoadStatus::Hit);
+  EnumerationResult BadEdge = Res;
+  ASSERT_FALSE(BadEdge.Nodes[0].Edges.empty());
+  BadEdge.Nodes[0].Edges[0].To = 0xFFFFFFF0u;
+  CheckResult("edge-target", BadEdge, store::LoadStatus::Rejected);
+  BadEdge.Nodes[0].Edges[0].To =
+      static_cast<uint32_t>(BadEdge.Nodes.size());
+  CheckResult("edge-one-past", BadEdge, store::LoadStatus::Rejected);
+
+  CheckCheckpoint("checkpoint-intact", Cp, store::LoadStatus::Hit);
+  EnumerationCheckpoint NoParent = Cp;
+  NoParent.Frontier[0].Parent = UINT32_MAX;
+  CheckCheckpoint("checkpoint-no-parent", NoParent, store::LoadStatus::Hit);
+  EnumerationCheckpoint BadNode = Cp;
+  BadNode.Frontier[0].Node = 0x7FFFFFFFu;
+  CheckCheckpoint("frontier-node", BadNode, store::LoadStatus::Rejected);
+  EnumerationCheckpoint BadParent = Cp;
+  BadParent.Frontier[0].Parent = Known;
+  CheckCheckpoint("frontier-parent", BadParent, store::LoadStatus::Rejected);
+  EnumerationCheckpoint BadPartial = Cp;
+  BadPartial.Partial.Nodes.back().Edges.push_back(
+      {PhaseId::Cse, Known + 5});
+  CheckCheckpoint("partial-edge", BadPartial, store::LoadStatus::Rejected);
 }
 
 } // namespace

@@ -39,6 +39,7 @@
 
 #include "src/serve/Protocol.h"
 #include "src/support/Flags.h"
+#include "src/support/Fnv.h"
 #include "src/support/RetryPolicy.h"
 
 #include <chrono>
@@ -92,17 +93,6 @@ int connectTo(const std::string &Path, std::string &Err, int &ConnErrno) {
 /// 100ms and the daemon is typically back within one or two).
 const RetryPolicy kClientRetry{/*MaxRetries=*/8, /*BaseDelayMs=*/50,
                                /*MaxDelayMs=*/2'000, /*JitterPct=*/20};
-
-/// Deterministic jitter salt (FNV-1a) so two load-harness connections
-/// retrying the same daemon do not stampede in lockstep.
-uint64_t saltOf(const std::string &S, uint64_t Extra) {
-  uint64_t H = 1469598103934665603ull;
-  for (const char C : S) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 1099511628211ull;
-  }
-  return H ^ Extra;
-}
 
 void sleepMs(uint64_t Ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
@@ -163,7 +153,9 @@ void runConnection(const std::string &Socket,
                    const std::vector<std::string> &Args, uint64_t IdBase,
                    size_t N, bool NoRetry, std::vector<WireResult> &Out) {
   Out.resize(N);
-  const uint64_t Salt = saltOf(Socket, IdBase);
+  // Deterministic jitter salt, so two load-harness connections retrying
+  // the same daemon do not stampede in lockstep.
+  const uint64_t Salt = Fnv1a().bytes(Socket).value() ^ IdBase;
   int Fd = -1;
   FrameReader In(kMaxResponsePayload);
   auto Drop = [&] {
