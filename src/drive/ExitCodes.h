@@ -6,13 +6,14 @@
 ///
 /// \file
 /// The process exit-code contract of `posec --worker` and
-/// `posec --supervise`. A worker's exit status is the supervisor's only
-/// in-band channel besides the stdout result frame, so every code below
-/// has exactly one meaning and scripts (CI, the supervisor itself) may
-/// match on them. Legacy invocations (plain --enumerate and friends) keep
-/// their historical 0/1/2 behavior — a deadline-stopped run that saved a
-/// checkpoint still exits 0 there, because existing callers treat that as
-/// success.
+/// `posec --supervise`. A worker reports through its exit status and the
+/// artifact store only: the status tells the supervisor which artifact
+/// to load (the result after Ok or VerifyFailure, the checkpoint after a
+/// resumable stop). So every code below has exactly one meaning and
+/// scripts (CI, the supervisor itself) may match on them. Legacy
+/// invocations (plain --enumerate and friends) keep their historical
+/// 0/1/2 behavior — a deadline-stopped run that saved a checkpoint still
+/// exits 0 there, because existing callers treat that as success.
 ///
 /// The `posed` daemon (tools/posed.cpp, docs/SERVICE.md) shares this
 /// table: it exits Ok after a graceful SIGTERM/SIGINT drain, Usage for a

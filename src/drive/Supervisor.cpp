@@ -19,8 +19,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <thread>
 #include <unordered_map>
 
@@ -107,21 +105,25 @@ std::vector<std::string> workerArgv(const SupervisorOptions &O,
 
 /// What one worker spawn taught us.
 enum class AttemptClass {
-  Done,      ///< Valid frame, final result in the store.
-  Transient, ///< Resumable stop with a saved checkpoint; retry resumes.
+  Done,      ///< Final result in the store.
+  Transient, ///< Resumable stop with a stored checkpoint; retry resumes.
   Crash,     ///< Crash-class failure (signal, timeout, protocol, exit).
   Spawn,     ///< fork/exec failed; the job cannot run at all.
 };
 
 struct AttemptOutcome {
   AttemptClass Class = AttemptClass::Crash;
-  WorkerFrame Frame;         ///< Valid for Done/Transient.
+  StopReason Stop = StopReason::InternalError; ///< Valid for Done/Transient.
+  uint64_t Nodes = 0;        ///< DAG nodes of the stored result (Done).
   store::QuarantineRecord Q; ///< Valid for Crash (Attempts set later).
   std::string Note;          ///< Spawn error / crash description.
 };
 
-AttemptOutcome classifyAttempt(const SubprocessResult &R,
-                               uint64_t TimeoutMs) {
+/// Classifies a finished worker by its exit status and, where the status
+/// promises one, by the artifact it stored for \p Root under \p Fp.
+AttemptOutcome classifyAttempt(const SubprocessResult &R, uint64_t TimeoutMs,
+                               const store::ArtifactStore &Store,
+                               const HashTriple &Root, uint64_t Fp) {
   AttemptOutcome A;
   switch (R.Kind) {
   case ExitKind::SpawnFailed:
@@ -154,29 +156,34 @@ AttemptOutcome classifyAttempt(const SubprocessResult &R,
     break;
   }
 
-  WorkerFrame Frame;
-  const bool HasFrame = parseWorkerFrame(R.Stdout, Frame);
+  std::string Err;
   if (R.ExitCode == ExitCode::Ok || R.ExitCode == ExitCode::VerifyFailure) {
-    if (!HasFrame) {
-      A.Class = AttemptClass::Crash;
-      A.Q.Failure = store::WorkerFailure::Protocol;
-      A.Q.ExitCode = R.ExitCode;
-      A.Q.Message = "worker exited " + std::to_string(R.ExitCode) +
-                    " without a valid result frame";
-      A.Note = A.Q.Message;
+    EnumerationResult Res;
+    const store::LoadStatus St = Store.loadResult(Root, Fp, Res, Err);
+    if (St == store::LoadStatus::Hit) {
+      A.Class = AttemptClass::Done;
+      A.Stop = Res.Stop;
+      A.Nodes = Res.Nodes.size();
       return A;
     }
-    A.Class = AttemptClass::Done;
-    A.Frame = Frame;
+    A.Class = AttemptClass::Crash;
+    A.Q.Failure = store::WorkerFailure::Protocol;
+    A.Q.ExitCode = R.ExitCode;
+    A.Q.Message = "worker exited " + std::to_string(R.ExitCode) +
+                  " without storing a result";
+    if (St == store::LoadStatus::Rejected)
+      A.Q.Message += " (stored result rejected: " + Err + ")";
+    A.Note = A.Q.Message;
     return A;
   }
+  EnumerationCheckpoint C;
   if ((R.ExitCode == ExitCode::Deadline ||
        R.ExitCode == ExitCode::MemoryBudget ||
        R.ExitCode == ExitCode::Cancelled) &&
-      HasFrame && Frame.CheckpointSaved) {
+      Store.loadCheckpoint(Root, Fp, C, Err) == store::LoadStatus::Hit) {
     A.Class = AttemptClass::Transient;
-    A.Frame = Frame;
-    A.Note = std::string("worker stopped: ") + stopReasonName(Frame.Stop) +
+    A.Stop = C.Partial.Stop;
+    A.Note = std::string("worker stopped: ") + stopReasonName(A.Stop) +
              " (checkpoint saved)";
     return A;
   }
@@ -241,94 +248,6 @@ uint64_t shardOfRoot(const HashTriple &Root, uint64_t ShardCount) {
   const uint64_t H =
       Fnv1a().le32(Root.InstCount).le32(Root.ByteSum).le32(Root.Crc).value();
   return H % ShardCount;
-}
-
-std::string renderWorkerFrame(const WorkerFrame &F) {
-  char Buf[128];
-  std::snprintf(Buf, sizeof(Buf),
-                "POSEWRK1 stop=%s nodes=%llu attempted=%llu checkpoint=%d",
-                stopReasonName(F.Stop),
-                static_cast<unsigned long long>(F.Nodes),
-                static_cast<unsigned long long>(F.Attempted),
-                F.CheckpointSaved ? 1 : 0);
-  return Buf;
-}
-
-namespace {
-
-/// Consumes the literal \p Lit at \p Pos, advancing it. False on mismatch.
-bool eat(const std::string &S, size_t &Pos, const char *Lit) {
-  const size_t N = std::strlen(Lit);
-  if (S.compare(Pos, N, Lit) != 0)
-    return false;
-  Pos += N;
-  return true;
-}
-
-/// Consumes a decimal number at \p Pos (at least one digit).
-bool eatUint(const std::string &S, size_t &Pos, uint64_t &Out) {
-  const size_t Begin = Pos;
-  uint64_t V = 0;
-  while (Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9') {
-    const uint64_t Digit = static_cast<uint64_t>(S[Pos] - '0');
-    if (V > (UINT64_MAX - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-    ++Pos;
-  }
-  if (Pos == Begin)
-    return false;
-  Out = V;
-  return true;
-}
-
-bool parseFrameLine(const std::string &L, WorkerFrame &Out) {
-  size_t Pos = 0;
-  if (!eat(L, Pos, "POSEWRK1 stop="))
-    return false;
-  const size_t NameEnd = L.find(' ', Pos);
-  if (NameEnd == std::string::npos)
-    return false;
-  const std::string Name = L.substr(Pos, NameEnd - Pos);
-  bool Known = false;
-  WorkerFrame F;
-  for (uint8_t V = 0; V <= static_cast<uint8_t>(StopReason::WorkerCrash);
-       ++V) {
-    const StopReason R = static_cast<StopReason>(V);
-    if (Name == stopReasonName(R)) {
-      F.Stop = R;
-      Known = true;
-      break;
-    }
-  }
-  if (!Known)
-    return false;
-  Pos = NameEnd;
-  uint64_t Checkpoint = 0;
-  if (!eat(L, Pos, " nodes=") || !eatUint(L, Pos, F.Nodes) ||
-      !eat(L, Pos, " attempted=") || !eatUint(L, Pos, F.Attempted) ||
-      !eat(L, Pos, " checkpoint=") || !eatUint(L, Pos, Checkpoint) ||
-      Pos != L.size() || Checkpoint > 1)
-    return false;
-  F.CheckpointSaved = Checkpoint != 0;
-  Out = F;
-  return true;
-}
-
-} // namespace
-
-bool parseWorkerFrame(const std::string &Output, WorkerFrame &Out) {
-  size_t Pos = 0;
-  while (Pos < Output.size()) {
-    size_t End = Output.find('\n', Pos);
-    if (End == std::string::npos)
-      End = Output.size();
-    const std::string Line = Output.substr(Pos, End - Pos);
-    if (parseFrameLine(Line, Out))
-      return true;
-    Pos = End + 1;
-  }
-  return false;
 }
 
 int SweepReport::exitCode() const {
@@ -493,15 +412,16 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
   auto onResult = [&](size_t Idx, const SubprocessResult &R) {
     JobState &S = Jobs[Idx];
     JobOutcome &J = S.J;
-    AttemptOutcome Last = classifyAttempt(R, S.SpawnTimeoutMs);
+    AttemptOutcome Last =
+        classifyAttempt(R, S.SpawnTimeoutMs, Store, S.Root, Fp);
 
     if (Last.Class == AttemptClass::Done) {
       J.Status = JobStatus::Ok;
-      J.Stop = Last.Frame.Stop;
-      J.Nodes = Last.Frame.Nodes;
+      J.Stop = Last.Stop;
+      J.Nodes = Last.Nodes;
       J.Attempts = S.Attempt;
-      J.Detail += std::string(stopReasonName(Last.Frame.Stop)) + ", " +
-                  u64Str(Last.Frame.Nodes) + " nodes, " +
+      J.Detail += std::string(stopReasonName(Last.Stop)) + ", " +
+                  u64Str(Last.Nodes) + " nodes, " +
                   std::to_string(S.Attempt) + " attempt(s)";
       // The worker's saveResult cleared the StoreDir quarantine record;
       // a separate quarantine store must be cleared here.
@@ -550,8 +470,7 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
     } else {
       J.Detail += Last.Note + "; retries exhausted after " +
                   std::to_string(S.Attempt) + " attempt(s)";
-      degradeJob(J, PM, M.Functions[Idx], Store, S.Root, Fp,
-                 Last.Frame.Stop);
+      degradeJob(J, PM, M.Functions[Idx], Store, S.Root, Fp, Last.Stop);
     }
     S.Phase = JobPhase::Done;
   };

@@ -27,13 +27,15 @@
 ///    batch compilation — the job is reported Degraded and the sweep
 ///    carries on.
 ///
-/// Workers communicate results over two in-band channels: the documented
-/// exit code (src/drive/ExitCodes.h) and a one-line stdout frame
-/// (\ref WorkerFrame). Everything else — checkpoints, results, quarantine
-/// records — flows through the artifact store, which both sides key
+/// A worker reports through its documented exit code
+/// (src/drive/ExitCodes.h) and the artifact store, which both sides key
 /// identically (crash-class injected faults are execution-only and
 /// excluded from the config fingerprint, so a fault-injected worker
-/// shares artifacts with a clean one).
+/// shares artifacts with a clean one). After exit 0 or 3 the supervisor
+/// loads the job's result from the store, after a resumable stop its
+/// checkpoint. A clean exit with no stored result — a child that never
+/// reached the enumerator, or a worker keying the store differently — is
+/// a protocol failure, classified like a crash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,27 +57,6 @@ struct FaultPlan;
 struct HashTriple;
 
 namespace drive {
-
-/// The one-line result frame a worker prints to stdout:
-///   POSEWRK1 stop=<name> nodes=<N> attempted=<N> checkpoint=<0|1>
-/// The frame exists because the exit code alone cannot carry the node
-/// count, and because an exit status of 0 from a child that never reached
-/// the enumerator (e.g. a misloaded shared library exiting cleanly) must
-/// be distinguishable from success — a missing or malformed frame is a
-/// protocol failure, classified like a crash.
-struct WorkerFrame {
-  StopReason Stop = StopReason::Complete;
-  uint64_t Nodes = 0;
-  uint64_t Attempted = 0;
-  bool CheckpointSaved = false;
-};
-
-/// Renders \p F as the one-line frame (no trailing newline).
-std::string renderWorkerFrame(const WorkerFrame &F);
-
-/// Scans \p Output (a worker's captured stdout) for a frame line and
-/// strictly parses it. Returns false when no line parses.
-bool parseWorkerFrame(const std::string &Output, WorkerFrame &Out);
 
 /// Everything a supervised sweep needs. The enumeration knobs mirror the
 /// posec flags they are forwarded as; the supervisor derives the store

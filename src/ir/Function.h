@@ -13,7 +13,7 @@
 ///
 /// Copying is copy-on-write (docs/PERFORMANCE.md "memory architecture"):
 /// a copied Function shares its basic blocks with the original through
-/// refcounted handles, and a block is materialized (deep-copied) only at
+/// refcounted Cow boxes, and a block is materialized (deep-copied) only at
 /// the first mutation. A phase attempt that turns out dormant therefore
 /// copies nothing, which is what makes the enumerator's per-attempt
 /// working copies nearly free. The discipline that keeps this true is
@@ -66,33 +66,18 @@ struct BasicBlock {
   }
 };
 
-namespace detail {
-
-/// Refcounted box around one basic block. The count is atomic because the
-/// parallel enumerator's workers copy and drop handles to the same shared
-/// parent blocks concurrently.
-struct BlockNode {
-  mutable std::atomic<uint32_t> Refs{1};
-  BasicBlock Body;
-
-  explicit BlockNode(BasicBlock B) : Body(std::move(B)) {}
-  explicit BlockNode(int32_t Label) : Body(Label) {}
-};
-
-} // namespace detail
-
-/// Copy-on-write handle to a basic block. Copying shares the underlying
-/// block; mut() returns a writable body, deep-copying first if shared.
-class BlockHandle {
+/// Copy-on-write box: copies share one refcounted T, and mut() returns a
+/// writable T, copying it first while another box still shares it. The
+/// count is atomic because the parallel enumerator's workers copy and
+/// drop boxes of the same shared parent concurrently. A default or
+/// moved-from box is empty; mut() fills it with a default T.
+template <class T> class Cow {
 public:
-  BlockHandle() = default;
-  explicit BlockHandle(BasicBlock B)
-      : N(new detail::BlockNode(std::move(B))) {}
-  explicit BlockHandle(int32_t Label) : N(new detail::BlockNode(Label)) {}
-
-  BlockHandle(const BlockHandle &O) : N(O.N) { retain(); }
-  BlockHandle(BlockHandle &&O) noexcept : N(O.N) { O.N = nullptr; }
-  BlockHandle &operator=(const BlockHandle &O) {
+  Cow() = default;
+  explicit Cow(T V) : N(new Node(std::move(V))) {}
+  Cow(const Cow &O) : N(O.N) { retain(); }
+  Cow(Cow &&O) noexcept : N(std::exchange(O.N, nullptr)) {}
+  Cow &operator=(const Cow &O) {
     if (N != O.N) {
       release();
       N = O.N;
@@ -100,33 +85,42 @@ public:
     }
     return *this;
   }
-  BlockHandle &operator=(BlockHandle &&O) noexcept {
+  Cow &operator=(Cow &&O) noexcept {
     if (this != &O) {
       release();
-      N = O.N;
-      O.N = nullptr;
+      N = std::exchange(O.N, nullptr);
     }
     return *this;
   }
-  ~BlockHandle() { release(); }
+  ~Cow() { release(); }
 
-  const BasicBlock &get() const { return N->Body; }
+  bool empty() const { return N == nullptr; }
+  /// The shared value; the box must not be empty.
+  const T &operator*() const { return N->Value; }
+  const T *operator->() const { return &N->Value; }
 
-  /// Writable access; unshares (copies the block) when other handles
-  /// still reference it. A refcount of 1 proves this handle is the sole
-  /// owner: no other thread can be copying through it concurrently.
-  BasicBlock &mut() {
-    if (N->Refs.load(std::memory_order_acquire) != 1)
-      *this = BlockHandle(BasicBlock(N->Body));
-    return N->Body;
+  /// Writable value. A count of 1 proves this box is the sole owner: no
+  /// other thread can be copying through it concurrently.
+  T &mut() {
+    if (!N)
+      N = new Node(T());
+    else if (N->Refs.load(std::memory_order_acquire) != 1)
+      *this = Cow(T(N->Value));
+    return N->Value;
   }
 
-  /// Stable identity of the shared storage — equal for handles that share
-  /// one block. Used by sharing-aware accounting and the COW tests; never
-  /// by anything whose output must be deterministic.
+  /// Stable identity of the shared storage (nullptr when empty), equal
+  /// for boxes that share one value. Used by sharing-aware accounting and
+  /// the COW tests; never by anything whose output must be deterministic.
   const void *identity() const { return N; }
 
 private:
+  struct Node {
+    explicit Node(T V) : Value(std::move(V)) {}
+    std::atomic<uint32_t> Refs{1};
+    T Value;
+  };
+
   void retain() {
     if (N)
       N->Refs.fetch_add(1, std::memory_order_relaxed);
@@ -136,10 +130,10 @@ private:
       delete N;
   }
 
-  detail::BlockNode *N = nullptr;
+  Node *N = nullptr;
 };
 
-/// The block sequence of a function, as a vector of COW handles.
+/// The block sequence of a function, one copy-on-write box per block.
 ///
 /// Reads are const-only and shared: operator[] and iteration yield
 /// const references, and they work on non-const lists too. Mutation is
@@ -158,9 +152,9 @@ public:
     using reference = const BasicBlock &;
 
     const_iterator() = default;
-    explicit const_iterator(const BlockHandle *P) : P(P) {}
-    reference operator*() const { return P->get(); }
-    pointer operator->() const { return &P->get(); }
+    explicit const_iterator(const Cow<BasicBlock> *P) : P(P) {}
+    reference operator*() const { return **P; }
+    pointer operator->() const { return &**P; }
     const_iterator &operator++() {
       ++P;
       return *this;
@@ -187,15 +181,15 @@ public:
     bool operator!=(const const_iterator &O) const { return P != O.P; }
 
   private:
-    const BlockHandle *P = nullptr;
+    const Cow<BasicBlock> *P = nullptr;
   };
 
   size_t size() const { return H.size(); }
   bool empty() const { return H.empty(); }
 
-  const BasicBlock &operator[](size_t I) const { return H[I].get(); }
-  const BasicBlock &front() const { return H.front().get(); }
-  const BasicBlock &back() const { return H.back().get(); }
+  const BasicBlock &operator[](size_t I) const { return *H[I]; }
+  const BasicBlock &front() const { return *H.front(); }
+  const BasicBlock &back() const { return *H.back(); }
 
   const_iterator begin() const { return const_iterator(H.data()); }
   const_iterator end() const { return const_iterator(H.data() + H.size()); }
@@ -207,22 +201,17 @@ public:
   void push_back(BasicBlock B) { H.emplace_back(std::move(B)); }
   /// Appends a fresh (necessarily unique) block and returns its body.
   BasicBlock &emplace_back(int32_t Label) {
-    H.emplace_back(Label);
+    H.emplace_back(BasicBlock(Label));
     return H.back().mut();
   }
   void pop_back() { H.pop_back(); }
-  void clear() { H.clear(); }
-  void reserve(size_t C) { H.reserve(C); }
   /// Shrinks, or grows with fresh empty blocks (deserialization fills
   /// them in via mut()).
   void resize(size_t N) {
-    if (N <= H.size()) {
-      H.resize(N);
-      return;
-    }
+    H.resize(std::min(N, H.size()));
     H.reserve(N);
     while (H.size() < N)
-      H.emplace_back(0);
+      H.emplace_back(BasicBlock());
   }
 
   void eraseAt(size_t I) {
@@ -230,24 +219,24 @@ public:
   }
   void insertAt(size_t I, BasicBlock B) {
     H.insert(H.begin() + static_cast<std::ptrdiff_t>(I),
-             BlockHandle(std::move(B)));
+             Cow<BasicBlock>(std::move(B)));
   }
-  /// std::rotate over the handles: moves blocks [\p Middle, \p Last) in
+  /// std::rotate over the boxes: moves blocks [\p Middle, \p Last) in
   /// front of [\p First, \p Middle), copying nothing. This is how block
   /// reordering moves whole chains.
   void rotate(size_t First, size_t Middle, size_t Last);
 
-  /// Shared-storage identity of block \p I (see BlockHandle::identity).
+  /// Shared-storage identity of block \p I (see Cow::identity).
   const void *identity(size_t I) const { return H[I].identity(); }
 
   /// Materializes every shared block (see Function::deepCopy).
   void unshareAll() {
-    for (BlockHandle &X : H)
+    for (Cow<BasicBlock> &X : H)
       X.mut();
   }
 
 private:
-  std::vector<BlockHandle> H;
+  std::vector<Cow<BasicBlock>> H;
 };
 
 /// Static description of one stack slot (local variable, parameter, or
@@ -264,89 +253,33 @@ struct StackSlot {
   bool IsParam = false;
 };
 
-namespace detail {
-
-/// Refcounted box around a whole stack-slot vector. Slots change rarely
-/// (spill insertion, codegen), so the function-level granularity is
-/// enough: any mutation unshares the whole vector.
-struct SlotNode {
-  mutable std::atomic<uint32_t> Refs{1};
-  std::vector<StackSlot> V;
-};
-
-} // namespace detail
-
-/// The stack-slot vector of a function, COW at whole-vector granularity
-/// (slots change rarely; see detail::SlotNode). Same API discipline as
-/// BlockList: const reads shared, explicit mutation.
+/// The stack-slot vector of a function, copy-on-write as a whole: slots
+/// change rarely (spill insertion, codegen), so any mutation unshares the
+/// whole vector. Same API discipline as BlockList: const reads shared,
+/// explicit mutation.
 class SlotList {
 public:
-  SlotList() = default;
-  SlotList(const SlotList &O) : N(O.N) { retain(); }
-  SlotList(SlotList &&O) noexcept : N(O.N) { O.N = nullptr; }
-  SlotList &operator=(const SlotList &O) {
-    if (N != O.N) {
-      release();
-      N = O.N;
-      retain();
-    }
-    return *this;
-  }
-  SlotList &operator=(SlotList &&O) noexcept {
-    if (this != &O) {
-      release();
-      N = O.N;
-      O.N = nullptr;
-    }
-    return *this;
-  }
-  ~SlotList() { release(); }
-
-  size_t size() const { return N ? N->V.size() : 0; }
+  size_t size() const { return V.empty() ? 0 : V->size(); }
   bool empty() const { return size() == 0; }
-  const StackSlot &operator[](size_t I) const { return N->V[I]; }
-  const StackSlot *begin() const { return N ? N->V.data() : nullptr; }
+  const StackSlot &operator[](size_t I) const { return (*V)[I]; }
+  const StackSlot *begin() const { return V.empty() ? nullptr : V->data(); }
   const StackSlot *end() const {
-    return N ? N->V.data() + N->V.size() : nullptr;
+    return V.empty() ? nullptr : V->data() + V->size();
   }
 
-  StackSlot &mut(size_t I) { return vec()[I]; }
-  void push_back(StackSlot S) { vec().push_back(std::move(S)); }
-  void resize(size_t S) { vec().resize(S); }
-  void clear() {
-    release();
-    N = nullptr;
-  }
+  StackSlot &mut(size_t I) { return V.mut()[I]; }
+  void push_back(StackSlot S) { V.mut().push_back(std::move(S)); }
+  void resize(size_t S) { V.mut().resize(S); }
 
   /// Shared-storage identity (nullptr when empty).
-  const void *identity() const { return N; }
+  const void *identity() const { return V.identity(); }
   void unshare() {
-    if (N)
-      (void)vec();
+    if (!V.empty())
+      (void)V.mut();
   }
 
 private:
-  void retain() {
-    if (N)
-      N->Refs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void release() {
-    if (N && N->Refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      delete N;
-  }
-  std::vector<StackSlot> &vec() {
-    if (!N) {
-      N = new detail::SlotNode();
-    } else if (N->Refs.load(std::memory_order_acquire) != 1) {
-      detail::SlotNode *Fresh = new detail::SlotNode();
-      Fresh->V = N->V;
-      release();
-      N = Fresh;
-    }
-    return N->V;
-  }
-
-  detail::SlotNode *N = nullptr;
+  Cow<std::vector<StackSlot>> V;
 };
 
 /// Per-function compiler state that is not derivable from the code bytes

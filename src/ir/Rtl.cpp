@@ -120,3 +120,15 @@ const char *pose::condName(Cond C) {
   assert(false && "unknown condition");
   return "?";
 }
+
+bool pose::foldConstant(Rtl &I) {
+  std::optional<int32_t> V;
+  if (I.isBinary() && I.Src[0].isImm() && I.Src[1].isImm())
+    V = evalBinary(I.Opcode, I.Src[0].Value, I.Src[1].Value);
+  else if ((I.Opcode == Op::Neg || I.Opcode == Op::Not) && I.Src[0].isImm())
+    V = evalUnary(I.Opcode, I.Src[0].Value);
+  if (!V)
+    return false;
+  I = rtl::mov(I.Dst, Operand::imm(*V));
+  return true;
+}

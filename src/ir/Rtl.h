@@ -19,6 +19,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace pose {
@@ -68,6 +69,52 @@ enum class Op : uint8_t {
 
 /// Returns a short mnemonic for \p O (used by the printer).
 const char *opName(Op O);
+
+/// What binary opcode \p O computes on \p A and \p B: the one definition
+/// shared by the interpreter and the phases that fold constants (c, s).
+/// Arithmetic wraps modulo 2^32 and shift amounts are masked to 5 bits.
+/// nullopt means the operation traps: division or remainder by 0, or
+/// INT32_MIN by -1. A trap belongs to run time, so a phase never folds
+/// one away. Inline so the interpreter's dispatch loop keeps it inlined.
+inline std::optional<int32_t> evalBinary(Op O, int32_t A, int32_t B) {
+  const uint32_t UA = static_cast<uint32_t>(A);
+  const uint32_t UB = static_cast<uint32_t>(B);
+  switch (O) {
+  case Op::Add:
+    return static_cast<int32_t>(UA + UB);
+  case Op::Sub:
+    return static_cast<int32_t>(UA - UB);
+  case Op::Mul:
+    return static_cast<int32_t>(UA * UB);
+  case Op::Div:
+  case Op::Rem:
+    if (B == 0 || (A == INT32_MIN && B == -1))
+      return std::nullopt;
+    return O == Op::Div ? A / B : A % B;
+  case Op::And:
+    return A & B;
+  case Op::Or:
+    return A | B;
+  case Op::Xor:
+    return A ^ B;
+  case Op::Shl:
+    return static_cast<int32_t>(UA << (UB & 31));
+  case Op::Shr:
+    return A >> (UB & 31);
+  case Op::Ushr:
+    return static_cast<int32_t>(UA >> (UB & 31));
+  default:
+    assert(false && "not a binary opcode");
+    return std::nullopt;
+  }
+}
+
+/// What unary opcode \p O (Neg or Not) computes on \p A; neither traps.
+inline int32_t evalUnary(Op O, int32_t A) {
+  assert((O == Op::Neg || O == Op::Not) && "not a unary opcode");
+  return O == Op::Neg ? static_cast<int32_t>(0u - static_cast<uint32_t>(A))
+                      : ~A;
+}
 
 /// Condition codes tested by Branch against the IC register set by Cmp.
 enum class Cond : uint8_t {
@@ -240,6 +287,11 @@ struct Rtl {
   }
   bool operator!=(const Rtl &O) const { return !(*this == O); }
 };
+
+/// Rewrites \p I into a move of its value when \p I is a binary or unary
+/// computation on immediates only that does not trap. Returns true if
+/// \p I changed.
+bool foldConstant(Rtl &I);
 
 /// Convenience constructors for the common instruction shapes.
 namespace rtl {

@@ -83,41 +83,6 @@ LatticeVal meet(const LatticeVal &A, const LatticeVal &B) {
 /// Lattice value of every register, indexed by register number.
 using RegState = std::vector<LatticeVal>;
 
-std::optional<int32_t> foldConst(Op O, int32_t A, int32_t B) {
-  const uint32_t UA = static_cast<uint32_t>(A);
-  const uint32_t UB = static_cast<uint32_t>(B);
-  switch (O) {
-  case Op::Add:
-    return static_cast<int32_t>(UA + UB);
-  case Op::Sub:
-    return static_cast<int32_t>(UA - UB);
-  case Op::Mul:
-    return static_cast<int32_t>(UA * UB);
-  case Op::Div:
-    if (B == 0 || (A == INT32_MIN && B == -1))
-      return std::nullopt;
-    return A / B;
-  case Op::Rem:
-    if (B == 0 || (A == INT32_MIN && B == -1))
-      return std::nullopt;
-    return A % B;
-  case Op::And:
-    return A & B;
-  case Op::Or:
-    return A | B;
-  case Op::Xor:
-    return A ^ B;
-  case Op::Shl:
-    return static_cast<int32_t>(UA << (UB & 31));
-  case Op::Shr:
-    return A >> (UB & 31);
-  case Op::Ushr:
-    return static_cast<int32_t>(UA >> (UB & 31));
-  default:
-    return std::nullopt;
-  }
-}
-
 /// Value of an operand under \p S, if statically known.
 std::optional<int32_t> operandConst(const Operand &O, const RegState &S) {
   if (O.isImm())
@@ -134,37 +99,21 @@ std::optional<int32_t> operandConst(const Operand &O, const RegState &S) {
 void transfer(const Rtl &I, RegState &S) {
   if (!I.definesReg())
     return;
-  RegNum D = I.Dst.getReg();
+  std::optional<int32_t> V;
   if (I.Opcode == Op::Mov) {
-    std::optional<int32_t> V = operandConst(I.Src[0], S);
-    S[D] = V ? LatticeVal::constant(*V) : LatticeVal::bottom();
-    return;
+    V = operandConst(I.Src[0], S);
+  } else if (I.isBinary()) {
+    const std::optional<int32_t> A = operandConst(I.Src[0], S);
+    const std::optional<int32_t> B =
+        A ? operandConst(I.Src[1], S) : std::nullopt;
+    if (B)
+      V = evalBinary(I.Opcode, *A, *B);
+  } else if (I.Opcode == Op::Neg || I.Opcode == Op::Not) {
+    if (const std::optional<int32_t> A = operandConst(I.Src[0], S))
+      V = evalUnary(I.Opcode, *A);
   }
-  if (I.isBinary()) {
-    std::optional<int32_t> A = operandConst(I.Src[0], S);
-    std::optional<int32_t> B = operandConst(I.Src[1], S);
-    if (A && B) {
-      if (std::optional<int32_t> V = foldConst(I.Opcode, *A, *B)) {
-        S[D] = LatticeVal::constant(*V);
-        return;
-      }
-    }
-    S[D] = LatticeVal::bottom();
-    return;
-  }
-  if (I.Opcode == Op::Neg || I.Opcode == Op::Not) {
-    std::optional<int32_t> A = operandConst(I.Src[0], S);
-    if (A) {
-      int32_t V = I.Opcode == Op::Neg
-                      ? static_cast<int32_t>(0u - static_cast<uint32_t>(*A))
-                      : ~*A;
-      S[D] = LatticeVal::constant(V);
-      return;
-    }
-    S[D] = LatticeVal::bottom();
-    return;
-  }
-  S[D] = LatticeVal::bottom(); // Lea, Load, Call.
+  // Lea, Load and Call results are unknown, and so is a trap's.
+  S[I.Dst.getReg()] = V ? LatticeVal::constant(*V) : LatticeVal::bottom();
 }
 
 bool constantPropagation(Function &F, const Cfg &C, size_t NumRegs) {
@@ -238,22 +187,7 @@ bool constantPropagation(Function &F, const Cfg &C, size_t NumRegs) {
         if (New.Src[SI].isReg())
           TryOperand(New.Src[SI], SI);
       // Fold if everything became constant.
-      if (New.isBinary() && New.Src[0].isImm() && New.Src[1].isImm()) {
-        if (std::optional<int32_t> V =
-                foldConst(New.Opcode, New.Src[0].Value, New.Src[1].Value)) {
-          New = rtl::mov(New.Dst, Operand::imm(*V));
-          Rewrote = true;
-        }
-      }
-      if ((New.Opcode == Op::Neg || New.Opcode == Op::Not) &&
-          New.Src[0].isImm()) {
-        int32_t V = New.Opcode == Op::Neg
-                        ? static_cast<int32_t>(
-                              0u - static_cast<uint32_t>(New.Src[0].Value))
-                        : ~New.Src[0].Value;
-        New = rtl::mov(New.Dst, Operand::imm(V));
-        Rewrote = true;
-      }
+      Rewrote |= foldConstant(New);
       if (Rewrote && target::isLegal(New) && !(New == I)) {
         if (!MB)
           MB = &F.Blocks.mut(B);

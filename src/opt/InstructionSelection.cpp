@@ -26,72 +26,9 @@
 #include "src/machine/Target.h"
 #include "src/opt/Phases.h"
 
-#include <optional>
-
 using namespace pose;
 
 namespace {
-
-/// Returns the constant-folded result of a binary op, or nullopt when the
-/// fold must be abandoned (division by zero belongs to runtime, and the
-/// compiler must not change *when* it traps).
-std::optional<int32_t> foldBinary(Op O, int32_t A, int32_t B) {
-  const uint32_t UA = static_cast<uint32_t>(A);
-  const uint32_t UB = static_cast<uint32_t>(B);
-  switch (O) {
-  case Op::Add:
-    return static_cast<int32_t>(UA + UB);
-  case Op::Sub:
-    return static_cast<int32_t>(UA - UB);
-  case Op::Mul:
-    return static_cast<int32_t>(UA * UB);
-  case Op::Div:
-    if (B == 0 || (A == INT32_MIN && B == -1))
-      return std::nullopt;
-    return A / B;
-  case Op::Rem:
-    if (B == 0 || (A == INT32_MIN && B == -1))
-      return std::nullopt;
-    return A % B;
-  case Op::And:
-    return A & B;
-  case Op::Or:
-    return A | B;
-  case Op::Xor:
-    return A ^ B;
-  case Op::Shl:
-    return static_cast<int32_t>(UA << (UB & 31));
-  case Op::Shr:
-    return A >> (UB & 31);
-  case Op::Ushr:
-    return static_cast<int32_t>(UA >> (UB & 31));
-  default:
-    return std::nullopt;
-  }
-}
-
-/// Folds \p I in place if all value operands are immediates. Returns true
-/// if \p I became a Mov of a constant.
-bool constantFold(Rtl &I) {
-  if (I.isBinary() && I.Src[0].isImm() && I.Src[1].isImm()) {
-    std::optional<int32_t> V =
-        foldBinary(I.Opcode, I.Src[0].Value, I.Src[1].Value);
-    if (!V)
-      return false;
-    I = rtl::mov(I.Dst, Operand::imm(*V));
-    return true;
-  }
-  if (I.Opcode == Op::Neg && I.Src[0].isImm()) {
-    I = rtl::mov(I.Dst, Operand::imm(static_cast<int32_t>(
-                            0u - static_cast<uint32_t>(I.Src[0].Value))));
-    return true;
-  }
-  if (I.Opcode == Op::Not && I.Src[0].isImm()) {
-    I = rtl::mov(I.Dst, Operand::imm(~I.Src[0].Value));
-    return true;
-  }
-  return false;
-}
 
 /// Checks whether instructions in (P, Q) leave the combination of A (at P)
 /// into B (at Q) valid: nothing redefines A's destination or sources, no
@@ -219,7 +156,7 @@ bool tryCombine(Function &F, const Liveness &LV, size_t BI, size_t P,
   if (A.Opcode == Op::Mov) {
     // Shapes 1 and 2: forward an immediate or another register.
     New = substitute(Use, D, A.Src[0]);
-    constantFold(New);
+    foldConstant(New);
   } else if (A.Opcode == Op::Lea &&
              (Use.Opcode == Op::Load || Use.Opcode == Op::Store) &&
              Use.Src[0].isReg() && Use.Src[0].getReg() == D) {

@@ -85,8 +85,10 @@ void setCloexec(int Fd) { ::fcntl(Fd, F_SETFD, FD_CLOEXEC); }
 
 /// Flags the daemon refuses to serve: store plumbing (the daemon owns
 /// the store), supervisor/worker modes (a served request is already a
-/// child), and the fault-injection surface (a client must not be able to
-/// corrupt the shared store or crash the fleet by request).
+/// child), the fault-injection surface (a client must not be able to
+/// corrupt the shared store or crash the fleet by request), and any flag
+/// that writes a file at a client-chosen path (it could overwrite a store
+/// artifact, or anything else the daemon may write).
 bool isDeniedArg(const std::string &A, std::string &Flag) {
   static const char *const Denied[] = {
       "--store",          "--merge-store",      "--fsck",
@@ -95,7 +97,7 @@ bool isDeniedArg(const std::string &A, std::string &Flag) {
       "--clear-quarantine", "--inject-fault",   "--fault-io",
       "--fault-func",     "--fault-attempts",   "--sweep-jobs",
       "--worker-timeout-ms", "--worker-rlimit-mb", "--max-retries",
-      "--shard"};
+      "--shard",          "--save-model"};
   for (const char *F : Denied) {
     const size_t N = std::strlen(F);
     if (A.compare(0, N, F) == 0 && (A.size() == N || A[N] == '=')) {

@@ -53,17 +53,16 @@ struct ServeOptions {
                                        ///< kill timer. 0 = none.
   uint64_t WorkerRlimitMb = 0; ///< RLIMIT_AS for children; 0 = none.
   uint64_t CacheEntries = 256; ///< Completed-response cache capacity.
-  uint64_t ReadTimeoutMs = 0; ///< Drop a connection whose peer has made
-                              ///< no I/O progress for this long while a
-                              ///< frame is torn mid-parse, a response is
-                              ///< stuck unflushed, or nothing is in
-                              ///< flight (slow-loris / half-open peers).
-                              ///< 0 = off (the library default; posed
-                              ///< turns it on).
-  uint64_t MaxQueueDepth = 0; ///< Global cap on queued Run requests
-                              ///< across all clients; beyond it requests
-                              ///< are shed with Overloaded plus a
-                              ///< retry-after hint. 0 = unlimited.
+  uint64_t ReadTimeoutMs = 30'000; ///< Drop a connection whose peer has
+                                   ///< made no I/O progress for this long
+                                   ///< while a frame is torn mid-parse, a
+                                   ///< response is stuck unflushed, or
+                                   ///< nothing is in flight (slow-loris /
+                                   ///< half-open peers). 0 = off.
+  uint64_t MaxQueueDepth = 256; ///< Global cap on queued Run requests
+                                ///< across all clients; beyond it requests
+                                ///< are shed with Overloaded plus a
+                                ///< retry-after hint. 0 = unlimited.
   std::string ReloadStoreDir; ///< Staging store a Reload frame / SIGHUP
                               ///< swaps in after it passes fsck. Empty =
                               ///< reloads are refused.

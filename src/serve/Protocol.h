@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The length-prefixed request/response protocol spoken over the posed
-/// Unix-domain socket, in the same framing discipline as the store and
-/// the POSEWRK worker frame: a fixed magic, explicit payload length, and
-/// CRC32 over both header and payload, so a truncated or damaged frame
-/// is detected before a single payload byte is trusted. Each payload's
+/// Unix-domain socket, in the same framing discipline as the store's
+/// artifacts: a fixed magic, explicit payload length, and CRC32 over
+/// both header and payload, so a truncated or damaged frame is detected
+/// before a single payload byte is trusted. Each payload's
 /// format is one io() field list (Protocol.cpp) over the store's
 /// bounds-checked little-endian ByteWriter/ByteReader — a malicious
 /// length can fail a decode, never allocate unbounded memory.
@@ -96,7 +96,8 @@ enum class ErrorCode : uint32_t {
   BadRequest = 2,   ///< The frame was intact but its payload did not
                     ///< decode, or the argument vector broke a cap.
   DeniedArg = 3,    ///< The command line used a flag the daemon refuses
-                    ///< to serve (store/supervisor/fault plumbing).
+                    ///< to serve (store/supervisor/fault plumbing, or a
+                    ///< file write at a client-chosen path).
   Overloaded = 4,   ///< The per-client in-flight budget is exhausted;
                     ///< retry after a completion.
   ShuttingDown = 5, ///< The daemon is draining and admits no new work.

@@ -21,46 +21,6 @@ constexpr int32_t GlobalStart = 16;
 /// Maximum call depth (frames, not words; each frame also checks space).
 constexpr int MaxDepth = 256;
 
-int32_t evalBinary(Op O, int32_t A, int32_t B, bool &DivByZero) {
-  const uint32_t UA = static_cast<uint32_t>(A);
-  const uint32_t UB = static_cast<uint32_t>(B);
-  switch (O) {
-  case Op::Add:
-    return static_cast<int32_t>(UA + UB);
-  case Op::Sub:
-    return static_cast<int32_t>(UA - UB);
-  case Op::Mul:
-    return static_cast<int32_t>(UA * UB);
-  case Op::Div:
-    if (B == 0 || (A == INT32_MIN && B == -1)) {
-      DivByZero = true;
-      return 0;
-    }
-    return A / B;
-  case Op::Rem:
-    if (B == 0 || (A == INT32_MIN && B == -1)) {
-      DivByZero = true;
-      return 0;
-    }
-    return A % B;
-  case Op::And:
-    return A & B;
-  case Op::Or:
-    return A | B;
-  case Op::Xor:
-    return A ^ B;
-  case Op::Shl:
-    return static_cast<int32_t>(UA << (UB & 31));
-  case Op::Shr:
-    return A >> (UB & 31);
-  case Op::Ushr:
-    return static_cast<int32_t>(UA >> (UB & 31));
-  default:
-    assert(false && "not a binary opcode");
-    return 0;
-  }
-}
-
 bool evalCond(Cond C, int32_t A, int32_t B) {
   const uint32_t UA = static_cast<uint32_t>(A);
   const uint32_t UB = static_cast<uint32_t>(B);
@@ -257,11 +217,8 @@ bool Interpreter::callFunction(const Function &F,
       Regs[I.Dst.getReg()] = Address(I.Src[0]);
       break;
     case Op::Neg:
-      Regs[I.Dst.getReg()] =
-          static_cast<int32_t>(0u - static_cast<uint32_t>(Value(I.Src[0])));
-      break;
     case Op::Not:
-      Regs[I.Dst.getReg()] = ~Value(I.Src[0]);
+      Regs[I.Dst.getReg()] = evalUnary(I.Opcode, Value(I.Src[0]));
       break;
     case Op::Load: {
       int64_t A = static_cast<int64_t>(Address(I.Src[0])) + I.Src[1].Value;
@@ -338,14 +295,13 @@ bool Interpreter::callFunction(const Function &F,
       break;
     default:
       if (I.isBinary()) {
-        bool DivByZero = false;
-        int32_t V =
-            evalBinary(I.Opcode, Value(I.Src[0]), Value(I.Src[1]), DivByZero);
-        if (DivByZero) {
+        const std::optional<int32_t> V =
+            evalBinary(I.Opcode, Value(I.Src[0]), Value(I.Src[1]));
+        if (!V) {
           St.Error = "division by zero in " + F.Name;
           return false;
         }
-        Regs[I.Dst.getReg()] = V;
+        Regs[I.Dst.getReg()] = *V;
         break;
       }
       St.Error = "unexecutable opcode in " + F.Name;

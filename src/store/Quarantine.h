@@ -35,7 +35,7 @@ enum class WorkerFailure : uint8_t {
   Signal = 0, ///< Died by signal (SIGSEGV, OOM SIGKILL, ...).
   Timeout,    ///< Exceeded the supervisor's wall-clock kill timer.
   BadExit,    ///< Exited with an unrecognized nonzero status.
-  Protocol,   ///< Exited 0 but emitted no valid result frame.
+  Protocol,   ///< Exited 0 or 3 without storing the job's result.
 };
 
 /// Short lower-case name ("signal", "timeout", "bad-exit", "protocol").

@@ -78,47 +78,9 @@ void setProcessStoreIo(StoreIo *Io) {
   ProcessIo = Io ? Io : &SystemInstance;
 }
 
-const char *ioFaultKindName(IoFaultKind K) {
-  switch (K) {
-  case IoFaultKind::ShortWrite:
-    return "shortwrite";
-  case IoFaultKind::Enospc:
-    return "enospc";
-  case IoFaultKind::Eio:
-    return "eio";
-  case IoFaultKind::CrashBeforeRename:
-    return "crash-before-rename";
-  case IoFaultKind::CrashAfterRename:
-    return "crash-after-rename";
-  }
-  return "?";
-}
-
 bool IoFaultSpec::parse(const std::string &Text,
                         std::vector<IoFaultSpec> &Out) {
-  std::vector<IoFaultSpec> Parsed;
-  // Each item is "<kind>:<nth>", nth a positive decimal number.
-  const bool Ok = parseList(Text, [&Parsed](std::string_view Item) {
-    const size_t Colon = Item.rfind(':');
-    if (Colon == std::string_view::npos)
-      return false;
-    const std::string_view Name = Item.substr(0, Colon);
-    IoFaultSpec S;
-    uint8_t K = 0;
-    while (K <= static_cast<uint8_t>(IoFaultKind::CrashAfterRename) &&
-           Name != ioFaultKindName(static_cast<IoFaultKind>(K)))
-      ++K;
-    if (K > static_cast<uint8_t>(IoFaultKind::CrashAfterRename) ||
-        !parseDecimal(Item.substr(Colon + 1), S.Nth) || S.Nth == 0)
-      return false;
-    S.Kind = static_cast<IoFaultKind>(K);
-    Parsed.push_back(S);
-    return true;
-  });
-  if (!Ok)
-    return false;
-  Out = std::move(Parsed);
-  return true;
+  return parseFaultList(Text, kIoFaultKindNames, Out);
 }
 
 FaultFs::FaultFs(std::vector<IoFaultSpec> Faults, CrashMode Mode,

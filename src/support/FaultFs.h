@@ -87,8 +87,15 @@ enum class IoFaultKind : uint8_t {
                      ///< (checkpoint cleanup, ...) never runs.
 };
 
+/// Spec-syntax names, indexed by IoFaultKind.
+inline constexpr const char *kIoFaultKindNames[] = {
+    "shortwrite", "enospc", "eio", "crash-before-rename",
+    "crash-after-rename"};
+
 /// Spec-syntax name ("shortwrite", "crash-before-rename", ...).
-const char *ioFaultKindName(IoFaultKind K);
+inline const char *ioFaultKindName(IoFaultKind K) {
+  return kIoFaultKindNames[static_cast<size_t>(K)];
+}
 
 /// One injected fault: the Nth operation of the matching class.
 struct IoFaultSpec {

@@ -32,45 +32,9 @@ ssize_t SockIo::send(int Fd, const void *Buf, size_t N) {
 
 SockIo &SockIo::system() { return SystemInstance; }
 
-const char *sockFaultKindName(SockFaultKind K) {
-  switch (K) {
-  case SockFaultKind::ShortWrite:
-    return "short-write";
-  case SockFaultKind::EagainStorm:
-    return "eagain-storm";
-  case SockFaultKind::Disconnect:
-    return "disconnect";
-  case SockFaultKind::StalledPeer:
-    return "stalled-peer";
-  }
-  return "?";
-}
-
 bool SockFaultSpec::parse(const std::string &Text,
                           std::vector<SockFaultSpec> &Out) {
-  std::vector<SockFaultSpec> Parsed;
-  // Each item is "<kind>:<nth>", nth a positive decimal number.
-  const bool Ok = parseList(Text, [&Parsed](std::string_view Item) {
-    const size_t Colon = Item.rfind(':');
-    if (Colon == std::string_view::npos)
-      return false;
-    const std::string_view Name = Item.substr(0, Colon);
-    SockFaultSpec S;
-    uint8_t K = 0;
-    while (K <= static_cast<uint8_t>(SockFaultKind::StalledPeer) &&
-           Name != sockFaultKindName(static_cast<SockFaultKind>(K)))
-      ++K;
-    if (K > static_cast<uint8_t>(SockFaultKind::StalledPeer) ||
-        !parseDecimal(Item.substr(Colon + 1), S.Nth) || S.Nth == 0)
-      return false;
-    S.Kind = static_cast<SockFaultKind>(K);
-    Parsed.push_back(S);
-    return true;
-  });
-  if (!Ok)
-    return false;
-  Out = std::move(Parsed);
-  return true;
+  return parseFaultList(Text, kSockFaultKindNames, Out);
 }
 
 FaultSock::FaultSock(std::vector<SockFaultSpec> Faults, SockIo *Base)

@@ -74,8 +74,14 @@ enum class SockFaultKind : uint8_t {
                ///< read deadline can reclaim the connection slot.
 };
 
+/// Spec-syntax names, indexed by SockFaultKind.
+inline constexpr const char *kSockFaultKindNames[] = {
+    "short-write", "eagain-storm", "disconnect", "stalled-peer"};
+
 /// Spec-syntax name ("short-write", "eagain-storm", ...).
-const char *sockFaultKindName(SockFaultKind K);
+inline const char *sockFaultKindName(SockFaultKind K) {
+  return kSockFaultKindNames[static_cast<size_t>(K)];
+}
 
 /// How many consecutive sends an EagainStorm eats before passing
 /// traffic again. Bounded so an injected storm is a stall, not a hang.

@@ -17,9 +17,11 @@
 #ifndef POSE_SUPPORT_FLAGS_H
 #define POSE_SUPPORT_FLAGS_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +39,33 @@ bool parseDecimal(std::string_view S, uint64_t &Out);
 /// comma is rejected) or when \p Item returns false.
 bool parseList(std::string_view List,
                const std::function<bool(std::string_view)> &Item);
+
+/// Parses a fault list "<kind>:<nth>[,<kind>:<nth>...]" into \p Out: each
+/// kind is one of \p Names, whose index is the Spec::Kind enum value, and
+/// each nth a positive decimal. False, with \p Out unchanged, on any
+/// syntax error.
+template <class Spec, size_t N>
+bool parseFaultList(std::string_view Text, const char *const (&Names)[N],
+                    std::vector<Spec> &Out) {
+  std::vector<Spec> Parsed;
+  const bool Ok = parseList(Text, [&](std::string_view Item) {
+    const size_t Colon = Item.rfind(':');
+    if (Colon == std::string_view::npos)
+      return false;
+    const auto Name =
+        std::find(std::begin(Names), std::end(Names), Item.substr(0, Colon));
+    Spec S;
+    if (Name == std::end(Names) ||
+        !parseDecimal(Item.substr(Colon + 1), S.Nth) || S.Nth == 0)
+      return false;
+    S.Kind = static_cast<decltype(S.Kind)>(Name - std::begin(Names));
+    Parsed.push_back(S);
+    return true;
+  });
+  if (Ok)
+    Out = std::move(Parsed);
+  return Ok;
+}
 
 /// One row of a flag table. Build rows with the *Flag() functions below
 /// and attach rules with needs()/excludes()/required().

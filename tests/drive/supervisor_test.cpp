@@ -82,52 +82,6 @@ const JobOutcome *jobNamed(const SweepReport &R, const std::string &Func) {
   return nullptr;
 }
 
-TEST(WorkerFrame, RoundTripsEveryStopReason) {
-  for (uint8_t V = 0; V <= static_cast<uint8_t>(StopReason::WorkerCrash);
-       ++V) {
-    WorkerFrame F;
-    F.Stop = static_cast<StopReason>(V);
-    F.Nodes = 122;
-    F.Attempted = 1480;
-    F.CheckpointSaved = (V % 2) != 0;
-    WorkerFrame Out;
-    ASSERT_TRUE(parseWorkerFrame(renderWorkerFrame(F), Out))
-        << renderWorkerFrame(F);
-    EXPECT_EQ(Out.Stop, F.Stop);
-    EXPECT_EQ(Out.Nodes, F.Nodes);
-    EXPECT_EQ(Out.Attempted, F.Attempted);
-    EXPECT_EQ(Out.CheckpointSaved, F.CheckpointSaved);
-  }
-}
-
-TEST(WorkerFrame, FoundAmongOtherOutputLines) {
-  WorkerFrame Out;
-  EXPECT_TRUE(parseWorkerFrame(
-      "note: resuming from checkpoint\n"
-      "POSEWRK1 stop=complete nodes=7 attempted=9 checkpoint=0\n"
-      "trailing chatter\n",
-      Out));
-  EXPECT_EQ(Out.Stop, StopReason::Complete);
-  EXPECT_EQ(Out.Nodes, 7u);
-}
-
-TEST(WorkerFrame, MalformedLinesAreRejected) {
-  WorkerFrame Out;
-  // A clean exit with no valid frame must read as a protocol failure.
-  EXPECT_FALSE(parseWorkerFrame("", Out));
-  EXPECT_FALSE(parseWorkerFrame("all good, trust me\n", Out));
-  EXPECT_FALSE(parseWorkerFrame("POSEWRK1 stop=complete\n", Out));
-  EXPECT_FALSE(parseWorkerFrame(
-      "POSEWRK1 stop=sideways nodes=1 attempted=1 checkpoint=0\n", Out));
-  EXPECT_FALSE(parseWorkerFrame(
-      "POSEWRK1 stop=complete nodes=x attempted=1 checkpoint=0\n", Out));
-  EXPECT_FALSE(parseWorkerFrame(
-      "POSEWRK1 stop=complete nodes=1 attempted=1 checkpoint=2\n", Out));
-  EXPECT_FALSE(parseWorkerFrame(
-      "POSEWRK1 stop=complete nodes=1 attempted=1 checkpoint=0 extra\n",
-      Out));
-}
-
 TEST(ExitCodes, StopReasonMapIsStable) {
   // Budget stops are final fingerprinted results: success.
   EXPECT_EQ(exitCodeForStop(StopReason::Complete), ExitCode::Ok);
@@ -266,6 +220,92 @@ TEST(Supervisor, AlwaysCrashingJobIsQuarantinedOthersUnaffected) {
   EXPECT_NE(F2->Detail.find("quarantined"), std::string::npos);
   EXPECT_EQ(G2->Status, JobStatus::Cached) << G2->Detail;
   EXPECT_EQ(Again.exitCode(), ExitCode::QuarantinedSkip);
+}
+
+TEST(Supervisor, CleanExitWithoutAStoredResultIsAProtocolFailure) {
+  // The store is a worker's only report: a child that exits 0 without
+  // storing the job's result (a binary that never reached the enumerator,
+  // or one keying the store differently) has not finished the job.
+  const std::string Input = sourceFile("protocol");
+  Module M = compileOrDie(SweepSource);
+  PhaseManager PM;
+  SupervisorOptions O = baseOptions(Input, freshDir("protocol"));
+  O.PosecPath = "/bin/true";
+  O.Retry.MaxRetries = 1;
+
+  SweepReport R = superviseModule(PM, M, O);
+  ASSERT_EQ(R.Error, "");
+  ASSERT_EQ(R.Jobs.size(), 2u);
+  EXPECT_EQ(R.exitCode(), ExitCode::WorkerCrash);
+
+  store::ArtifactStore Store(O.StoreDir);
+  EnumeratorConfig KeyCfg;
+  KeyCfg.MaxLevelSequences = O.Budget;
+  const uint64_t Fp = store::configFingerprint(KeyCfg);
+  for (const JobOutcome &J : R.Jobs) {
+    EXPECT_EQ(J.Status, JobStatus::Degraded) << J.Func << ": " << J.Detail;
+    EXPECT_EQ(J.Attempts, O.Retry.MaxRetries + 1) << J.Func;
+    EXPECT_NE(J.Detail.find("without storing a result"), std::string::npos)
+        << J.Detail;
+
+    const HashTriple Root =
+        canonicalize(functionNamed(M, J.Func), false, true).Hash;
+    store::QuarantineRecord Q;
+    std::string Err;
+    ASSERT_EQ(Store.loadQuarantine(Root, Fp, Q, Err), store::LoadStatus::Hit)
+        << J.Func << ": " << Err;
+    EXPECT_EQ(Q.Failure, store::WorkerFailure::Protocol) << J.Func;
+    EXPECT_EQ(Q.ExitCode, 0) << J.Func;
+    EXPECT_EQ(Q.Attempts, O.Retry.MaxRetries + 1) << J.Func;
+  }
+}
+
+TEST(Supervisor, ResumableExitIsTransientOnlyWithAStoredCheckpoint) {
+  // A worker that exits MemoryBudget (5) has stopped resumably only if
+  // the job's checkpoint is in the store: f's is staged, g has none.
+  const std::string Input = sourceFile("transient");
+  Module M = compileOrDie(SweepSource);
+  PhaseManager PM;
+  SupervisorOptions O = baseOptions(Input, freshDir("transient"));
+  O.Retry.MaxRetries = 1;
+  O.PosecPath = ::testing::TempDir() + "pose-drive-exit5.sh";
+  {
+    std::ofstream Script(O.PosecPath, std::ios::trunc);
+    Script << "#!/bin/sh\nexit 5\n";
+  }
+  std::filesystem::permissions(O.PosecPath,
+                               std::filesystem::perms::owner_all);
+
+  EnumeratorConfig StageCfg;
+  StageCfg.MaxLevelSequences = O.Budget;
+  StageCfg.MaxMemoryBytes = 20'000; // Execution-only: same fingerprint.
+  store::DriveResult Staged = store::driveEnumeration(
+      PM, StageCfg, functionNamed(M, "f"), O.StoreDir, /*Resume=*/false);
+  ASSERT_TRUE(Staged.Ok) << Staged.Error;
+  ASSERT_TRUE(Staged.CheckpointSaved);
+
+  SweepReport R = superviseModule(PM, M, O);
+  const JobOutcome *F = jobNamed(R, "f");
+  const JobOutcome *G = jobNamed(R, "g");
+  ASSERT_NE(F, nullptr);
+  ASSERT_NE(G, nullptr);
+  // f rode the retry ladder as a transient stop, then degraded to the
+  // staged checkpoint's partial DAG without a quarantine record.
+  EXPECT_EQ(F->Status, JobStatus::Degraded) << F->Detail;
+  EXPECT_EQ(F->Attempts, 2u);
+  EXPECT_EQ(F->Stop, StopReason::MemoryBudget);
+  EXPECT_EQ(F->Nodes, Staged.Result.Nodes.size());
+  EXPECT_FALSE(F->NewlyQuarantined);
+  EXPECT_NE(F->Detail.find("memory-budget (checkpoint saved)"),
+            std::string::npos)
+      << F->Detail;
+  // g's exit promised a checkpoint the store does not hold: a bad exit.
+  EXPECT_EQ(G->Status, JobStatus::Degraded) << G->Detail;
+  EXPECT_EQ(G->Stop, StopReason::WorkerCrash);
+  EXPECT_TRUE(G->NewlyQuarantined);
+  EXPECT_NE(G->Detail.find("worker exited 5"), std::string::npos)
+      << G->Detail;
+  EXPECT_EQ(R.exitCode(), ExitCode::WorkerCrash);
 }
 
 TEST(Supervisor, HangingWorkerIsKilledAndClassifiedAsTimeout) {

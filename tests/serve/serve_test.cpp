@@ -516,6 +516,31 @@ TEST(ServeDaemon, StorePlumbingFlagsAreDenied) {
   EXPECT_NE(E.Message.find("--store"), std::string::npos) << E.Message;
   // A refused request costs the request, not the connection.
   EXPECT_TRUE(C.ping());
+
+  // A flag that writes a file at a client-chosen path is refused before
+  // anything runs: --save-model could overwrite a shared store artifact.
+  const std::string Target = ::testing::TempDir() + "pose-serve-deny-model";
+  const std::string Sentinel = "not a model\n";
+  {
+    std::FILE *Out = std::fopen(Target.c_str(), "w");
+    ASSERT_NE(Out, nullptr);
+    std::fputs(Sentinel.c_str(), Out);
+    std::fclose(Out);
+  }
+  ASSERT_TRUE(C.sendRun(10, {POSE_SQUARES_PATH, "--opt=prob",
+                             "--save-model=" + Target}));
+  ASSERT_TRUE(C.recvFrame(Kind, Payload));
+  ASSERT_EQ(Kind, MsgKind::Error);
+  ASSERT_TRUE(decodeErrorResponse(Payload, E, Why)) << Why;
+  EXPECT_EQ(E.Id, 10u);
+  EXPECT_EQ(E.Code, ErrorCode::DeniedArg);
+  EXPECT_NE(E.Message.find("--save-model"), std::string::npos) << E.Message;
+  std::FILE *In = std::fopen(Target.c_str(), "r");
+  ASSERT_NE(In, nullptr);
+  char Buf[64] = {};
+  const size_t N = std::fread(Buf, 1, sizeof(Buf), In);
+  std::fclose(In);
+  EXPECT_EQ(std::string(Buf, N), Sentinel) << "the target file was written";
 }
 
 TEST(ServeDaemon, MalformedFrameGetsADiagnosticAndTheConnectionDropped) {

@@ -9,10 +9,13 @@
 // must end in a clean classified trap or a defined wrapped result — never
 // undefined behavior — because behavior digests are built from exactly
 // these outcomes. Runs under the ASan/UBSan presets like the rest of the
-// suite.
+// suite. The arithmetic edges also run after phases c and s, which fold
+// constants with the interpreter's own evaluator (src/ir/Rtl.h): a phase
+// must keep the trap or the value, never fold a trap away.
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/opt/PhaseManager.h"
 #include "src/sim/Interpreter.h"
 
 #include <climits>
@@ -75,7 +78,8 @@ RunResult runStoreAt(int32_t Addr) {
   return Sim.run("f", {});
 }
 
-/// f() = binary(OpCode, A, B).
+/// f() = binary(OpCode, A, B). Also runs f after phase c and after phase
+/// s, expecting the same trap or the same value as unoptimized.
 RunResult runBinary(Op OpCode, int32_t A, int32_t B) {
   Function F;
   F.addBlock();
@@ -88,7 +92,25 @@ RunResult runBinary(Op OpCode, int32_t A, int32_t B) {
   I.push_back(rtl::ret(Operand::reg(RC)));
   Module M = moduleOf(std::move(F), 0);
   Interpreter Sim(M, kArenaWords);
-  return Sim.run("f", {});
+  const RunResult R = Sim.run("f", {});
+
+  PhaseManager PM;
+  for (const char *Phase : {"c", "s"}) {
+    Function Opt = M.Functions[0];
+    PM.applySequence(Opt, Phase);
+    Sim.overrideFunction("f", &Opt);
+    const RunResult After = Sim.run("f", {});
+    Sim.overrideFunction("f", nullptr);
+    const std::string Case = std::string(opName(OpCode)) + " " +
+                             std::to_string(A) + ", " + std::to_string(B) +
+                             " after " + Phase;
+    EXPECT_EQ(After.Ok, R.Ok) << Case << ": " << After.Error;
+    EXPECT_EQ(After.trapKind(), R.trapKind()) << Case;
+    if (R.Ok && After.Ok) {
+      EXPECT_EQ(After.ReturnValue, R.ReturnValue) << Case;
+    }
+  }
+  return R;
 }
 
 TEST(TrapEdges, LoadsBelowTheGlobalBaseTrap) {

@@ -204,8 +204,8 @@ std::vector<Flag> posecFlags(Options &O) {
                  "jobs, and graceful degradation")
           .needs({"--store"}),
       switchFlag("--worker", O.Worker,
-                 "supervised child mode: prints a result frame on stdout "
-                 "and uses the exit codes below")
+                 "supervised child mode: leaves the result or checkpoint "
+                 "in the store and uses the exit codes below")
           .needs({"--enumerate"})
           .needs({"--store"})
           .excludes({"--supervise"}),
@@ -616,10 +616,9 @@ int enumerateFunction(const Options &O, Module &M) {
 }
 
 /// --worker: one supervised enumeration job. Always drives through the
-/// store (the supervisor reads results and checkpoints from there), ends
-/// with a one-line result frame on stdout, and exits with the documented
-/// code for the stop reason — the two in-band channels the supervisor
-/// classifies (src/drive/Supervisor.h).
+/// store and exits with the documented code for the stop reason; the
+/// supervisor classifies the exit code and reads the stored result or
+/// checkpoint (src/drive/Supervisor.h).
 int runWorker(const Options &O, Module &M) {
   int Id = M.findGlobal(O.EnumerateFunc);
   Function *F = Id >= 0 ? M.functionFor(Id) : nullptr;
@@ -659,12 +658,6 @@ int runWorker(const Options &O, Module &M) {
     In.Faults = Cfg.Faults;
     (void)loadOrComputeEquiv(O, PM, M, *F, Cfg, D.Result, In);
   }
-  drive::WorkerFrame Frame;
-  Frame.Stop = D.Result.Stop;
-  Frame.Nodes = D.Result.Nodes.size();
-  Frame.Attempted = D.Result.AttemptedPhases;
-  Frame.CheckpointSaved = D.CheckpointSaved;
-  std::printf("%s\n", drive::renderWorkerFrame(Frame).c_str());
   return drive::exitCodeForStop(D.Result.Stop);
 }
 

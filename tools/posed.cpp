@@ -60,11 +60,6 @@ int main(int Argc, char **Argv) {
   serve::ServeOptions O;
   serve::WatchdogOptions W;
   bool Watchdog = false;
-  // The service defaults differ from the library's: a standalone daemon
-  // should defend itself against slow-loris peers and unbounded queues
-  // out of the box, while embedders opt in explicitly.
-  O.ReadTimeoutMs = 30'000;
-  O.MaxQueueDepth = 256;
 
   uint64_t MaxRestarts = W.MaxRestarts;
   const std::vector<Flag> Flags = flagTable(
