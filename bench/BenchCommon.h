@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Helpers shared by the experiment drivers in bench/: compiling the
-/// workload suite, enumerating every function, and tiny flag parsing.
+/// workload suite, enumerating every function, and parsing each driver's
+/// flag table.
 /// Each bench binary regenerates one table or figure of the paper; see
 /// DESIGN.md for the complete index.
 ///
@@ -18,12 +19,13 @@
 #include "src/core/Enumerator.h"
 #include "src/frontend/Compile.h"
 #include "src/opt/PhaseManager.h"
+#include "src/support/Flags.h"
 #include "src/workloads/Workloads.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pose {
@@ -73,23 +75,28 @@ inline char programTag(const std::string &Name) {
   return '?';
 }
 
-/// Returns the integer value of --flag=N (or Default).
-inline uint64_t flagValue(int Argc, char **Argv, const char *Flag,
-                          uint64_t Default) {
-  const std::string Prefix = std::string("--") + Flag + "=";
-  for (int I = 1; I < Argc; ++I)
-    if (!std::strncmp(Argv[I], Prefix.c_str(), Prefix.size()))
-      return std::strtoull(Argv[I] + Prefix.size(), nullptr, 10);
-  return Default;
+/// --budget=N: the per-level active-sequence cap of the enumeration.
+inline Flag budgetFlag(uint64_t &Out) {
+  return uintFlag("--budget", Out, 1, UINT64_MAX,
+                  "enumeration budget (active sequences per level)");
 }
 
-/// Returns true if --flag is present.
-inline bool flagPresent(int Argc, char **Argv, const char *Flag) {
-  const std::string Name = std::string("--") + Flag;
-  for (int I = 1; I < Argc; ++I)
-    if (Name == Argv[I])
-      return true;
-  return false;
+/// Parses the driver's command line against the flag table \p R. A bad
+/// flag or value, or any positional argument, prints the error and the
+/// usage and exits 2.
+template <class... Rows>
+void parseBenchFlags(int Argc, char **Argv, Rows &&...R) {
+  const std::vector<Flag> Table = flagTable(std::forward<Rows>(R)...);
+  std::vector<std::string> Args;
+  std::string Error;
+  if (parseFlags(Table, Argc, Argv, Args, nullptr, Error) && !Args.empty())
+    Error = "unexpected argument '" + Args.front() + "'";
+  if (Error.empty())
+    return;
+  const std::string Synopsis = std::string(Argv[0]) + " [options]";
+  std::fprintf(stderr, "%s\n%s", Error.c_str(),
+               renderUsage(Synopsis.c_str(), Table).c_str());
+  std::exit(2);
 }
 
 } // namespace bench

@@ -25,7 +25,8 @@ using namespace pose::bench;
 
 int main(int Argc, char **Argv) {
   EnumeratorConfig With;
-  With.MaxLevelSequences = flagValue(Argc, Argv, "budget", 100'000);
+  With.MaxLevelSequences = 100'000;
+  parseBenchFlags(Argc, Argv, budgetFlag(With.MaxLevelSequences));
   EnumeratorConfig Without = With;
   Without.RemapRegisters = false;
 

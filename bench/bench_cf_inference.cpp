@@ -28,8 +28,12 @@ using namespace pose::bench;
 
 int main(int Argc, char **Argv) {
   EnumeratorConfig Cfg;
-  Cfg.MaxLevelSequences = flagValue(Argc, Argv, "budget", 200'000);
-  const uint64_t Sample = flagValue(Argc, Argv, "verify-sample", 25);
+  Cfg.MaxLevelSequences = 200'000;
+  uint64_t Sample = 25;
+  parseBenchFlags(Argc, Argv, budgetFlag(Cfg.MaxLevelSequences),
+                  uintFlag("--verify-sample", Sample, 0, UINT64_MAX,
+                           "instances fully simulated per function "
+                           "(default 25)"));
   PhaseManager PM;
   Enumerator E(PM, Cfg);
 

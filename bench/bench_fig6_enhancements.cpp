@@ -27,10 +27,14 @@ using namespace pose::bench;
 
 int main(int Argc, char **Argv) {
   EnumeratorConfig Fast;
-  Fast.MaxLevelSequences = flagValue(Argc, Argv, "budget", 100'000);
+  Fast.MaxLevelSequences = 100'000;
+  uint64_t MaxInsts = 100;
+  parseBenchFlags(Argc, Argv, budgetFlag(Fast.MaxLevelSequences),
+                  uintFlag("--max-insts", MaxInsts, 0, UINT64_MAX,
+                           "skip functions with more instructions "
+                           "(default 100)"));
   EnumeratorConfig Naive = Fast;
   Naive.NaiveReapply = true;
-  uint64_t MaxInsts = flagValue(Argc, Argv, "max-insts", 100);
 
   PhaseManager PM;
   Enumerator EFast(PM, Fast), ENaive(PM, Naive);

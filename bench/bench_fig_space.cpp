@@ -105,22 +105,26 @@ static void figure5() {
 }
 
 int main(int Argc, char **Argv) {
-  if (flagPresent(Argc, Argv, "fig3")) {
+  bool Fig3 = false, Fig5 = false;
+  std::string Target = "pick_nearest";
+  EnumeratorConfig Cfg;
+  Cfg.MaxLevelSequences = 1'000'000;
+  parseBenchFlags(Argc, Argv,
+                  switchFlag("--fig3", Fig3, "print Figure 3 and exit"),
+                  switchFlag("--fig5", Fig5, "print Figure 5 and exit"),
+                  textFlag("--function", "NAME", Target,
+                           "function whose space Figures 1/2/4 show "
+                           "(default pick_nearest)"),
+                  budgetFlag(Cfg.MaxLevelSequences));
+  if (Fig3) {
     figure3();
     return 0;
   }
-  if (flagPresent(Argc, Argv, "fig5")) {
+  if (Fig5) {
     figure5();
     return 0;
   }
 
-  std::string Target = "pick_nearest";
-  for (int I = 1; I < Argc; ++I)
-    if (!std::strncmp(Argv[I], "--function=", 11))
-      Target = Argv[I] + 11;
-
-  EnumeratorConfig Cfg;
-  Cfg.MaxLevelSequences = flagValue(Argc, Argv, "budget", 1'000'000);
   PhaseManager PM;
   Enumerator E(PM, Cfg);
 

@@ -26,9 +26,17 @@ using namespace pose::bench;
 
 int main(int Argc, char **Argv) {
   EnumeratorConfig Cfg;
-  Cfg.MaxLevelSequences = flagValue(Argc, Argv, "budget", 1'000'000);
-  const uint64_t Evals = flagValue(Argc, Argv, "evals", 400);
-  const uint64_t Seed = flagValue(Argc, Argv, "seed", 42);
+  Cfg.MaxLevelSequences = 1'000'000;
+  uint64_t Evals = 400;
+  uint64_t Seed = 42;
+  // Evals is capped at u32: the GA's generation count is Evals / 20 as
+  // an int.
+  parseBenchFlags(Argc, Argv, budgetFlag(Cfg.MaxLevelSequences),
+                  uintFlag("--evals", Evals, 1, UINT32_MAX,
+                           "evaluation budget of each heuristic search "
+                           "(default 400)"),
+                  uintFlag("--seed", Seed, 0, UINT64_MAX,
+                           "search seed (default 42)"));
   PhaseManager PM;
   Enumerator E(PM, Cfg);
 

@@ -12,7 +12,8 @@
 // as in the paper) are marked N/A, exactly like fft_float and main(f) in
 // the original.
 //
-// Flags: --budget=N (per-level active sequences), --list-phases.
+// Flags: --budget=N (per-level active sequences). The phase list of
+// Table 1 is `posec --list-phases`.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,16 +28,9 @@ using namespace pose;
 using namespace pose::bench;
 
 int main(int Argc, char **Argv) {
-  if (flagPresent(Argc, Argv, "list-phases")) {
-    std::printf("Id  Optimization Phase (Table 1)\n");
-    for (int I = 0; I != NumPhases; ++I)
-      std::printf(" %c  %s\n", phaseCode(phaseByIndex(I)),
-                  phaseName(phaseByIndex(I)));
-    return 0;
-  }
-
   EnumeratorConfig Cfg;
-  Cfg.MaxLevelSequences = flagValue(Argc, Argv, "budget", 1'000'000);
+  Cfg.MaxLevelSequences = 1'000'000;
+  parseBenchFlags(Argc, Argv, budgetFlag(Cfg.MaxLevelSequences));
   PhaseManager PM;
   Enumerator E(PM, Cfg);
 

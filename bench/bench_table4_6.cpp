@@ -20,7 +20,8 @@ using namespace pose::bench;
 
 int main(int Argc, char **Argv) {
   EnumeratorConfig Cfg;
-  Cfg.MaxLevelSequences = flagValue(Argc, Argv, "budget", 1'000'000);
+  Cfg.MaxLevelSequences = 1'000'000;
+  parseBenchFlags(Argc, Argv, budgetFlag(Cfg.MaxLevelSequences));
   PhaseManager PM;
   Enumerator E(PM, Cfg);
   InteractionAnalysis IA;

@@ -24,7 +24,8 @@ using namespace pose::bench;
 
 int main(int Argc, char **Argv) {
   EnumeratorConfig Cfg;
-  Cfg.MaxLevelSequences = flagValue(Argc, Argv, "budget", 200'000);
+  Cfg.MaxLevelSequences = 200'000;
+  parseBenchFlags(Argc, Argv, budgetFlag(Cfg.MaxLevelSequences));
   PhaseManager PM;
 
   // Train the probabilistic model on the enumerated spaces (Section 6

@@ -11,7 +11,6 @@
 #include "src/core/Enumerator.h"
 #include "src/drive/ExitCodes.h"
 #include "src/ir/Function.h"
-#include "src/opt/PhaseGuard.h"
 #include "src/sem/Equivalence.h"
 #include "src/store/ArtifactStore.h"
 #include "src/support/Fnv.h"
@@ -29,44 +28,19 @@ namespace {
 
 std::string u64Str(uint64_t V) { return std::to_string(V); }
 
-/// Tracks the whole-sweep wall-clock budget.
-class SweepClock {
-public:
-  explicit SweepClock(uint64_t DeadlineMs)
-      : Start(std::chrono::steady_clock::now()), DeadlineMs(DeadlineMs) {}
-
-  bool hasDeadline() const { return DeadlineMs != 0; }
-
-  uint64_t remainingMs() const {
-    if (!hasDeadline())
-      return 0;
-    const uint64_t Spent = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - Start)
-            .count());
-    return Spent >= DeadlineMs ? 0 : DeadlineMs - Spent;
-  }
-
-  bool exhausted() const { return hasDeadline() && remainingMs() == 0; }
-
-private:
-  std::chrono::steady_clock::time_point Start;
-  uint64_t DeadlineMs;
-};
-
 /// The config both sides key the store with; must mirror posec's
-/// makeEnumConfig for the flags the supervisor forwards.
+/// makeEnumConfig for the flags the supervisor forwards. The forwarded
+/// fault plan is all crash-class, which the fingerprint excludes.
 EnumeratorConfig keyingConfig(const SupervisorOptions &O) {
   EnumeratorConfig Cfg;
   Cfg.MaxLevelSequences = O.Budget;
   Cfg.Jobs = static_cast<unsigned>(O.Jobs);
   Cfg.MaxMemoryBytes = O.MaxMemoryMb * 1024 * 1024;
   Cfg.VerifyIr = O.VerifyIr;
-  if (O.Faults && !O.Faults->empty())
-    Cfg.Faults = O.Faults;
   return Cfg;
 }
 
+/// The command line of attempt \p Attempt (1-based) of \p Func's job.
 std::vector<std::string> workerArgv(const SupervisorOptions &O,
                                     const std::string &Func,
                                     unsigned Attempt) {
@@ -79,7 +53,6 @@ std::vector<std::string> workerArgv(const SupervisorOptions &O,
       "--resume",
       "--budget=" + u64Str(O.Budget),
       "--jobs=" + u64Str(O.Jobs),
-      "--attempt=" + u64Str(Attempt),
   };
   if (O.MaxMemoryMb != 0)
     Argv.push_back("--max-memory-mb=" + u64Str(O.MaxMemoryMb));
@@ -90,15 +63,14 @@ std::vector<std::string> workerArgv(const SupervisorOptions &O,
     Argv.push_back("--vector-seed=" + u64Str(O.VectorSeed));
     Argv.push_back("--vectors=" + u64Str(O.Vectors));
   }
-  const bool Faulted = O.FaultFunc.empty() || O.FaultFunc == Func;
+  const bool Faulted =
+      (O.FaultFunc.empty() || O.FaultFunc == Func) &&
+      (O.FaultAttempts == 0 || Attempt <= O.FaultAttempts);
   if (Faulted) {
     if (!O.FaultSpec.empty())
       Argv.push_back("--inject-fault=" + O.FaultSpec);
     if (!O.FaultIoSpec.empty())
       Argv.push_back("--fault-io=" + O.FaultIoSpec);
-    if ((!O.FaultSpec.empty() || !O.FaultIoSpec.empty()) &&
-        O.FaultAttempts != 0)
-      Argv.push_back("--fault-attempts=" + u64Str(O.FaultAttempts));
   }
   return Argv;
 }
@@ -280,19 +252,16 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
   const EnumeratorConfig KeyCfg = keyingConfig(Opts);
   const uint64_t Fp = store::configFingerprint(KeyCfg);
   store::ArtifactStore Store(Opts.StoreDir);
-  store::ArtifactStore QStore(
-      Opts.QuarantineDir.empty() ? Opts.StoreDir : Opts.QuarantineDir);
-  if (!Store.prepare(Report.Error) || !QStore.prepare(Report.Error))
+  if (!Store.prepare(Report.Error))
     return Report;
   // Before the first spawn is the one moment no writer can be mid-write:
   // any *.pose.tmp here is an orphan of a crashed earlier run, and left
   // in place it would sit in the store forever (renames go to final
   // names, never reclaiming temps).
   Report.ReclaimedTmp = Store.reclaimTmp();
-  if (QStore.directory() != Store.directory())
-    for (std::string &P : QStore.reclaimTmp())
-      Report.ReclaimedTmp.push_back(std::move(P));
-  SweepClock Clock(Opts.SweepDeadlineMs);
+  const bool HasDeadline = Opts.SweepDeadlineMs != 0;
+  ResourceGovernor Sweep;
+  Sweep.setDeadline(Opts.SweepDeadlineMs);
   const size_t NumJobs = M.Functions.size();
   const uint64_t SweepJobs = std::max<uint64_t>(1, Opts.SweepJobs);
 
@@ -358,7 +327,7 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
     {
       store::QuarantineRecord Q;
       std::string Err;
-      const store::LoadStatus St = QStore.loadQuarantine(S.Root, Fp, Q, Err);
+      const store::LoadStatus St = Store.loadQuarantine(S.Root, Fp, Q, Err);
       if (St == store::LoadStatus::Hit) {
         J.Status = JobStatus::Quarantined;
         J.Stop = StopReason::WorkerCrash;
@@ -366,7 +335,7 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
                    std::to_string(Q.Attempts) + " attempt(s) [" +
                    store::workerFailureName(Q.Failure) + "]: " + Q.Message +
                    "; remove '" +
-                   QStore.pathFor(S.Root, store::ArtifactKind::Quarantine) +
+                   Store.pathFor(S.Root, store::ArtifactKind::Quarantine) +
                    "' to retry";
         return true;
       }
@@ -423,9 +392,6 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
       J.Detail += std::string(stopReasonName(Last.Stop)) + ", " +
                   u64Str(Last.Nodes) + " nodes, " +
                   std::to_string(S.Attempt) + " attempt(s)";
-      // The worker's saveResult cleared the StoreDir quarantine record;
-      // a separate quarantine store must be cleared here.
-      QStore.removeQuarantine(S.Root);
       S.Phase = JobPhase::Done;
       return;
     }
@@ -438,8 +404,8 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
     }
 
     uint64_t DelayMs = 0;
-    if (Opts.Retry.nextDelayMs(S.Attempt, S.Root.Crc, Clock.hasDeadline(),
-                               Clock.remainingMs(), DelayMs)) {
+    if (Opts.Retry.nextDelayMs(S.Attempt, S.Root.Crc, HasDeadline,
+                               Sweep.remainingMs(), DelayMs)) {
       // Backoff is a non-blocking timestamp: other jobs keep their
       // workers running while this one waits out its delay.
       if (DelayMs == 0) {
@@ -457,7 +423,7 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
     if (Last.Class == AttemptClass::Crash) {
       Last.Q.Attempts = S.Attempt;
       std::string QErr;
-      if (QStore.saveQuarantine(S.Root, Fp, Last.Q, QErr)) {
+      if (Store.saveQuarantine(S.Root, Fp, Last.Q, QErr)) {
         J.NewlyQuarantined = true;
         J.Detail += Last.Note + " after " + std::to_string(S.Attempt) +
                     " attempt(s); quarantined";
@@ -497,7 +463,10 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
         S.Phase = JobPhase::Done;
         continue;
       }
-      if (Clock.exhausted()) {
+      // Read once: a second read could see the deadline pass in between
+      // and hand the worker a zero (unarmed) kill timer.
+      const uint64_t LeftMs = Sweep.remainingMs();
+      if (LeftMs == 0) {
         S.J.Attempts = S.Attempt;
         S.J.Detail += "sweep deadline exhausted before the job could run";
         degradeJob(S.J, PM, M.Functions[I], Store, S.Root, Fp,
@@ -509,9 +478,8 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
       SubprocessSpec Spec;
       Spec.Argv = workerArgv(Opts, S.J.Func, S.Attempt);
       Spec.TimeoutMs = Opts.WorkerTimeoutMs;
-      if (Clock.hasDeadline() &&
-          (Spec.TimeoutMs == 0 || Spec.TimeoutMs > Clock.remainingMs()))
-        Spec.TimeoutMs = Clock.remainingMs();
+      if (HasDeadline && (Spec.TimeoutMs == 0 || Spec.TimeoutMs > LeftMs))
+        Spec.TimeoutMs = LeftMs;
       Spec.MemoryLimitBytes = Opts.WorkerRlimitMb * 1024 * 1024;
       S.SpawnTimeoutMs = Spec.TimeoutMs;
       InFlight[Pool.spawn(Spec)] = I;

@@ -18,9 +18,10 @@
 ///    deterministic jitter, refused when the sweep's wall-clock budget
 ///    could not absorb the delay;
 ///  - a persisted quarantine list (\ref store::QuarantineRecord in the
-///    ArtifactStore): a job that exhausts its retries crashing is
-///    recorded, and later sweeps skip it with a diagnostic instead of
-///    burning the retry ladder again;
+///    job's own artifact store): a job that exhausts its retries crashing
+///    is recorded, and later sweeps skip it with a diagnostic instead of
+///    burning the retry ladder again; the worker's saveResult clears the
+///    record once the job succeeds;
 ///  - graceful degradation: an exhausted job falls back to the newest
 ///    checkpoint artifact when one exists (a partial DAG marked
 ///    \ref StopReason::WorkerCrash), else to an in-process fixed-order
@@ -36,6 +37,11 @@
 /// checkpoint. A clean exit with no stored result — a child that never
 /// reached the enumerator, or a worker keying the store differently — is
 /// a protocol failure, classified like a crash.
+///
+/// Every worker gets the same command line for its job, built by the
+/// supervisor alone: the only per-attempt difference is that injected
+/// fault flags reach attempts 1..FaultAttempts and no later one, so a
+/// worker never needs to know which attempt it is.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +59,6 @@ namespace pose {
 
 class Module;
 class PhaseManager;
-struct FaultPlan;
 struct HashTriple;
 
 namespace drive {
@@ -69,9 +74,9 @@ struct SupervisorOptions {
   /// instead of an input path when set. Exactly one of InputPath/Workload
   /// is nonempty.
   std::string Workload;
-  std::string StoreDir;  ///< Artifact store; required.
-  /// Store directory for quarantine records; empty = StoreDir.
-  std::string QuarantineDir;
+  /// Artifact store; required. It holds the results and checkpoints the
+  /// workers write and the quarantine records the supervisor writes.
+  std::string StoreDir;
 
   // Enumeration knobs forwarded to workers (fingerprint-relevant ones
   // must match tools/posec.cpp makeEnumConfig).
@@ -88,16 +93,21 @@ struct SupervisorOptions {
   uint64_t VectorSeed = 0; ///< --vector-seed forwarded when Equiv.
   uint64_t Vectors = 0;    ///< --vectors forwarded when Equiv.
 
-  // Fault injection (tests, CI). The parsed plan must be all crash-class;
-  // the spec text is forwarded verbatim to the targeted worker.
-  const FaultPlan *Faults = nullptr;
-  std::string FaultSpec;     ///< --inject-fault text for workers.
+  // Fault injection (tests, CI), forwarded as worker flags.
+  /// --inject-fault text for workers. It must be an all-crash-class plan
+  /// (segv/kill/hang): those are execution-only and excluded from the
+  /// config fingerprint, so a faulted worker keys the store as a clean
+  /// one does.
+  std::string FaultSpec;
   std::string FaultIoSpec;   ///< --fault-io text for workers (injected
                              ///< store I/O failures; execution-only, so
                              ///< keys are unaffected).
   std::string FaultFunc;     ///< Only this function's worker gets the
                              ///< fault flags; empty = all workers.
-  uint64_t FaultAttempts = 0; ///< --fault-attempts forwarded (0 = omit).
+  /// The fault flags go only to attempts 1..FaultAttempts of a job, so a
+  /// retry ladder crashes that often and then runs clean (0 = every
+  /// attempt).
+  uint64_t FaultAttempts = 0;
 
   // Sharding (--shard=K/N). ShardCount 0 or 1 = unsharded: every job is
   // this supervisor's. Otherwise only jobs whose canonical root hashes to
@@ -164,8 +174,8 @@ struct SweepReport {
   std::vector<JobOutcome> Jobs;
   std::string Error; ///< Sweep-level failure (store unusable, ...).
   /// `*.pose.tmp` leftovers of crashed writers, reclaimed from the store
-  /// directories before any worker was spawned (the only moment the
-  /// supervisor knows no writer can be mid-write).
+  /// before any worker was spawned (the only moment the supervisor knows
+  /// no writer can be mid-write).
   std::vector<std::string> ReclaimedTmp;
 
   /// Process exit code for the sweep, most severe condition wins:

@@ -93,11 +93,10 @@ bool isDeniedArg(const std::string &A, std::string &Flag) {
   static const char *const Denied[] = {
       "--store",          "--merge-store",      "--fsck",
       "--repair",         "--worker",           "--supervise",
-      "--attempt",        "--quarantine",       "--list-quarantine",
-      "--clear-quarantine", "--inject-fault",   "--fault-io",
-      "--fault-func",     "--fault-attempts",   "--sweep-jobs",
-      "--worker-timeout-ms", "--worker-rlimit-mb", "--max-retries",
-      "--shard",          "--save-model"};
+      "--list-quarantine", "--clear-quarantine", "--inject-fault",
+      "--fault-io",       "--fault-func",       "--fault-attempts",
+      "--sweep-jobs",     "--worker-timeout-ms", "--worker-rlimit-mb",
+      "--max-retries",    "--shard",            "--save-model"};
   for (const char *F : Denied) {
     const size_t N = std::strlen(F);
     if (A.compare(0, N, F) == 0 && (A.size() == N || A[N] == '=')) {

@@ -38,11 +38,19 @@ namespace pose {
 namespace store {
 
 /// The field lists, defined for ByteWriter and ByteReader in
-/// Serialize.cpp.
+/// Serialize.cpp: function instances (exact: slots, blocks, phase state,
+/// counters); complete or partial enumeration results (nodes, edges,
+/// level stats, diagnostics, stop reason, accounting); resumable
+/// checkpoints (partial result + committed frontier + engine counters);
+/// quarantine records (worker failure class + signal/exit metadata).
 template <class Io> bool io(Io &S, Function &F);
 template <class Io> bool io(Io &S, EnumerationResult &Res);
 template <class Io> bool io(Io &S, EnumerationCheckpoint &C);
 template <class Io> bool io(Io &S, QuarantineRecord &Q);
+/// Equivalence records (vector provenance + per-node behavior digests).
+/// Decoding enforces the type's invariants: the three per-node arrays
+/// have equal length, AllOk bytes are 0/1, and UsedVectors is strictly
+/// ascending with every index below VectorsRequested.
 template <class Io> bool io(Io &S, sem::EquivRecord &E);
 
 /// Encodes \p X through its field list.
@@ -56,49 +64,13 @@ template <class T> bool decode(ByteReader &R, T &X) {
   return io(R, X);
 }
 
-/// Function instances (exact: slots, blocks, phase state, counters).
-inline void encodeFunction(ByteWriter &W, const Function &F) {
-  encode(W, F);
-}
-inline bool decodeFunction(ByteReader &R, Function &F) {
-  return decode(R, F);
-}
-
-/// Complete or partial enumeration results (nodes, edges, level stats,
-/// diagnostics, stop reason, accounting).
+/// encode/decode of an enumeration result under its own name (perfbench
+/// times these two calls).
 inline void encodeResult(ByteWriter &W, const EnumerationResult &Res) {
   encode(W, Res);
 }
 inline bool decodeResult(ByteReader &R, EnumerationResult &Res) {
   return decode(R, Res);
-}
-
-/// Resumable checkpoints (partial result + committed frontier + engine
-/// counters).
-inline void encodeCheckpoint(ByteWriter &W, const EnumerationCheckpoint &C) {
-  encode(W, C);
-}
-inline bool decodeCheckpoint(ByteReader &R, EnumerationCheckpoint &C) {
-  return decode(R, C);
-}
-
-/// Quarantine records (worker failure class + signal/exit metadata).
-inline void encodeQuarantine(ByteWriter &W, const QuarantineRecord &Q) {
-  encode(W, Q);
-}
-inline bool decodeQuarantine(ByteReader &R, QuarantineRecord &Q) {
-  return decode(R, Q);
-}
-
-/// Equivalence records (vector provenance + per-node behavior digests).
-/// The decoder enforces the type's invariants: the three per-node arrays
-/// have equal length, AllOk bytes are 0/1, and UsedVectors is strictly
-/// ascending with every index below VectorsRequested.
-inline void encodeEquivalence(ByteWriter &W, const sem::EquivRecord &E) {
-  encode(W, E);
-}
-inline bool decodeEquivalence(ByteReader &R, sem::EquivRecord &E) {
-  return decode(R, E);
 }
 
 } // namespace store

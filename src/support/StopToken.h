@@ -100,6 +100,16 @@ public:
           std::chrono::steady_clock::now() + std::chrono::milliseconds(Ms);
   }
 
+  /// Milliseconds left before the deadline, rounded up so that 0 means
+  /// check() reports Deadline; UINT64_MAX when no deadline is armed.
+  uint64_t remainingMs() const {
+    if (!HasDeadline)
+      return UINT64_MAX;
+    const auto Left = std::chrono::ceil<std::chrono::milliseconds>(
+        DeadlineAt - std::chrono::steady_clock::now());
+    return Left.count() > 0 ? static_cast<uint64_t>(Left.count()) : 0;
+  }
+
   /// Sets the approximate memory budget in bytes; 0 = unlimited.
   void setMemoryBudget(uint64_t Bytes) { MemoryBudget = Bytes; }
 

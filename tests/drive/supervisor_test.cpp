@@ -19,12 +19,12 @@
 #include "src/core/Enumerator.h"
 #include "src/drive/ExitCodes.h"
 #include "src/frontend/Compile.h"
-#include "src/opt/PhaseGuard.h"
 #include "src/opt/PhaseManager.h"
 #include "src/store/ArtifactStore.h"
 #include "src/store/StoreDriver.h"
 #include "tests/common/Helpers.h"
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -165,9 +165,6 @@ TEST(Supervisor, AlwaysCrashingJobIsQuarantinedOthersUnaffected) {
   Module M = compileOrDie(SweepSource);
   PhaseManager PM;
   SupervisorOptions O = baseOptions(Input, freshDir("crash"));
-  FaultPlan Plan;
-  ASSERT_TRUE(FaultPlan::parse("s:1:segv", Plan));
-  O.Faults = &Plan;
   O.FaultSpec = "s:1:segv";
   O.FaultFunc = "f";
   O.Retry.MaxRetries = 1;
@@ -308,14 +305,47 @@ TEST(Supervisor, ResumableExitIsTransientOnlyWithAStoredCheckpoint) {
   EXPECT_EQ(R.exitCode(), ExitCode::WorkerCrash);
 }
 
+TEST(Supervisor, SweepDeadlineBoundsTheWorkerInFlightAndTheJobsAfterIt) {
+  // Every worker would sleep for a minute. The sweep's deadline, not the
+  // per-worker kill timer, must end f's worker, refuse its retry, and
+  // degrade g without spawning it.
+  const std::string Input = sourceFile("deadline");
+  Module M = compileOrDie(SweepSource);
+  PhaseManager PM;
+  SupervisorOptions O = baseOptions(Input, freshDir("deadline"));
+  O.PosecPath = ::testing::TempDir() + "pose-drive-sleep.sh";
+  {
+    std::ofstream Script(O.PosecPath, std::ios::trunc);
+    Script << "#!/bin/sh\nsleep 60\n";
+  }
+  std::filesystem::permissions(O.PosecPath,
+                               std::filesystem::perms::owner_all);
+  O.SweepDeadlineMs = 500;
+  O.Retry.MaxRetries = 5;
+
+  const auto Start = std::chrono::steady_clock::now();
+  SweepReport R = superviseModule(PM, M, O);
+  EXPECT_LT(std::chrono::steady_clock::now() - Start,
+            std::chrono::seconds(30));
+  const JobOutcome *F = jobNamed(R, "f");
+  const JobOutcome *G = jobNamed(R, "g");
+  ASSERT_NE(F, nullptr);
+  ASSERT_NE(G, nullptr);
+  EXPECT_EQ(F->Status, JobStatus::Degraded) << F->Detail;
+  EXPECT_EQ(F->Attempts, 1u) << F->Detail;
+  EXPECT_NE(F->Detail.find("kill timer"), std::string::npos) << F->Detail;
+  EXPECT_EQ(G->Status, JobStatus::Degraded) << G->Detail;
+  EXPECT_EQ(G->Attempts, 0u);
+  EXPECT_EQ(G->Stop, StopReason::Deadline);
+  EXPECT_NE(G->Detail.find("sweep deadline exhausted"), std::string::npos)
+      << G->Detail;
+}
+
 TEST(Supervisor, HangingWorkerIsKilledAndClassifiedAsTimeout) {
   const std::string Input = sourceFile("hang");
   Module M = compileOrDie(SweepSource);
   PhaseManager PM;
   SupervisorOptions O = baseOptions(Input, freshDir("hang"));
-  FaultPlan Plan;
-  ASSERT_TRUE(FaultPlan::parse("s:1:hang", Plan));
-  O.Faults = &Plan;
   O.FaultSpec = "s:1:hang";
   O.FaultFunc = "f";
   O.Retry.MaxRetries = 0;
@@ -356,9 +386,6 @@ TEST(Supervisor, CrashTwiceThenSucceedMatchesUninterruptedRun) {
   ASSERT_EQ(CleanRun.exitCode(), ExitCode::Ok);
 
   SupervisorOptions O = baseOptions(Input, freshDir("retry-faulted"));
-  FaultPlan Plan;
-  ASSERT_TRUE(FaultPlan::parse("s:1:segv", Plan));
-  O.Faults = &Plan;
   O.FaultSpec = "s:1:segv";
   O.FaultFunc = "f";
   O.FaultAttempts = 2; // Attempts 1 and 2 crash; attempt 3 is clean.
@@ -429,9 +456,6 @@ TEST(Supervisor, DegradedJobFallsBackToNewestCheckpoint) {
   const uint64_t Nth =
       C.AppCount[static_cast<size_t>(PhaseId::Cse)] + 1;
   const std::string Spec = "c:" + std::to_string(Nth) + ":segv";
-  FaultPlan Plan;
-  ASSERT_TRUE(FaultPlan::parse(Spec, Plan));
-  O.Faults = &Plan;
   O.FaultSpec = Spec;
   O.FaultFunc = "f";
 

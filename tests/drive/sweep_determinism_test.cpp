@@ -19,7 +19,6 @@
 #include "src/core/Enumerator.h"
 #include "src/drive/ExitCodes.h"
 #include "src/frontend/Compile.h"
-#include "src/opt/PhaseGuard.h"
 #include "src/opt/PhaseManager.h"
 #include "src/store/ArtifactStore.h"
 #include "tests/common/Helpers.h"
@@ -117,15 +116,12 @@ TEST(SweepDeterminism, CrashRecoverySweepIsIdenticalForAnyJobCount) {
   const std::string Input = sourceFile("recover", SweepSource);
   Module M = compileOrDie(SweepSource);
   PhaseManager PM;
-  FaultPlan Plan;
-  ASSERT_TRUE(FaultPlan::parse("s:1:segv", Plan));
 
   std::vector<SweepReport> Reports;
   std::vector<std::string> Stores;
   for (const uint64_t Jobs : {1u, 2u, 8u}) {
     SupervisorOptions O =
         baseOptions(Input, freshDir("recover-j" + std::to_string(Jobs)));
-    O.Faults = &Plan;
     O.FaultSpec = "s:1:segv";
     O.FaultFunc = "f";
     O.FaultAttempts = 1; // Attempt 1 crashes, attempt 2 is clean.
@@ -161,15 +157,12 @@ TEST(SweepDeterminism, QuarantineRecordsAreIdenticalForAnyJobCount) {
   const std::string Input = sourceFile("quarantine", SweepSource);
   Module M = compileOrDie(SweepSource);
   PhaseManager PM;
-  FaultPlan Plan;
-  ASSERT_TRUE(FaultPlan::parse("s:1:segv", Plan));
 
   std::vector<SweepReport> Reports;
   std::vector<std::string> Stores;
   for (const uint64_t Jobs : {1u, 2u, 8u}) {
     SupervisorOptions O = baseOptions(
         Input, freshDir("quarantine-j" + std::to_string(Jobs)));
-    O.Faults = &Plan;
     O.FaultSpec = "s:1:segv";
     O.FaultFunc = "f";
     O.Retry.MaxRetries = 1;

@@ -65,10 +65,10 @@ EnumerationResult cleanRun(const Function &F, EnumeratorConfig Cfg,
 /// carries everything resume needs.
 EnumerationCheckpoint throughCodec(const EnumerationCheckpoint &Cp) {
   ByteWriter W;
-  store::encodeCheckpoint(W, Cp);
+  store::encode(W, Cp);
   ByteReader R(W.bytes());
   EnumerationCheckpoint Out;
-  EXPECT_TRUE(store::decodeCheckpoint(R, Out));
+  EXPECT_TRUE(store::decode(R, Out));
   EXPECT_TRUE(R.atEnd());
   return Out;
 }

@@ -90,10 +90,10 @@ bool recordsEqual(const sem::EquivRecord &A, const sem::EquivRecord &B) {
 TEST(EquivCodec, RoundTripIsExact) {
   const Computed C = computeRecord();
   ByteWriter W;
-  encodeEquivalence(W, C.E);
+  encode(W, C.E);
   ByteReader R(W.bytes());
   sem::EquivRecord Out;
-  ASSERT_TRUE(decodeEquivalence(R, Out));
+  ASSERT_TRUE(decode(R, Out));
   EXPECT_TRUE(R.atEnd());
   EXPECT_TRUE(recordsEqual(C.E, Out));
 }
@@ -101,12 +101,12 @@ TEST(EquivCodec, RoundTripIsExact) {
 TEST(EquivCodec, EveryTruncationIsRejected) {
   const Computed C = computeRecord();
   ByteWriter W;
-  encodeEquivalence(W, C.E);
+  encode(W, C.E);
   const std::vector<uint8_t> &Bytes = W.bytes();
   for (size_t Len = 0; Len != Bytes.size(); ++Len) {
     ByteReader R(Bytes.data(), Len);
     sem::EquivRecord Out;
-    EXPECT_FALSE(decodeEquivalence(R, Out) && R.atEnd())
+    EXPECT_FALSE(decode(R, Out) && R.atEnd())
         << "prefix length " << Len;
   }
 }
@@ -119,20 +119,20 @@ TEST(EquivCodec, InvariantViolationsAreRejected) {
     ASSERT_GE(Bad.UsedVectors.size(), 2u);
     std::swap(Bad.UsedVectors[0], Bad.UsedVectors[1]);
     ByteWriter W;
-    encodeEquivalence(W, Bad);
+    encode(W, Bad);
     ByteReader R(W.bytes());
     sem::EquivRecord Out;
-    EXPECT_FALSE(decodeEquivalence(R, Out));
+    EXPECT_FALSE(decode(R, Out));
   }
   {
     // A used index at/above the requested count.
     sem::EquivRecord Bad = C.E;
     Bad.UsedVectors.back() = Bad.VectorsRequested;
     ByteWriter W;
-    encodeEquivalence(W, Bad);
+    encode(W, Bad);
     ByteReader R(W.bytes());
     sem::EquivRecord Out;
-    EXPECT_FALSE(decodeEquivalence(R, Out));
+    EXPECT_FALSE(decode(R, Out));
   }
   {
     // An AllOk byte outside 0/1.
@@ -140,10 +140,10 @@ TEST(EquivCodec, InvariantViolationsAreRejected) {
     ASSERT_FALSE(Bad.NodeAllOk.empty());
     Bad.NodeAllOk[0] = 2;
     ByteWriter W;
-    encodeEquivalence(W, Bad);
+    encode(W, Bad);
     ByteReader R(W.bytes());
     sem::EquivRecord Out;
-    EXPECT_FALSE(decodeEquivalence(R, Out));
+    EXPECT_FALSE(decode(R, Out));
   }
 }
 

@@ -59,10 +59,9 @@ void expectPin(const char *Name, const Pin &P, uint64_t Items, uint64_t Size,
                       << "}";
 }
 
-template <class T, class Encode>
-std::vector<uint8_t> encoded(const T &X, Encode Fn) {
+template <class T> std::vector<uint8_t> encoded(const T &X) {
   ByteWriter W;
-  Fn(W, X);
+  store::encode(W, X);
   return W.take();
 }
 
@@ -76,22 +75,21 @@ TEST(FormatPin, EveryEncodedFormatIsByteIdenticalToItsRecording) {
   for (const Workload &W : allWorkloads()) {
     Module M = compileOrDie(W.Source);
     for (const Function &F : M.Functions) {
-      Instances.add(encoded(F, store::encodeFunction));
+      Instances.add(encoded(F));
 
       Enumerator E(PM, Cfg);
       const EnumerationResult R = E.enumerate(F);
-      Results.add(encoded(R, store::encodeResult));
+      Results.add(encoded(R));
 
       Enumerator EB(PM, Budgeted);
       EnumerationCheckpoint Cp;
       EB.enumerate(F, &Cp);
       if (Cp.Valid)
-        Checkpoints.add(encoded(Cp, store::encodeCheckpoint));
+        Checkpoints.add(encoded(Cp));
 
       if (R.Nodes.size() < 60)
         Equivs.add(encoded(
-            sem::computeEquivalence(M, F, PM, R, sem::EquivInputs()),
-            store::encodeEquivalence));
+            sem::computeEquivalence(M, F, PM, R, sem::EquivInputs())));
 
       const HashTriple Root = canonicalize(F, false, true).Hash;
       ByteWriter S;
@@ -108,7 +106,7 @@ TEST(FormatPin, EveryEncodedFormatIsByteIdenticalToItsRecording) {
   Q.ExitCode = -3;
   Q.Attempts = 4;
   Q.Message = "worker timed out after 200 ms";
-  Quarantine.add(encoded(Q, store::encodeQuarantine));
+  Quarantine.add(encoded(Q));
 
   Pin Posed;
   serve::RunRequest Run;

@@ -31,7 +31,7 @@ const char *SumSource =
 
 std::vector<uint8_t> encodedFunction(const Function &F) {
   ByteWriter W;
-  store::encodeFunction(W, F);
+  store::encode(W, F);
   return W.take();
 }
 
@@ -42,7 +42,7 @@ TEST(Serialize, FunctionRoundTripIsExact) {
 
   ByteReader R(Bytes);
   Function G;
-  ASSERT_TRUE(store::decodeFunction(R, G));
+  ASSERT_TRUE(store::decode(R, G));
   EXPECT_TRUE(R.atEnd());
   EXPECT_EQ(encodedFunction(G), Bytes);
   EXPECT_EQ(G.Name, F.Name);
@@ -64,7 +64,7 @@ TEST(Serialize, OptimizedFunctionRoundTripKeepsStateAndCounters) {
 
   ByteReader R(Bytes);
   Function G;
-  ASSERT_TRUE(store::decodeFunction(R, G));
+  ASSERT_TRUE(store::decode(R, G));
   EXPECT_EQ(G.State.RegsAssigned, F.State.RegsAssigned);
   EXPECT_EQ(G.State.RegAllocDone, F.State.RegAllocDone);
   EXPECT_EQ(G.pseudoLimit(), F.pseudoLimit());
@@ -133,14 +133,14 @@ TEST(Serialize, CheckpointRoundTripIsExact) {
   ASSERT_FALSE(Cp.Frontier.empty());
 
   ByteWriter W;
-  store::encodeCheckpoint(W, Cp);
+  store::encode(W, Cp);
   ByteReader R(W.bytes());
   EnumerationCheckpoint Out;
-  ASSERT_TRUE(store::decodeCheckpoint(R, Out));
+  ASSERT_TRUE(store::decode(R, Out));
   EXPECT_TRUE(R.atEnd());
 
   ByteWriter W2;
-  store::encodeCheckpoint(W2, Out);
+  store::encode(W2, Out);
   EXPECT_EQ(W2.bytes(), W.bytes());
   EXPECT_EQ(Out.LevelCounter, Cp.LevelCounter);
   EXPECT_EQ(Out.FrontierBytes, Cp.FrontierBytes);
@@ -204,10 +204,10 @@ TEST(Serialize, QuarantineRoundTripIsExact) {
   Q.Attempts = 3;
   Q.Message = "worker timed out after 200 ms";
   ByteWriter W;
-  store::encodeQuarantine(W, Q);
+  store::encode(W, Q);
   ByteReader R(W.bytes());
   store::QuarantineRecord Out;
-  ASSERT_TRUE(store::decodeQuarantine(R, Out));
+  ASSERT_TRUE(store::decode(R, Out));
   EXPECT_TRUE(R.atEnd());
   EXPECT_EQ(Out.Failure, Q.Failure);
   EXPECT_EQ(Out.Signal, Q.Signal);
@@ -216,7 +216,7 @@ TEST(Serialize, QuarantineRoundTripIsExact) {
   EXPECT_EQ(Out.Message, Q.Message);
   // Canonical encoding: re-encoding the decoded value is byte-identical.
   ByteWriter W2;
-  store::encodeQuarantine(W2, Out);
+  store::encode(W2, Out);
   EXPECT_EQ(W.bytes(), W2.bytes());
 }
 
@@ -227,20 +227,20 @@ TEST(Serialize, QuarantineStrictness) {
   Q.Attempts = 2;
   Q.Message = "segfault";
   ByteWriter W;
-  store::encodeQuarantine(W, Q);
+  store::encode(W, Q);
   const std::vector<uint8_t> &Bytes = W.bytes();
   // Every truncated prefix is rejected.
   for (size_t Len = 0; Len != Bytes.size(); ++Len) {
     ByteReader R(Bytes.data(), Len);
     store::QuarantineRecord Out;
-    EXPECT_FALSE(store::decodeQuarantine(R, Out)) << "prefix length " << Len;
+    EXPECT_FALSE(store::decode(R, Out)) << "prefix length " << Len;
   }
   // An out-of-range failure kind (first byte) is rejected.
   std::vector<uint8_t> Bad = Bytes;
   Bad[0] = 0xFF;
   ByteReader R(Bad);
   store::QuarantineRecord Out;
-  EXPECT_FALSE(store::decodeQuarantine(R, Out));
+  EXPECT_FALSE(store::decode(R, Out));
 }
 
 TEST(ByteIo, ReaderIsBoundedAndLatching) {

@@ -54,6 +54,20 @@ TEST(ResourceGovernor, DeadlineExpires) {
   EXPECT_EQ(Gov.check(), StopReason::Complete);
 }
 
+TEST(ResourceGovernor, RemainingMsCountsDownToTheDeadline) {
+  ResourceGovernor Gov;
+  EXPECT_EQ(Gov.remainingMs(), UINT64_MAX); // No deadline armed.
+  Gov.setDeadline(60'000);
+  EXPECT_GT(Gov.remainingMs(), 50'000u);
+  EXPECT_LE(Gov.remainingMs(), 60'000u);
+  Gov.setDeadline(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(Gov.remainingMs(), 0u);
+  EXPECT_EQ(Gov.check(), StopReason::Deadline);
+  Gov.setDeadline(0);
+  EXPECT_EQ(Gov.remainingMs(), UINT64_MAX);
+}
+
 TEST(ResourceGovernor, MemoryAccounting) {
   ResourceGovernor Gov;
   Gov.setMemoryBudget(100);

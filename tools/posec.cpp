@@ -81,11 +81,9 @@ struct Options {
   uint64_t SweepJobs = 1;     // --sweep-jobs=N concurrent workers.
   uint64_t MaxRetries = 2;    // --max-retries=N per job.
   uint64_t WorkerRlimitMb = 0; // --worker-rlimit-mb=N RLIMIT_AS cap.
-  std::string QuarantinePath; // --quarantine=DIR (default: the store).
   std::string FaultFunc;      // --fault-func=NAME: restrict fault flags.
-  uint64_t FaultAttempts = 0; // --fault-attempts=N: faults active while
-                              // the attempt number is <= N.
-  uint64_t Attempt = 1;       // --attempt=K: this worker's attempt number.
+  uint64_t FaultAttempts = 0; // --fault-attempts=N: forward the fault
+                              // flags to attempts 1..N only.
   std::string FaultSpecText;  // Raw --inject-fault text (forwarding).
 
   // Sharded sweeps and store administration.
@@ -234,18 +232,14 @@ std::vector<Flag> posecFlags(Options &O) {
       uintFlag("--max-retries", O.MaxRetries, 0, UINT64_MAX,
                "retries per job after the first attempt (default 2)")
           .needs({"--supervise"}),
-      textFlag("--quarantine", "DIR", O.QuarantinePath,
-               "directory for quarantine records (default: the store)")
-          .needs({"--supervise", "--list-quarantine", "--clear-quarantine"}),
       textFlag("--fault-func", "NAME", O.FaultFunc,
-               "forward --inject-fault only to NAME's worker")
+               "forward the fault flags only to NAME's worker")
           .needs({"--supervise"}),
       uintFlag("--fault-attempts", O.FaultAttempts, 1, UINT64_MAX,
-               "crash faults fire only while the attempt number is <= N "
-               "(deterministic crash-then-recover testing)"),
-      uintFlag("--attempt", O.Attempt, 1, UINT64_MAX,
-               "this attempt's 1-based number (set by the supervisor)")
-          .needs({"--worker"}),
+               "forward the fault flags only to the first N attempts of a "
+               "job (deterministic crash-then-recover testing)")
+          .needs({"--supervise"})
+          .needs({"--inject-fault", "--fault-io"}),
       customFlag(
           "--shard", "K/N", "K/N with 1 <= K <= N",
           [&O](const std::string &V) {
@@ -369,9 +363,6 @@ bool checkOptions(Options &O, std::vector<std::string> &Args,
   if (O.Supervise && !O.Faults.empty() && !O.Faults.allCrashFaults())
     return Fail("--supervise only supports all-crash-class --inject-fault "
                 "plans (segv/kill/hang)");
-  if (O.FaultAttempts != 0 && O.FaultIo.empty() && !O.Faults.allCrashFaults())
-    return Fail("--fault-attempts requires an all-crash-class --inject-fault "
-                "plan or a --fault-io plan");
   return true;
 }
 
@@ -435,6 +426,15 @@ EnumerationResult runEnumeration(const Options &O, const PhaseManager &PM,
                  "to continue\n",
                  F.Name.c_str(), stopReasonName(D.Result.Stop));
   return std::move(D.Result);
+}
+
+/// The vector set and fault plan --equiv and --equiv-check run under.
+sem::EquivInputs equivInputs(const Options &O) {
+  sem::EquivInputs In;
+  In.Seed = O.VectorSeed;
+  In.VectorCount = static_cast<uint32_t>(O.Vectors);
+  In.Faults = O.Faults.empty() ? nullptr : &O.Faults;
+  return In;
 }
 
 /// Loads the equivalence record of \p F from the store, or computes it
@@ -506,10 +506,7 @@ void printDivergence(const std::string &Func,
 int runEquiv(const Options &O, Module &M) {
   PhaseManager PM;
   const EnumeratorConfig Cfg = makeEnumConfig(O);
-  sem::EquivInputs In;
-  In.Seed = O.VectorSeed;
-  In.VectorCount = static_cast<uint32_t>(O.Vectors);
-  In.Faults = O.Faults.empty() ? nullptr : &O.Faults;
+  const sem::EquivInputs In = equivInputs(O);
   bool Diverged = false;
   size_t Matched = 0;
   for (Function &F : M.Functions) {
@@ -615,10 +612,11 @@ int enumerateFunction(const Options &O, Module &M) {
   return 0;
 }
 
-/// --worker: one supervised enumeration job. Always drives through the
-/// store and exits with the documented code for the stop reason; the
-/// supervisor classifies the exit code and reads the stored result or
-/// checkpoint (src/drive/Supervisor.h).
+/// --worker: one supervised enumeration job, through the store (--worker
+/// requires --store). Prints nothing on stdout and exits with the
+/// documented code for the stop reason; the supervisor classifies the
+/// exit code and reads the stored result or checkpoint
+/// (src/drive/Supervisor.h).
 int runWorker(const Options &O, Module &M) {
   int Id = M.findGlobal(O.EnumerateFunc);
   Function *F = Id >= 0 ? M.functionFor(Id) : nullptr;
@@ -628,37 +626,19 @@ int runWorker(const Options &O, Module &M) {
     return drive::ExitCode::Error;
   }
   PhaseManager PM;
-  EnumeratorConfig Cfg = makeEnumConfig(O);
-  // Attempt-gated fault injection: with --fault-attempts=N the plan is
-  // active only while this attempt's number is <= N, so a retry ladder
-  // deterministically crashes N times and then succeeds. Dropping the
-  // plan cannot change the store fingerprint because gated plans are
-  // all crash-class, which the fingerprint excludes.
-  if (Cfg.Faults && O.FaultAttempts != 0 && O.Attempt > O.FaultAttempts)
-    Cfg.Faults = nullptr;
-  store::DriveResult D =
-      store::driveEnumeration(PM, Cfg, *F, O.StorePath, O.Resume);
-  for (const std::string &Note : D.RejectionNotes)
-    std::fprintf(stderr, "warning: %s: rejected stored artifact: %s\n",
-                 F->Name.c_str(), Note.c_str());
-  if (!D.Ok) {
-    std::fprintf(stderr, "error: %s: %s\n", F->Name.c_str(),
-                 D.Error.c_str());
+  const EnumeratorConfig Cfg = makeEnumConfig(O);
+  bool Failed = false;
+  const EnumerationResult R = runEnumeration(O, PM, Cfg, *F, Failed);
+  if (Failed)
     return drive::ExitCode::Error;
-  }
-  reportDiagnostics(D.Result);
+  reportDiagnostics(R);
   // --equiv workers persist the equivalence record alongside the result
   // (driveEnumeration removed any stale record when it saved a fresh
   // DAG, so compute-after-save is the correct order). The supervisor
   // only counts this job Cached next sweep when the record is present.
-  if (O.Equiv) {
-    sem::EquivInputs In;
-    In.Seed = O.VectorSeed;
-    In.VectorCount = static_cast<uint32_t>(O.Vectors);
-    In.Faults = Cfg.Faults;
-    (void)loadOrComputeEquiv(O, PM, M, *F, Cfg, D.Result, In);
-  }
-  return drive::exitCodeForStop(D.Result.Stop);
+  if (O.Equiv)
+    (void)loadOrComputeEquiv(O, PM, M, *F, Cfg, R, equivInputs(O));
+  return drive::exitCodeForStop(R.Stop);
 }
 
 /// Path of this very executable (the supervisor re-invokes itself as the
@@ -682,7 +662,6 @@ int runSupervise(const Options &O, const Module &M, const char *Argv0) {
   SO.InputPath = O.InputPath;
   SO.Workload = O.Workload;
   SO.StoreDir = O.StorePath;
-  SO.QuarantineDir = O.QuarantinePath;
   SO.Budget = O.Budget;
   SO.Jobs = O.Jobs;
   SO.MaxMemoryMb = O.MaxMemoryMb;
@@ -690,10 +669,7 @@ int runSupervise(const Options &O, const Module &M, const char *Argv0) {
   SO.Equiv = O.Equiv;
   SO.VectorSeed = O.VectorSeed;
   SO.Vectors = O.Vectors;
-  if (!O.Faults.empty()) {
-    SO.Faults = &O.Faults;
-    SO.FaultSpec = O.FaultSpecText;
-  }
+  SO.FaultSpec = O.FaultSpecText;
   SO.FaultIoSpec = O.FaultIoSpecText;
   SO.FaultFunc = O.FaultFunc;
   SO.FaultAttempts = O.FaultAttempts;
@@ -788,8 +764,7 @@ int runMerge(const Options &O) {
 /// configuration fingerprint, so a fixed job can be retried without
 /// hand-deleting store files.
 int quarantineOps(const Options &O, Module &M) {
-  store::ArtifactStore Store(
-      O.QuarantinePath.empty() ? O.StorePath : O.QuarantinePath);
+  store::ArtifactStore Store(O.StorePath);
   EnumeratorConfig Cfg = makeEnumConfig(O);
   const uint64_t Fp = store::configFingerprint(Cfg);
   size_t Found = 0;
@@ -892,11 +867,8 @@ int main(int Argc, char **Argv) {
 
   // Install the store I/O fault injector before any store is touched.
   // The supervisor process itself never injects — it forwards the spec
-  // to its workers (the processes whose writes the faults target). The
-  // attempt gate mirrors --inject-fault: with --fault-attempts=N a
-  // retried worker runs clean once its attempt number exceeds N.
-  if (!O.FaultIo.empty() && !O.Supervise &&
-      (O.FaultAttempts == 0 || O.Attempt <= O.FaultAttempts)) {
+  // to its workers (the processes whose writes the faults target).
+  if (!O.FaultIo.empty() && !O.Supervise) {
     static FaultFs Injector(O.FaultIo, FaultFs::CrashMode::Exit);
     setProcessStoreIo(&Injector);
   }

@@ -97,10 +97,12 @@ int main(int Argc, char **Argv) {
                  "supervise the daemon: hold the socket, restart it on crash "
                  "or hang, exit 13 when the restart budget runs out"),
       uintFlag("--max-restarts", MaxRestarts, 0, 1'000'000,
-               "watchdog restart budget (default 5; 0 = never restart)"),
+               "watchdog restart budget (default 5; 0 = never restart)")
+          .needs({"--watchdog"}),
       uintFlag("--heartbeat-timeout-ms", W.HeartbeatTimeoutMs, 0, UINT64_MAX,
                "watchdog hang detector: a daemon silent this long is killed "
-               "and restarted (default 5000; 0 = off)"),
+               "and restarted (default 5000; 0 = off)")
+          .needs({"--watchdog"}),
       // Repeats append: each --fault-sock adds its faults to the plan.
       customFlag(
           "--fault-sock", "SPEC",
