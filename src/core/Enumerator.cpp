@@ -79,8 +79,7 @@ struct FootprintDedup {
 /// allocator).
 uint64_t entryFootprint(const FrontierEntry &E, FootprintDedup &Seen) {
   uint64_t Bytes = sizeof(FrontierEntry) + sizeof(Function) +
-                   E.Instance.Blocks.size() * sizeof(void *) +
-                   E.Path.size() * sizeof(PhaseId);
+                   E.Instance.Blocks.size() * sizeof(void *);
   if (E.Instance.Slots.size() &&
       Seen.Slots.insert(slotContentKey(E.Instance.Slots)).second)
     Bytes += E.Instance.Slots.size() * sizeof(StackSlot);
@@ -177,13 +176,12 @@ struct TaskResult {
   /// Trained-pair attempts left to the commit (independence pruning).
   uint16_t DeferredBits = 0;
   uint64_t Attempted = 0;
-  uint64_t PhaseApplications = 0;
   std::vector<ActiveResult> Active;
   std::vector<PhaseDiagnostic> Diags;
 
   void reset() {
     DormantBits = AttemptedBits = DeferredBits = 0;
-    Attempted = PhaseApplications = 0;
+    Attempted = 0;
     Active.clear();
     Diags.clear();
   }
@@ -301,7 +299,6 @@ EnumerationResult Enumerator::run(const Function &Root,
     FrontierEntry E;
     E.Node = 0;
     E.Instance = Root;
-    E.State = Root.State;
     FootprintDedup Seen;
     FrontierBytes = entryFootprint(E, Seen);
     Gov.charge(FrontierBytes);
@@ -314,31 +311,20 @@ EnumerationResult Enumerator::run(const Function &Root,
     R.Levels.push_back(L0);
   }
 
-  // One guarded attempt of phase \p PI on \p E with application ordinal
-  // \p Nth, recorded in \p T. \p Work is the caller's reusable working
-  // copy; it starts from \p From, E's instance or its register-assigned
-  // copy. Workers run these; so does the commit, for a deferred attempt
-  // whose prediction missed.
-  auto Attempt = [&](const FrontierEntry &E, const Function &From, int PI,
-                     uint64_t Nth, PhaseGuard &Guard, Function &Work,
-                     TaskResult &T) {
+  // One guarded attempt of phase \p PI with application ordinal \p Nth,
+  // recorded in \p T. \p Work is the caller's reusable working copy; it
+  // starts from \p From, a frontier entry's instance or its
+  // register-assigned copy. Workers run these; so does the commit, for a
+  // deferred attempt whose prediction missed.
+  auto Attempt = [&](const Function &From, int PI, uint64_t Nth,
+                     PhaseGuard &Guard, Function &Work, TaskResult &T) {
     const PhaseId P = phaseByIndex(PI);
     const uint16_t Bit = static_cast<uint16_t>(1u << PI);
     // The working copy is a refcounted handle copy of the parent's blocks
     // — a dormant attempt unshares nothing, an active one materializes
-    // only the blocks it rewrote. Naive mode replays the whole prefix
-    // from the root instead.
-    if (Config.NaiveReapply) {
-      Work = Root;
-      for (PhaseId Prev : E.Path) {
-        PM.attempt(Prev, Work);
-        ++T.PhaseApplications;
-      }
-    } else {
-      Work = From;
-    }
+    // only the blocks it rewrote.
+    Work = From;
     ++T.Attempted;
-    ++T.PhaseApplications;
     T.AttemptedBits |= Bit;
     if (Guard.attemptNth(P, Work, Nth) != PhaseGuard::Outcome::Active) {
       // Dormant — or rolled back after a verifier failure, which prunes
@@ -390,7 +376,7 @@ EnumerationResult Enumerator::run(const Function &Root,
     for (size_t I = 0; I != N; ++I)
       for (int PI = 0; PI != NumPhases; ++PI) {
         Base[I * NumPhases + PI] = AppCount[PI];
-        if (PM.isLegal(phaseByIndex(PI), Frontier[I].State) &&
+        if (PM.isLegal(phaseByIndex(PI), Frontier[I].Instance) &&
             !(Frontier[I].IncomingMask & (1u << PI)))
           ++AppCount[PI];
       }
@@ -422,13 +408,7 @@ EnumerationResult Enumerator::run(const Function &Root,
       if (New) {
         FrontierEntry NE;
         NE.Node = Child;
-        NE.State = New->Instance.State;
-        if (Config.NaiveReapply) {
-          NE.Path = E.Path;
-          NE.Path.push_back(P);
-        } else {
-          NE.Instance = std::move(New->Instance);
-        }
+        NE.Instance = std::move(New->Instance);
         NE.IncomingMask = Bit;
         NE.Parent = E.Node;
         NE.ViaPhase = P;
@@ -498,12 +478,11 @@ EnumerationResult Enumerator::run(const Function &Root,
         return Link(E, P, Predicted, nullptr);
       }
       Inline.reset();
-      Attempt(E, E.Instance, PI, Base[I * NumPhases + PI] + 1, CommitGuard,
+      Attempt(E.Instance, PI, Base[I * NumPhases + PI] + 1, CommitGuard,
               CommitWork, Inline);
       T.DormantBits |= Inline.DormantBits;
       T.AttemptedBits |= Inline.AttemptedBits;
       T.Attempted += Inline.Attempted;
-      T.PhaseApplications += Inline.PhaseApplications;
       for (PhaseDiagnostic &Diag : CommitGuard.takeDiagnostics())
         T.Diags.push_back(std::move(Diag));
       return Inline.Active.empty() || Commit(E, Inline.Active.front());
@@ -533,7 +512,6 @@ EnumerationResult Enumerator::run(const Function &Root,
       R.Nodes[E.Node].DormantMask |= T.DormantBits;
       R.Nodes[E.Node].AttemptedMask |= T.AttemptedBits;
       R.AttemptedPhases += T.Attempted;
-      R.PhaseApplications += T.PhaseApplications;
       LS.Attempted += T.Attempted;
       // Diagnostics in attempt order; those of inline attempts arrived
       // after the worker's.
@@ -552,7 +530,6 @@ EnumerationResult Enumerator::run(const Function &Root,
     const size_t NodesBefore = R.Nodes.size();
     const size_t DiagsBefore = R.Diagnostics.size();
     const uint64_t AttemptedBefore = R.AttemptedPhases;
-    const uint64_t ApplicationsBefore = R.PhaseApplications;
     const uint64_t PredictedBefore = R.PredictedEdges;
     const uint64_t ChargedBefore = Gov.chargedBytes();
 
@@ -591,8 +568,7 @@ EnumerationResult Enumerator::run(const Function &Root,
       PhaseGuard Guard(PM, GuardOpts);
       Function Work;
       // c and k both start from the register-assigned entry: assign it
-      // once, at the first of them, and hand each a copy. Naive mode
-      // replays from the root instead.
+      // once, at the first of them, and hand each a copy.
       Function Assigned;
       for (int PI = 0; PI != NumPhases; ++PI) {
         const PhaseId P = phaseByIndex(PI);
@@ -600,7 +576,7 @@ EnumerationResult Enumerator::run(const Function &Root,
         // Illegal phases count as dormant, and so does the phase on the
         // incoming edge: it was just active producing this node, and no
         // phase succeeds twice consecutively.
-        if (!PM.isLegal(P, E.State) || (E.IncomingMask & Bit)) {
+        if (!PM.isLegal(P, E.Instance) || (E.IncomingMask & Bit)) {
           T.DormantBits |= Bit;
           continue;
         }
@@ -609,15 +585,14 @@ EnumerationResult Enumerator::run(const Function &Root,
           continue;
         }
         const Function *From = &E.Instance;
-        if (!Config.NaiveReapply && !E.State.RegsAssigned &&
-            PM.requiresRegAssignment(P)) {
+        if (!E.Instance.State.RegsAssigned && PM.requiresRegAssignment(P)) {
           if (!Assigned.State.RegsAssigned) {
             Assigned = E.Instance;
             assignRegisters(Assigned);
           }
           From = &Assigned;
         }
-        Attempt(E, *From, PI, Base[I * NumPhases + PI] + 1, Guard, Work, T);
+        Attempt(*From, PI, Base[I * NumPhases + PI] + 1, Guard, Work, T);
       }
       T.Diags = Guard.takeDiagnostics();
 
@@ -656,7 +631,6 @@ EnumerationResult Enumerator::run(const Function &Root,
       }
       R.Diagnostics.resize(DiagsBefore);
       R.AttemptedPhases = AttemptedBefore;
-      R.PhaseApplications = ApplicationsBefore;
       R.PredictedEdges = PredictedBefore;
       Gov.release(Gov.chargedBytes() - ChargedBefore);
       Finish(Why);

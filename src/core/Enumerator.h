@@ -17,9 +17,11 @@
 ///     the exponential tree into a modest DAG.
 ///
 /// The search-speed enhancements of Section 4.3 (in-memory instances and
-/// prefix sharing) are the default; a deliberately naive mode re-applies
-/// the whole phase prefix from the unoptimized function for every
-/// evaluation, reproducing the Figure 6 comparison.
+/// prefix sharing) are how the engine works: every frontier entry holds
+/// its instance, and each attempt starts from a copy-on-write copy of it.
+/// Figure 6's naive baseline, which re-applies the whole phase prefix from
+/// the unoptimized function for every evaluation, is not an engine mode:
+/// bench_fig6_enhancements computes it by replaying the enumerated DAG.
 ///
 /// Enumeration is embarrassingly parallel within a BFS level: every
 /// frontier instance attempts its phases independently, the only shared
@@ -115,10 +117,6 @@ struct EnumeratorConfig {
   uint64_t MaxLevelSequences = 1'000'000;
   /// Additional safety valve on total distinct instances.
   uint64_t MaxTotalNodes = 4'000'000;
-  /// Disable the Section 4.3 enhancements: every evaluation re-applies
-  /// the entire phase prefix to a fresh copy of the unoptimized function
-  /// (Figure 6's "naive" column).
-  bool NaiveReapply = false;
   /// Disable the Section 4.2.1 register remapping, so instances that
   /// differ only in register numbering count as distinct (ablation of the
   /// "more aggressive pruning" claim; see bench_ablation).
@@ -179,10 +177,9 @@ struct EnumerationResult {
   /// other value for the specific limit (or failure) that stopped it.
   StopReason Stop = StopReason::Complete;
   bool Cyclic = false; ///< True if an edge closes a cycle.
+  /// Optimizer invocations: one per attempted phase (Figure 6's
+  /// prefix-shared column).
   uint64_t AttemptedPhases = 0;
-  /// Optimizer invocations including prefix replays; equals
-  /// AttemptedPhases under prefix sharing, larger in naive mode (Fig 6).
-  uint64_t PhaseApplications = 0;
   /// Largest active sequence length (the "Len" column of Table 3).
   uint32_t MaxActiveLength = 0;
   std::vector<LevelStat> Levels;
@@ -209,20 +206,14 @@ struct EnumerationResult {
 };
 
 /// Frontier entry: a node discovered at the current BFS level, waiting to
-/// be expanded, with enough state to (re)produce its function instance.
-/// Exposed (rather than kept private to the engine) because the
-/// checkpoint/resume machinery must persist the committed frontier across
-/// process lifetimes (see EnumerationCheckpoint and src/store).
+/// be expanded, with its function instance. Exposed (rather than kept
+/// private to the engine) because the checkpoint/resume machinery must
+/// persist the committed frontier across process lifetimes (see
+/// EnumerationCheckpoint and src/store).
 struct FrontierEntry {
   uint32_t Node = 0;
-  /// Prefix-sharing mode: the instance itself.
+  /// The instance itself; its State decides which phases are legal.
   Function Instance;
-  /// Naive mode: one active sequence reaching the node (replayed from the
-  /// root for every attempt).
-  std::vector<PhaseId> Path;
-  /// Compilation milestones of the instance (used for legality checks,
-  /// valid in both modes — naive mode leaves Instance empty).
-  PhaseState State;
   /// Phases along incoming edges; known dormant without attempting (an
   /// active phase is never successful twice consecutively).
   uint16_t IncomingMask = 0;

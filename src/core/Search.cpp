@@ -20,8 +20,8 @@ using namespace pose;
 class SequenceSearch::Evaluator {
 public:
   Evaluator(const SequenceSearch &Owner, const Function &Root,
-            Objective Obj, const SearchConfig &Config)
-      : Owner(Owner), Root(Root), Obj(Obj), Config(Config) {}
+            Objective Obj)
+      : Owner(Owner), Root(Root), Obj(Obj) {}
 
   /// Fitness of one attempted sequence (gene = phase index). Smaller is
   /// better; UINT64_MAX marks failed simulation.
@@ -39,19 +39,18 @@ public:
         Prev = G;
       }
     }
+    // Reference [14]: a sequence reaching an instance already measured
+    // reuses its fitness instead of being evaluated again.
     HashTriple H = canonicalize(F).Hash;
-    if (Config.DedupWithHashes) {
-      auto It = Cache.find(H);
-      if (It != Cache.end()) {
-        ++Stats.CacheHits;
-        noteBest(It->second, Active, F, Stats);
-        return It->second;
-      }
+    auto It = Cache.find(H);
+    if (It != Cache.end()) {
+      ++Stats.CacheHits;
+      noteBest(It->second, Active, F, Stats);
+      return It->second;
     }
     ++Stats.Evaluations;
     uint64_t Fit = measure(F);
-    if (Config.DedupWithHashes)
-      Cache.emplace(H, Fit);
+    Cache.emplace(H, Fit);
     noteBest(Fit, Active, F, Stats);
     return Fit;
   }
@@ -60,7 +59,6 @@ private:
   const SequenceSearch &Owner;
   const Function &Root;
   Objective Obj;
-  const SearchConfig &Config;
   std::unordered_map<HashTriple, uint64_t, HashTripleHasher> Cache;
 
   uint64_t measure(const Function &F) {
@@ -103,7 +101,7 @@ SearchResult SequenceSearch::geneticSearch(const Function &Root,
                                            const SearchConfig &Config) const {
   SearchResult Stats;
   Stats.BestInstance = Root;
-  Evaluator Eval(*this, Root, Obj, Config);
+  Evaluator Eval(*this, Root, Obj);
   ResourceGovernor Gov = makeGovernor(Config);
   Rng R(Config.Seed);
 
@@ -161,7 +159,7 @@ SearchResult SequenceSearch::hillClimb(const Function &Root, Objective Obj,
                                        const SearchConfig &Config) const {
   SearchResult Stats;
   Stats.BestInstance = Root;
-  Evaluator Eval(*this, Root, Obj, Config);
+  Evaluator Eval(*this, Root, Obj);
   ResourceGovernor Gov = makeGovernor(Config);
   Rng R(Config.Seed);
 
@@ -210,7 +208,7 @@ SearchResult SequenceSearch::randomSearch(const Function &Root,
                                           const SearchConfig &Config) const {
   SearchResult Stats;
   Stats.BestInstance = Root;
-  Evaluator Eval(*this, Root, Obj, Config);
+  Evaluator Eval(*this, Root, Obj);
   ResourceGovernor Gov = makeGovernor(Config);
   Rng R(Config.Seed);
   const int Len = Config.SequenceLength;

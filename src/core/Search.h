@@ -55,9 +55,6 @@ struct SearchConfig {
   double MutationRate = 0.05;
   /// Evaluation budget for random search and the hill climber.
   uint64_t MaxEvaluations = 500;
-  /// Reference [14]: skip evaluating sequences whose instance hash was
-  /// already seen.
-  bool DedupWithHashes = true;
   /// Wall-clock deadline in milliseconds for the whole search; 0 =
   /// unlimited. Checked between fitness evaluations.
   uint64_t DeadlineMs = 0;

@@ -81,6 +81,7 @@ enum class AttemptClass {
   Transient, ///< Resumable stop with a stored checkpoint; retry resumes.
   Crash,     ///< Crash-class failure (signal, timeout, protocol, exit).
   Spawn,     ///< fork/exec failed; the job cannot run at all.
+  Deadline,  ///< Killed when the sweep's deadline ran out; no retry.
 };
 
 struct AttemptOutcome {
@@ -93,7 +94,11 @@ struct AttemptOutcome {
 
 /// Classifies a finished worker by its exit status and, where the status
 /// promises one, by the artifact it stored for \p Root under \p Fp.
+/// \p SweepTimer says the kill timer was the sweep's remaining budget,
+/// shorter than the per-worker timeout: its firing is the sweep's
+/// deadline, not a hung worker.
 AttemptOutcome classifyAttempt(const SubprocessResult &R, uint64_t TimeoutMs,
+                               bool SweepTimer,
                                const store::ArtifactStore &Store,
                                const HashTriple &Root, uint64_t Fp) {
   AttemptOutcome A;
@@ -103,12 +108,16 @@ AttemptOutcome classifyAttempt(const SubprocessResult &R, uint64_t TimeoutMs,
     A.Note = R.Error;
     return A;
   case ExitKind::TimedOut:
+    A.Note = "worker exceeded the " + u64Str(TimeoutMs) + "ms kill timer";
+    if (SweepTimer) {
+      A.Class = AttemptClass::Deadline;
+      A.Note += " set by the sweep deadline";
+      return A;
+    }
     A.Class = AttemptClass::Crash;
     A.Q.Failure = store::WorkerFailure::Timeout;
     A.Q.Signal = R.Signal;
-    A.Q.Message =
-        "worker exceeded the " + u64Str(TimeoutMs) + "ms kill timer";
-    A.Note = A.Q.Message;
+    A.Q.Message = A.Note;
     return A;
   case ExitKind::Signalled:
     A.Class = AttemptClass::Crash;
@@ -381,8 +390,11 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
   auto onResult = [&](size_t Idx, const SubprocessResult &R) {
     JobState &S = Jobs[Idx];
     JobOutcome &J = S.J;
+    // The sweep deadline only ever shortens the kill timer.
     AttemptOutcome Last =
-        classifyAttempt(R, S.SpawnTimeoutMs, Store, S.Root, Fp);
+        classifyAttempt(R, S.SpawnTimeoutMs,
+                        S.SpawnTimeoutMs != Opts.WorkerTimeoutMs, Store,
+                        S.Root, Fp);
 
     if (Last.Class == AttemptClass::Done) {
       J.Status = JobStatus::Ok;
@@ -402,10 +414,20 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
       S.Phase = JobPhase::Done;
       return;
     }
+    if (Last.Class == AttemptClass::Deadline) {
+      // The sweep's budget is spent: no retry and no quarantine record,
+      // since the job never had a fair run.
+      J.Attempts = S.Attempt;
+      J.Detail += Last.Note;
+      degradeJob(J, PM, M.Functions[Idx], Store, S.Root, Fp,
+                 StopReason::Deadline);
+      S.Phase = JobPhase::Done;
+      return;
+    }
 
     uint64_t DelayMs = 0;
-    if (Opts.Retry.nextDelayMs(S.Attempt, S.Root.Crc, HasDeadline,
-                               Sweep.remainingMs(), DelayMs)) {
+    if (Opts.Retry.nextDelayMs(S.Attempt, S.Root.Crc, Sweep.remainingMs(),
+                               DelayMs)) {
       // Backoff is a non-blocking timestamp: other jobs keep their
       // workers running while this one waits out its delay.
       if (DelayMs == 0) {

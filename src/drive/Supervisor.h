@@ -28,6 +28,11 @@
 ///    batch compilation — the job is reported Degraded and the sweep
 ///    carries on.
 ///
+/// A sweep deadline (SweepDeadlineMs) shortens each worker's kill timer
+/// to the time left. When such a shortened timer fires, the sweep ran out
+/// of time; the worker did not hang. The job then degrades at once as a
+/// \ref StopReason::Deadline stop, with no retry and no quarantine record.
+///
 /// A worker reports through its documented exit code
 /// (src/drive/ExitCodes.h) and the artifact store, which both sides key
 /// identically (crash-class injected faults are execution-only and

@@ -41,20 +41,16 @@ bool PhaseManager::requiresRegAssignment(PhaseId P) const {
 }
 
 bool PhaseManager::isLegal(PhaseId P, const Function &F) const {
-  return isLegal(P, F.State);
-}
-
-bool PhaseManager::isLegal(PhaseId P, const PhaseState &S) const {
   switch (P) {
   case PhaseId::EvalOrder:
     // "Evaluation order determination can only be performed before
     // register assignment" (Section 3).
-    return !S.RegsAssigned;
+    return !F.State.RegsAssigned;
   case PhaseId::LoopUnrolling:
   case PhaseId::LoopTransforms:
     // Restricted "to be performed after register allocation is applied"
     // (Section 3).
-    return S.RegAllocDone;
+    return F.State.RegAllocDone;
   default:
     return true;
   }

@@ -31,7 +31,6 @@
 namespace pose {
 
 class Function;
-struct PhaseState;
 
 /// Registry plus legality/attempt logic for the fifteen phases.
 class PhaseManager {
@@ -43,12 +42,8 @@ public:
   }
 
   /// Returns true if \p P may be attempted on \p F in its current state.
+  /// Legality depends only on F's compilation milestones, not its code.
   bool isLegal(PhaseId P, const Function &F) const;
-
-  /// Legality depends only on the compilation milestones, not the code;
-  /// this overload serves callers that track PhaseState separately (the
-  /// enumerator's naive replay mode).
-  bool isLegal(PhaseId P, const PhaseState &S) const;
 
   /// Returns true if attempting \p P forces the compulsory register
   /// assignment first.

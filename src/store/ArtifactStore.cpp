@@ -204,7 +204,6 @@ uint64_t configFingerprint(const EnumeratorConfig &Config) {
   Fnv1a H;
   H.word(Config.MaxLevelSequences);
   H.word(Config.MaxTotalNodes);
-  H.word(Config.NaiveReapply);
   H.word(Config.RemapRegisters);
   H.word(Config.UseIndependencePruning);
   for (int X = 0; X != NumPhases; ++X)

@@ -66,7 +66,11 @@ namespace store {
 /// Version 6: the enumerator's exact-compare mode was removed, so results
 /// dropped the hash-collision counter, checkpoints the mode flag and the
 /// per-node canonical bytes, and configFingerprint the mode's mix.
-constexpr uint32_t kFormatVersion = 6;
+/// Version 7: the enumerator's naive re-apply mode was removed, so results
+/// dropped the phase-application counter, checkpoint frontier entries
+/// their replay path and separate phase state (the instance carries it),
+/// and configFingerprint the mode's mix.
+constexpr uint32_t kFormatVersion = 7;
 
 /// What an artifact file contains.
 enum class ArtifactKind : uint32_t {

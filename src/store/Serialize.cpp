@@ -80,8 +80,6 @@ template <class Io> void io(Io &S, FrontierEntry &E, size_t Nodes) {
   S.u32(E.Node);
   S.check(E.Node < Nodes);
   io(S, E.Instance);
-  S.seq(E.Path, [&](PhaseId &P) { io(S, P); });
-  io(S, E.State);
   S.u16(E.IncomingMask);
   S.u32(E.Parent);
   S.check(E.Parent < Nodes || E.Parent == UINT32_MAX);
@@ -120,7 +118,6 @@ template <class Io> bool io(Io &S, EnumerationResult &Res) {
   S.tag(Res.Stop, StopReason{}, StopReason::WorkerCrash);
   S.flag(Res.Cyclic);
   S.u64(Res.AttemptedPhases);
-  S.u64(Res.PhaseApplications);
   S.u32(Res.MaxActiveLength);
   S.seq(Res.Levels, [&](LevelStat &L) {
     S.u32(L.Level);

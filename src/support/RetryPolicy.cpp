@@ -40,13 +40,13 @@ uint64_t RetryPolicy::delayMs(unsigned Retry, uint64_t Salt) const {
   return Backoff + mix64(Salt * 0x100000001B3ull + Retry) % Span;
 }
 
-bool RetryPolicy::nextDelayMs(unsigned Retry, uint64_t Salt, bool HasDeadline,
+bool RetryPolicy::nextDelayMs(unsigned Retry, uint64_t Salt,
                               uint64_t RemainingMs,
                               uint64_t &DelayOut) const {
   if (!shouldRetry(Retry))
     return false;
   const uint64_t D = delayMs(Retry, Salt);
-  if (HasDeadline && D >= RemainingMs)
+  if (D >= RemainingMs)
     return false;
   DelayOut = D;
   return true;

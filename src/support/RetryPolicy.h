@@ -52,11 +52,12 @@ struct RetryPolicy {
   uint64_t delayMs(unsigned Retry, uint64_t Salt) const;
 
   /// Budget-aware delay for retry \p Retry: false when retries are
-  /// exhausted, or when \p HasDeadline and the delay would consume the
-  /// remaining \p RemainingMs (a retry that can only start after the
-  /// deadline is pointless). On success \p DelayOut is the time to sleep.
-  bool nextDelayMs(unsigned Retry, uint64_t Salt, bool HasDeadline,
-                   uint64_t RemainingMs, uint64_t &DelayOut) const;
+  /// exhausted, or when the delay would consume the remaining
+  /// \p RemainingMs (a retry that can only start after the deadline is
+  /// pointless; pass UINT64_MAX when there is no deadline). On success
+  /// \p DelayOut is the time to sleep.
+  bool nextDelayMs(unsigned Retry, uint64_t Salt, uint64_t RemainingMs,
+                   uint64_t &DelayOut) const;
 };
 
 } // namespace pose

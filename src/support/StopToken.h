@@ -59,6 +59,19 @@ private:
   std::atomic<bool> Stop{false};
 };
 
+/// The steady-clock time \p Ms milliseconds from now, saturating at
+/// time_point::max() where the sum would overflow: every millisecond
+/// count up to UINT64_MAX means "that far away", never a time in the past.
+inline std::chrono::steady_clock::time_point deadlineAfterMs(uint64_t Ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point Now = Clock::now();
+  const auto Room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - Now);
+  if (Ms >= static_cast<uint64_t>(Room.count()))
+    return Clock::time_point::max();
+  return Now + std::chrono::milliseconds(Ms);
+}
+
 /// Aggregates the three stop conditions behind one check() call. All
 /// limits are optional; a default-constructed governor never stops
 /// anything. Memory is *accounted*, not measured: callers charge() and
@@ -96,8 +109,7 @@ public:
   void setDeadline(uint64_t Ms) {
     HasDeadline = Ms != 0;
     if (HasDeadline)
-      DeadlineAt =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(Ms);
+      DeadlineAt = deadlineAfterMs(Ms);
   }
 
   /// Milliseconds left before the deadline, rounded up so that 0 means

@@ -6,6 +6,8 @@
 
 #include "src/support/Subprocess.h"
 
+#include "src/support/StopToken.h"
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -212,7 +214,7 @@ SubprocessPool::JobId SubprocessPool::spawn(const SubprocessSpec &Spec) {
   C.ErrFd = ErrPipe[0];
   C.HasDeadline = Spec.TimeoutMs != 0;
   if (C.HasDeadline)
-    C.Deadline = Clock::now() + std::chrono::milliseconds(Spec.TimeoutMs);
+    C.Deadline = deadlineAfterMs(Spec.TimeoutMs);
   Children.push_back(std::move(C));
   return Id;
 }

@@ -18,47 +18,21 @@
 #include "src/analysis/Dominators.h"
 #include "src/analysis/Liveness.h"
 #include "src/analysis/Loops.h"
-#include "src/core/DagPaths.h"
-#include "src/core/Enumerator.h"
-#include "src/opt/PhaseManager.h"
-#include "src/workloads/Workloads.h"
-#include "tests/common/Helpers.h"
+#include "tests/common/SuiteInstances.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 
 using namespace pose;
 using namespace pose::testhelpers;
 
 namespace {
 
-/// Calls \p Fn on every instance of every workload function's space,
-/// under budgets that complete the small spaces and cap the large ones.
-void forEachSuiteInstance(
-    const std::function<void(const std::string &, const Function &)> &Fn) {
-  PhaseManager PM;
-  EnumeratorConfig Cfg;
-  Cfg.MaxLevelSequences = 1'000;
-  Cfg.MaxTotalNodes = 8'000;
-  Enumerator E(PM, Cfg);
-  for (const Workload &W : allWorkloads()) {
-    Module M = compileOrDie(W.Source);
-    for (const Function &F : M.Functions) {
-      const std::string Key = std::string(W.Name) + "/" + F.Name;
-      DagPaths(E.enumerate(F))
-          .forEachInstance(F, PM, nullptr,
-                           [&](uint32_t Id, const Function &Inst) {
-                             Fn(Key + " node " + std::to_string(Id), Inst);
-                           });
-    }
-  }
-}
-
 TEST(DataflowEquations, LivenessAndLoopsOnEverySuiteInstance) {
   size_t Instances = 0, Loops = 0;
-  forEachSuiteInstance([&](const std::string &Key, const Function &F) {
+  PhaseManager PM;
+  forEachSuiteInstance(PM, [&](const std::string &Key, const Function &F) {
     ++Instances;
     const Cfg C = Cfg::build(F);
     const Liveness LV(F, C);

@@ -127,25 +127,6 @@ TEST(Enumerator, BudgetStopsSearch) {
   EXPECT_GT(R.Nodes.size(), 20u);
 }
 
-TEST(Enumerator, NaiveModeSameDagMoreWork) {
-  Module M1 = compileOrDie(SumSource);
-  Module M2 = compileOrDie(SumSource);
-  EnumerationResult Fast = enumerateFn(M1, "f");
-  EnumeratorConfig Naive;
-  Naive.NaiveReapply = true;
-  EnumerationResult Slow = enumerateFn(M2, "f", Naive);
-  // Identical space…
-  ASSERT_EQ(Fast.Nodes.size(), Slow.Nodes.size());
-  EXPECT_EQ(Fast.AttemptedPhases, Slow.AttemptedPhases);
-  for (size_t I = 0; I != Fast.Nodes.size(); ++I)
-    EXPECT_EQ(Fast.Nodes[I].Hash, Slow.Nodes[I].Hash);
-  // …at several times the optimizer invocations (Figure 6: "at least by
-  // a factor of 5 to 10" on real functions; the toy function is smaller,
-  // so merely require a strict increase).
-  EXPECT_EQ(Fast.PhaseApplications, Fast.AttemptedPhases);
-  EXPECT_GT(Slow.PhaseApplications, Slow.AttemptedPhases);
-}
-
 TEST(Enumerator, LeafInstancesPreserveSemantics) {
   // Materialize every leaf by replaying a path from the root, then check
   // behaviour differentially against the unoptimized function.

@@ -7,8 +7,8 @@
 // The enumerator's whole contract is "byte-identical for every job count":
 // node ids, edge order, every statistic, every diagnostic, the accounted
 // memory and the stop reason. This suite enforces that differentially —
-// over every workload function under enumeration budgets, in naive
-// re-apply mode, with injected verifier faults and with independence
+// over every workload function under enumeration budgets, without
+// register remapping, with injected verifier faults and with independence
 // pruning — and checks that Deadline/Cancelled stops, which discard the
 // in-flight level, still yield self-consistent partial DAGs.
 //
@@ -54,7 +54,6 @@ void expectIdentical(const EnumerationResult &A, const EnumerationResult &B,
   EXPECT_EQ(A.Stop, B.Stop) << What;
   EXPECT_EQ(A.Cyclic, B.Cyclic) << What;
   EXPECT_EQ(A.AttemptedPhases, B.AttemptedPhases) << What;
-  EXPECT_EQ(A.PhaseApplications, B.PhaseApplications) << What;
   EXPECT_EQ(A.MaxActiveLength, B.MaxActiveLength) << What;
   EXPECT_EQ(A.PredictedEdges, B.PredictedEdges) << What;
   EXPECT_EQ(A.ApproxMemoryBytes, B.ApproxMemoryBytes) << What;
@@ -126,7 +125,10 @@ uint64_t resultDigest(const EnumerationResult &R) {
   Mix(static_cast<uint64_t>(R.Stop));
   Mix(R.Cyclic);
   Mix(R.AttemptedPhases);
-  Mix(R.PhaseApplications);
+  // The results once carried a phase-application count here, equal to
+  // AttemptedPhases in every recorded run; mixing that keeps the recorded
+  // digests valid.
+  Mix(R.AttemptedPhases);
   Mix(R.MaxActiveLength);
   // The results once carried a hash-collision count here, always 0 in
   // these runs; mixing the 0 keeps the recorded digests valid.
@@ -188,9 +190,9 @@ const Golden CappedGoldens[] = {
     {"bitcount/bitcount_recursive", 0x8ae417d18560bce3ull},
     {"bitcount/bitcount_dense", 0x79b8bfe29a169ae3ull},
     {"bitcount/main", 0x8cf666b86784ca94ull},
-    {"dijkstra/build_graph", 0x28432ecf7603a7a2ull},
+    {"dijkstra/build_graph", 0x81e6422352ab1401ull},
     {"dijkstra/pick_nearest", 0x4b43bcf05cb80295ull},
-    {"dijkstra/dijkstra", 0x520ae3a1d1885ad0ull},
+    {"dijkstra/dijkstra", 0xccc29d3139289929ull},
     {"dijkstra/enqueue", 0x412e9b0bb02cbb23ull},
     {"dijkstra/dequeue", 0xad1fca3babf37d1full},
     {"dijkstra/qcount", 0x0249d118c682a52eull},
@@ -201,10 +203,10 @@ const Golden CappedGoldens[] = {
     {"fft/sin_q", 0x309274783ee488a2ull},
     {"fft/cos_q", 0xed5d845a8ee5887full},
     {"fft/load_signal", 0x88dc342380123571ull},
-    {"fft/bit_reverse", 0xcb9e8a2f8f59fa7full},
+    {"fft/bit_reverse", 0xb417e0025b428573ull},
     {"fft/fix_fft", 0x6408a030869d35d9ull},
     {"fft/isqrt", 0xa890bba5c2c705c2ull},
-    {"fft/window_signal", 0x0e32e9aade5eadb2ull},
+    {"fft/window_signal", 0xd62fb192258b071eull},
     {"fft/spectrum_checksum", 0x851f81d1ed5aa793ull},
     {"fft/main", 0xfa4f4a502cdee74cull},
     {"jpeg/rgb_ycc_setup", 0xcc30a47398b0f7afull},
@@ -212,16 +214,16 @@ const Golden CappedGoldens[] = {
     {"jpeg/fill_block", 0xb794acfc0dee2f60ull},
     {"jpeg/forward_dct_rows", 0x7d7c0b8619fa62a9ull},
     {"jpeg/forward_dct_cols", 0xe0ad2f7086a7b4d3ull},
-    {"jpeg/quantize_block", 0xbeb4d59b8b6b1d1eull},
+    {"jpeg/quantize_block", 0x2a5af608ad839b90ull},
     {"jpeg/zigzag_order", 0xc3072c35fd994bacull},
     {"jpeg/dequantize_block", 0x5e72338f433e7c14ull},
     {"jpeg/reconstruction_error", 0x06049a46bd910978ull},
     {"jpeg/emit_bits", 0x0402264af2a428eaull},
     {"jpeg/flush_bits", 0x23a5d80e67c64e5full},
-    {"jpeg/magnitude_bits", 0x7342fd4eaea864b2ull},
-    {"jpeg/encode_block", 0xc5d2cfb8970308ceull},
+    {"jpeg/magnitude_bits", 0x1b5b6cff285641adull},
+    {"jpeg/encode_block", 0xd240e98f8c8dcaf6ull},
     {"jpeg/packed_checksum", 0xefc735944c1e9df3ull},
-    {"jpeg/run_length_checksum", 0x1e7887ab676fcecaull},
+    {"jpeg/run_length_checksum", 0x60872732e5d82409ull},
     {"jpeg/main", 0x98eef2742ee19be0ull},
     {"sha/rotl", 0x421b6f6f804fde36ull},
     {"sha/sha_init", 0x390cba2d295a1567ull},
@@ -233,18 +235,18 @@ const Golden CappedGoldens[] = {
     {"stringsearch/str_len", 0x8daf93561e1176d9ull},
     {"stringsearch/bmh_init", 0xb91f5c3160fad0a1ull},
     {"stringsearch/text_len", 0xdff2a1769cdfd258ull},
-    {"stringsearch/bmh_search", 0x0f4e34a284d08fdbull},
+    {"stringsearch/bmh_search", 0x24cfe6778930098eull},
     {"stringsearch/to_lower", 0xb947092902f407c6ull},
-    {"stringsearch/naive_search", 0xdda8f08cea5d7158ull},
-    {"stringsearch/count_matches", 0xf4a5dd05f4dec462ull},
-    {"stringsearch/count_naive", 0x5e5fcbd039c45557ull},
+    {"stringsearch/naive_search", 0x634ab84f4a124617ull},
+    {"stringsearch/count_matches", 0xc52f2dab432babc7ull},
+    {"stringsearch/count_naive", 0xaf1177fd902c6319ull},
     {"stringsearch/main", 0x02abed4325286252ull},
-    {"crc32/make_crc_table", 0x4cbe8b20183cd3b5ull},
-    {"crc32/crc_bitwise", 0x2fa3b05fb077f5a8ull},
+    {"crc32/make_crc_table", 0xa9a4bbf244b4a39cull},
+    {"crc32/crc_bitwise", 0x625526b16766504bull},
     {"crc32/crc_byte", 0x05c37d1e62497c2full},
     {"crc32/crc_nibble", 0x06c604036c74c7d7ull},
     {"crc32/fill_stream", 0xf0a0904c468b02e5ull},
-    {"crc32/crc_of_stream", 0xb2acf4f45270db4eull},
+    {"crc32/crc_of_stream", 0x54b56b0e31fa2dedull},
     {"crc32/main", 0xccd278f8eb196cbdull},
 };
 
@@ -331,24 +333,6 @@ TEST(ParallelEnumerator, CompleteSpaceIdenticalAndComplete) {
   }
 }
 
-TEST(ParallelEnumerator, NaiveReapplyIdentical) {
-  // Naive mode replays phase prefixes instead of storing instances, so
-  // PhaseApplications > AttemptedPhases — and both counters, plus the
-  // path-based memory accounting, must agree across job counts.
-  Module M = compileOrDie(SumSource);
-  Function &F = functionNamed(M, "f");
-  EnumeratorConfig Cfg;
-  Cfg.NaiveReapply = true;
-  EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
-  ASSERT_EQ(Seq.Stop, StopReason::Complete);
-  EXPECT_GT(Seq.PhaseApplications, Seq.AttemptedPhases);
-  EXPECT_EQ(resultDigest(Seq), 0xf02cbcbcef5276b7ull);
-  for (unsigned Jobs : {2u, 4u}) {
-    EnumerationResult Par = enumerateWithJobs(F, Cfg, Jobs);
-    expectIdentical(Seq, Par, "naive jobs=" + std::to_string(Jobs));
-  }
-}
-
 TEST(ParallelEnumerator, NoRegisterRemappingIdentical) {
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
@@ -411,7 +395,7 @@ TEST(ParallelEnumerator, MemoryBudgetStopIdentical) {
   Cfg.MaxMemoryBytes = 50'000;
   EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
   EXPECT_EQ(Seq.Stop, StopReason::MemoryBudget);
-  EXPECT_EQ(resultDigest(Seq), 0x19935a9b1552234eull);
+  EXPECT_EQ(resultDigest(Seq), 0x7c855be063dc9296ull);
   EnumerationResult Par = enumerateWithJobs(F, Cfg, 4);
   expectIdentical(Seq, Par, "memory budget");
 }

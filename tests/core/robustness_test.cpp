@@ -159,8 +159,7 @@ TEST(Robustness, SharedFrontierBytesChargedOnce) {
   std::set<const void *> SeenBlocks, SeenSlots;
   for (const FrontierEntry &En : Cp.Frontier) {
     uint64_t Fixed = sizeof(FrontierEntry) + sizeof(Function) +
-                     En.Instance.Blocks.size() * sizeof(void *) +
-                     En.Path.size() * sizeof(PhaseId);
+                     En.Instance.Blocks.size() * sizeof(void *);
     Full += Fixed;
     Identity += Fixed;
     uint64_t SlotBytes = En.Instance.Slots.size() * sizeof(StackSlot);

@@ -91,19 +91,10 @@ TEST_F(SearchTest, DedupSavesEvaluations) {
   SearchConfig With;
   With.Seed = 7;
   With.MaxEvaluations = 200;
-  SearchConfig Without = With;
-  Without.DedupWithHashes = false;
   SearchResult RWith = S.randomSearch(Root, Objective::CodeSize, With);
-  SearchResult RWithout =
-      S.randomSearch(Root, Objective::CodeSize, Without);
   // Reference [14]: many attempted sequences map to the same instance;
   // hashing detects them and avoids redundant evaluations.
   EXPECT_GT(RWith.CacheHits, 0u);
-  EXPECT_EQ(RWithout.CacheHits, 0u);
-  // Cache hits do not consume the distinct-evaluation budget, so with
-  // dedup the same budget covers a superset of the sampled sequences:
-  // never a worse result.
-  EXPECT_LE(RWith.BestFitness, RWithout.BestFitness);
 }
 
 TEST_F(SearchTest, DynamicCountObjective) {

@@ -341,6 +341,49 @@ TEST(Supervisor, SweepDeadlineBoundsTheWorkerInFlightAndTheJobsAfterIt) {
       << G->Detail;
 }
 
+TEST(Supervisor, SweepDeadlineKillIsNotQuarantined) {
+  // A worker killed because the sweep ran out of time never had a fair
+  // run: the job degrades as a Deadline stop, writes no quarantine
+  // record, and the next sweep without a deadline runs it normally.
+  const std::string Input = sourceFile("deadline-noq");
+  Module M = compileOrDie(SweepSource);
+  PhaseManager PM;
+  SupervisorOptions O = baseOptions(Input, freshDir("deadline-noq"));
+  O.PosecPath = ::testing::TempDir() + "pose-drive-sleep-noq.sh";
+  {
+    std::ofstream Script(O.PosecPath, std::ios::trunc);
+    Script << "#!/bin/sh\nsleep 60\n";
+  }
+  std::filesystem::permissions(O.PosecPath,
+                               std::filesystem::perms::owner_all);
+  O.SweepDeadlineMs = 500;
+
+  SweepReport R = superviseModule(PM, M, O);
+  const JobOutcome *F = jobNamed(R, "f");
+  ASSERT_NE(F, nullptr);
+  EXPECT_EQ(F->Status, JobStatus::Degraded) << F->Detail;
+  EXPECT_EQ(F->Stop, StopReason::Deadline) << F->Detail;
+  EXPECT_FALSE(F->NewlyQuarantined) << F->Detail;
+  EXPECT_EQ(R.exitCode(), ExitCode::Deadline);
+
+  store::ArtifactStore Store(O.StoreDir);
+  const HashTriple Root =
+      canonicalize(functionNamed(M, "f"), false, true).Hash;
+  EnumeratorConfig KeyCfg;
+  KeyCfg.MaxLevelSequences = O.Budget;
+  store::QuarantineRecord Q;
+  std::string Err;
+  EXPECT_EQ(Store.loadQuarantine(Root, store::configFingerprint(KeyCfg), Q,
+                                 Err),
+            store::LoadStatus::Miss)
+      << Err;
+
+  SweepReport Again = superviseModule(PM, M, baseOptions(Input, O.StoreDir));
+  const JobOutcome *F2 = jobNamed(Again, "f");
+  ASSERT_NE(F2, nullptr);
+  EXPECT_EQ(F2->Status, JobStatus::Ok) << F2->Detail;
+}
+
 TEST(Supervisor, HangingWorkerIsKilledAndClassifiedAsTimeout) {
   const std::string Input = sourceFile("hang");
   Module M = compileOrDie(SweepSource);

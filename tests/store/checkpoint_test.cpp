@@ -178,24 +178,6 @@ TEST(CheckpointResume, BudgetCappedWorkloadReachesTheSameVerdict) {
   expectByteIdentical(Clean, Resumed, "node-capped f");
 }
 
-TEST(CheckpointResume, NaiveReapplyModeSurvivesResume) {
-  // Naive mode stores paths, not instances: the checkpointed frontier
-  // must replay prefixes identically, including the PhaseApplications
-  // count that distinguishes naive from prefix-sharing mode.
-  Module M = compileOrDie(SumSource);
-  Function &F = functionNamed(M, "f");
-  EnumeratorConfig Cfg;
-  Cfg.NaiveReapply = true;
-  EnumerationResult Clean = cleanRun(F, Cfg, 1);
-  ASSERT_GT(Clean.PhaseApplications, Clean.AttemptedPhases);
-
-  int Interruptions = 0;
-  EnumerationResult Resumed =
-      resumeLadder(F, Cfg, 10'000, 10'000, 1, {1}, Interruptions);
-  ASSERT_GE(Interruptions, 1);
-  expectByteIdentical(Clean, Resumed, "naive ladder");
-}
-
 TEST(CheckpointResume, InjectedFaultCoordinatesSurviveResume) {
   // Fault applications are numbered in frontier order across the whole
   // run; the checkpoint carries the counters so an injection scheduled

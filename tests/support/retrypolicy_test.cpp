@@ -58,7 +58,7 @@ TEST(RetryPolicy, RetriesAreBounded) {
   EXPECT_TRUE(P.shouldRetry(2));
   EXPECT_FALSE(P.shouldRetry(3)); // 3 failures = 3 attempts = budget spent.
   uint64_t Delay = 0;
-  EXPECT_FALSE(P.nextDelayMs(3, 0, false, 0, Delay));
+  EXPECT_FALSE(P.nextDelayMs(3, 0, UINT64_MAX, Delay));
 }
 
 TEST(RetryPolicy, DeadlineAwareRefusal) {
@@ -67,20 +67,20 @@ TEST(RetryPolicy, DeadlineAwareRefusal) {
   P.JitterPct = 0;
   uint64_t Delay = 0;
   // Plenty of budget: retry allowed.
-  EXPECT_TRUE(P.nextDelayMs(1, 0, true, 1'000, Delay));
+  EXPECT_TRUE(P.nextDelayMs(1, 0, 1'000, Delay));
   EXPECT_EQ(Delay, 100u);
   // The backoff would eat the whole remaining budget: refused.
-  EXPECT_FALSE(P.nextDelayMs(1, 0, true, 100, Delay));
-  EXPECT_FALSE(P.nextDelayMs(1, 0, true, 50, Delay));
+  EXPECT_FALSE(P.nextDelayMs(1, 0, 100, Delay));
+  EXPECT_FALSE(P.nextDelayMs(1, 0, 50, Delay));
   // No deadline: always allowed while retries remain.
-  EXPECT_TRUE(P.nextDelayMs(1, 0, false, 0, Delay));
+  EXPECT_TRUE(P.nextDelayMs(1, 0, UINT64_MAX, Delay));
 }
 
 TEST(RetryPolicy, ZeroBaseDelayMeansImmediateRetry) {
   RetryPolicy P;
   P.BaseDelayMs = 0;
   uint64_t Delay = 99;
-  EXPECT_TRUE(P.nextDelayMs(1, 7, true, 1, Delay));
+  EXPECT_TRUE(P.nextDelayMs(1, 7, 1, Delay));
   EXPECT_EQ(Delay, 0u);
 }
 

@@ -68,6 +68,21 @@ TEST(ResourceGovernor, RemainingMsCountsDownToTheDeadline) {
   EXPECT_EQ(Gov.remainingMs(), UINT64_MAX);
 }
 
+TEST(ResourceGovernor, HugeDeadlinesSaturateInsteadOfWrapping) {
+  // Each is a valid --deadline-ms value. Added to the clock unchecked,
+  // the first two overflow its 64-bit nanosecond count and 2^64-1 even
+  // wraps to -1 ms: a deadline in the past that fires at once.
+  for (uint64_t Ms : {uint64_t{9'223'372'036'854}, uint64_t{1} << 63,
+                      UINT64_MAX}) {
+    ResourceGovernor Gov;
+    Gov.setDeadline(Ms);
+    EXPECT_EQ(Gov.check(), StopReason::Complete) << Ms;
+    EXPECT_GT(Gov.remainingMs(), uint64_t{1} << 40) << Ms;
+  }
+  EXPECT_EQ(deadlineAfterMs(UINT64_MAX),
+            std::chrono::steady_clock::time_point::max());
+}
+
 TEST(ResourceGovernor, MemoryAccounting) {
   ResourceGovernor Gov;
   Gov.setMemoryBudget(100);

@@ -145,6 +145,20 @@ TEST(SubprocessPool, RunsChildrenConcurrently) {
             700);
 }
 
+TEST(SubprocessPool, HugeKillTimerNeverFires) {
+  // --worker-timeout-ms accepts up to 2^64-1; that timer must mean "far
+  // away", not wrap into the past and kill the child at once.
+  SubprocessPool Pool;
+  SubprocessSpec Spec;
+  Spec.Argv = {"/bin/true"};
+  Spec.TimeoutMs = UINT64_MAX;
+  Pool.spawn(Spec);
+  auto All = drainPool(Pool, 1);
+  ASSERT_EQ(All.size(), 1u);
+  EXPECT_EQ(All[0].second.Kind, ExitKind::Exited);
+  EXPECT_EQ(All[0].second.ExitCode, 0);
+}
+
 TEST(SubprocessPool, FastChildIsDeliveredBeforeSlowSibling) {
   SubprocessPool Pool;
   Pool.spawn(shSpec("sleep 0.6"));

@@ -160,7 +160,9 @@ std::vector<Flag> posecFlags(Options &O) {
       uintFlag("--deadline-ms", O.DeadlineMs, 0, UINT64_MAX,
                "wall-clock limit for optimization and enumeration (0 = "
                "unlimited)"),
-      uintFlag("--max-memory-mb", O.MaxMemoryMb, 0, UINT64_MAX,
+      // MiB values are capped where their byte count still fits in 64
+      // bits: a larger one would wrap, 2^44 to 0 = unlimited.
+      uintFlag("--max-memory-mb", O.MaxMemoryMb, 0, UINT64_MAX >> 20,
                "approximate memory budget for enumeration (0 = unlimited)"),
       switchFlag("--verify-ir", O.VerifyIr,
                  "verify the IR after every phase; failures roll back and "
@@ -226,7 +228,7 @@ std::vector<Flag> posecFlags(Options &O) {
       uintFlag("--worker-timeout-ms", O.WorkerTimeoutMs, 1, UINT64_MAX,
                "SIGKILL a worker still running after N ms (default 60000)")
           .needs({"--supervise"}),
-      uintFlag("--worker-rlimit-mb", O.WorkerRlimitMb, 0, UINT64_MAX,
+      uintFlag("--worker-rlimit-mb", O.WorkerRlimitMb, 0, UINT64_MAX >> 20,
                "RLIMIT_AS cap per worker process (0 = none)")
           .needs({"--supervise"}),
       uintFlag("--max-retries", O.MaxRetries, 0, UINT64_MAX,

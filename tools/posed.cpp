@@ -79,7 +79,8 @@ int main(int Argc, char **Argv) {
       uintFlag("--request-timeout-ms", O.RequestTimeoutMs, 0, UINT64_MAX,
                "admission deadline and child kill timer (default 300000; 0 "
                "= none)"),
-      uintFlag("--rlimit-mb", O.WorkerRlimitMb, 0, UINT64_MAX,
+      // Capped where the byte count still fits in 64 bits.
+      uintFlag("--rlimit-mb", O.WorkerRlimitMb, 0, UINT64_MAX >> 20,
                "RLIMIT_AS per child in MiB (default 0)"),
       uintFlag("--cache-entries", O.CacheEntries, 0, UINT64_MAX,
                "completed-response cache size (default 256)"),
