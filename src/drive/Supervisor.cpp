@@ -40,10 +40,17 @@ EnumeratorConfig keyingConfig(const SupervisorOptions &O) {
   return Cfg;
 }
 
-/// The command line of attempt \p Attempt (1-based) of \p Func's job.
+/// How long after a worker's own --deadline-ms its kill timer fires: the
+/// time the worker has to stop at a level barrier, write its checkpoint
+/// and exit. A sweep's last worker can outlast the sweep deadline by this
+/// much.
+constexpr uint64_t DeadlineGraceMs = 500;
+
+/// The command line of attempt \p Attempt (1-based) of \p Func's job;
+/// \p DeadlineMs nonzero becomes the worker's own --deadline-ms.
 std::vector<std::string> workerArgv(const SupervisorOptions &O,
                                     const std::string &Func,
-                                    unsigned Attempt) {
+                                    unsigned Attempt, uint64_t DeadlineMs) {
   std::vector<std::string> Argv = {
       O.PosecPath,
       O.InputPath.empty() ? "--workload=" + O.Workload : O.InputPath,
@@ -54,6 +61,8 @@ std::vector<std::string> workerArgv(const SupervisorOptions &O,
       "--budget=" + u64Str(O.Budget),
       "--jobs=" + u64Str(O.Jobs),
   };
+  if (DeadlineMs != 0)
+    Argv.push_back("--deadline-ms=" + u64Str(DeadlineMs));
   if (O.MaxMemoryMb != 0)
     Argv.push_back("--max-memory-mb=" + u64Str(O.MaxMemoryMb));
   if (O.VerifyIr)
@@ -292,6 +301,9 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
     size_t PrevSameRoot = SIZE_MAX;
     unsigned Attempt = 0;
     uint64_t SpawnTimeoutMs = 0; ///< Kill timer of the in-flight attempt.
+    /// The in-flight attempt runs under the sweep's deadline, not the
+    /// per-worker timeout: its kill timer firing is the sweep's deadline.
+    bool SweepTimer = false;
     std::chrono::steady_clock::time_point ReadyAt{}; ///< Valid: Waiting.
     JobOutcome J;
   };
@@ -390,11 +402,8 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
   auto onResult = [&](size_t Idx, const SubprocessResult &R) {
     JobState &S = Jobs[Idx];
     JobOutcome &J = S.J;
-    // The sweep deadline only ever shortens the kill timer.
-    AttemptOutcome Last =
-        classifyAttempt(R, S.SpawnTimeoutMs,
-                        S.SpawnTimeoutMs != Opts.WorkerTimeoutMs, Store,
-                        S.Root, Fp);
+    AttemptOutcome Last = classifyAttempt(R, S.SpawnTimeoutMs, S.SweepTimer,
+                                          Store, S.Root, Fp);
 
     if (Last.Class == AttemptClass::Done) {
       J.Status = JobStatus::Ok;
@@ -497,11 +506,20 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
         continue;
       }
       ++S.Attempt;
+      // Where the sweep's deadline comes before the per-worker timeout,
+      // the worker gets the time left as its own --deadline-ms: it stops
+      // at a level barrier, saves its checkpoint and exits 4, and the job
+      // degrades to that partial DAG. The kill timer stays as the
+      // backstop, DeadlineGraceMs later (never past the worker timeout).
+      S.SweepTimer = HasDeadline && (Opts.WorkerTimeoutMs == 0 ||
+                                     Opts.WorkerTimeoutMs > LeftMs);
       SubprocessSpec Spec;
-      Spec.Argv = workerArgv(Opts, S.J.Func, S.Attempt);
+      Spec.Argv =
+          workerArgv(Opts, S.J.Func, S.Attempt, S.SweepTimer ? LeftMs : 0);
       Spec.TimeoutMs = Opts.WorkerTimeoutMs;
-      if (HasDeadline && (Spec.TimeoutMs == 0 || Spec.TimeoutMs > LeftMs))
-        Spec.TimeoutMs = LeftMs;
+      if (S.SweepTimer && (Spec.TimeoutMs == 0 ||
+                           Spec.TimeoutMs > LeftMs + DeadlineGraceMs))
+        Spec.TimeoutMs = LeftMs + DeadlineGraceMs;
       Spec.MemoryLimitBytes = Opts.WorkerRlimitMb * 1024 * 1024;
       S.SpawnTimeoutMs = Spec.TimeoutMs;
       InFlight[Pool.spawn(Spec)] = I;

@@ -28,10 +28,15 @@
 ///    batch compilation — the job is reported Degraded and the sweep
 ///    carries on.
 ///
-/// A sweep deadline (SweepDeadlineMs) shortens each worker's kill timer
-/// to the time left. When such a shortened timer fires, the sweep ran out
-/// of time; the worker did not hang. The job then degrades at once as a
-/// \ref StopReason::Deadline stop, with no retry and no quarantine record.
+/// A sweep deadline (SweepDeadlineMs) that comes before the per-worker
+/// timeout reaches the worker as its own --deadline-ms, the time left:
+/// the worker stops at a level barrier, saves its checkpoint and exits 4,
+/// and the job degrades to that partial DAG, which a later sweep resumes.
+/// The worker's kill timer is shortened to the time left plus a grace for
+/// that checkpoint write. When such a shortened timer fires,
+/// the sweep ran out of time; the worker did not hang. The job then
+/// degrades at once as a \ref StopReason::Deadline stop, with no retry
+/// and no quarantine record.
 ///
 /// A worker reports through its documented exit code
 /// (src/drive/ExitCodes.h) and the artifact store, which both sides key
@@ -128,7 +133,10 @@ struct SupervisorOptions {
   // Supervision policy.
   uint64_t WorkerTimeoutMs = 60'000; ///< Wall-clock kill timer per spawn.
   uint64_t WorkerRlimitMb = 0;       ///< RLIMIT_AS cap per worker (0 = off).
-  uint64_t SweepDeadlineMs = 0;      ///< Whole-sweep budget (0 = none).
+  /// Whole-sweep budget (0 = none). The sweep can end up to 500 ms past
+  /// it, the grace a worker cut short by it gets to write its checkpoint,
+  /// plus the in-process fallback of the jobs it left unfinished.
+  uint64_t SweepDeadlineMs = 0;
   RetryPolicy Retry;                 ///< Backoff schedule between attempts.
   /// Maximum worker processes in flight at once (--sweep-jobs); clamped
   /// to at least 1. Execution-only: the report, stored artifacts, and

@@ -26,6 +26,10 @@
 #include "src/machine/Target.h"
 #include "src/opt/Phases.h"
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 using namespace pose;
 
 namespace {
@@ -103,9 +107,10 @@ bool tryCombine(Function &F, const Liveness &LV, size_t BI, size_t P,
   B.Insts[Q].forEachUsedReg([&](RegNum R) { ConsumerUsesD |= (R == D); });
   if (!ConsumerUsesD)
     return false;
-  // By value: the rewrite below may give the block a new body.
-  const Rtl A = B.Insts[P];
-  const Rtl Use = B.Insts[Q];
+  // Read only before the rewrite below, which may give the block a new
+  // body: everything a rewrite needs is copied into New first.
+  const Rtl &A = B.Insts[P];
+  const Rtl &Use = B.Insts[Q];
   if (!regionAllowsCombine(B, P, Q, A))
     return false;
   // The combined instruction replaces both; d must die with the pair.
@@ -138,11 +143,11 @@ bool tryCombine(Function &F, const Liveness &LV, size_t BI, size_t P,
     Rtl New = A;
     New.Dst = Operand::reg(X);
     std::vector<Rtl> &MI = F.Blocks.mut(BI).Insts;
-    if (A.Opcode == Op::Call) {
-      MI[P] = New;
+    if (New.Opcode == Op::Call) {
+      MI[P] = std::move(New);
       MI.erase(MI.begin() + static_cast<long>(Q));
     } else {
-      MI[Q] = New;
+      MI[Q] = std::move(New);
       MI.erase(MI.begin() + static_cast<long>(P));
     }
     return true;
@@ -152,7 +157,7 @@ bool tryCombine(Function &F, const Liveness &LV, size_t BI, size_t P,
   if (A.hasSideEffects() || A.Opcode == Op::Call)
     return false;
 
-  Rtl New = Use;
+  Rtl New;
   if (A.Opcode == Op::Mov) {
     // Shapes 1 and 2: forward an immediate or another register.
     New = substitute(Use, D, A.Src[0]);
@@ -169,6 +174,7 @@ bool tryCombine(Function &F, const Liveness &LV, size_t BI, size_t P,
       DElsewhere = true;
     if (DElsewhere)
       return false;
+    New = Use;
     New.Src[0] = A.Src[0];
   } else {
     return false; // No other producer shapes combine.
@@ -177,9 +183,95 @@ bool tryCombine(Function &F, const Liveness &LV, size_t BI, size_t P,
   if (!target::isLegal(New))
     return false;
   std::vector<Rtl> &MI = F.Blocks.mut(BI).Insts;
-  MI[Q] = New;
+  MI[Q] = std::move(New);
   MI.erase(MI.begin() + static_cast<long>(P));
   return true;
+}
+
+/// Registers whose mentions one combine can change: those its producer
+/// and consumer read or write. The rewritten instruction mentions only
+/// registers of the two it replaces. Up to eight are kept; a larger set,
+/// such as a call with many arguments, reads as unbounded.
+class TouchedRegs {
+public:
+  TouchedRegs(const Rtl &A, const Rtl &Use) {
+    add(A);
+    add(Use);
+  }
+  bool bounded() const { return !Overflow; }
+  bool contains(RegNum R) const {
+    for (unsigned K = 0; K != N; ++K)
+      if (Regs[K] == R)
+        return true;
+    return false;
+  }
+
+private:
+  static constexpr unsigned Capacity = 8;
+  RegNum Regs[Capacity] = {};
+  unsigned N = 0;
+  bool Overflow = false;
+
+  void add(const Rtl &I) {
+    if (I.definesReg())
+      push(I.Dst.getReg());
+    I.forEachUsedReg([&](RegNum R) { push(R); });
+  }
+  void push(RegNum R) {
+    if (contains(R))
+      return;
+    if (N == Capacity)
+      Overflow = true;
+    else
+      Regs[N++] = R;
+  }
+};
+
+/// Consumer[] value of a position without a consumer.
+constexpr uint32_t NoConsumer = UINT32_MAX;
+
+/// The consumer of the instruction at \p P: the first later instruction
+/// that uses its destination register before any redefinition. Only that
+/// one can combine with it, since for any later use regionAllowsCombine
+/// meets this one in between and refuses. NoConsumer when the instruction
+/// defines no register or its destination has no such use.
+uint32_t consumerOf(const std::vector<Rtl> &Insts, size_t P) {
+  if (!Insts[P].definesReg())
+    return NoConsumer;
+  const RegNum D = Insts[P].Dst.getReg();
+  for (size_t Q = P + 1; Q < Insts.size(); ++Q) {
+    bool Uses = false;
+    Insts[Q].forEachUsedReg([&](RegNum R) { Uses |= (R == D); });
+    if (Uses)
+      return static_cast<uint32_t>(Q);
+    if (Insts[Q].definesReg() && Insts[Q].Dst.getReg() == D)
+      return NoConsumer;
+  }
+  return NoConsumer;
+}
+
+/// Where the scan of a block resumes after a combine at producer \p P that
+/// touched the registers \p T. Every producer before P failed, and its
+/// outcome depends only on the instructions from it to its consumer, on
+/// the later mentions of its destination (usedBeyond) and on the block's
+/// live-out set, which no combine changes. The combine rewrote only
+/// positions from P on, so an earlier producer can now succeed only if
+/// its consumer lies at or after P, or its destination is in \p T. A
+/// producer without a consumer stays without one unless its destination
+/// is in \p T.
+size_t resumePoint(const std::vector<Rtl> &Insts,
+                   const std::vector<uint32_t> &Consumer, size_t P,
+                   const TouchedRegs &T) {
+  if (!T.bounded())
+    return 0;
+  for (size_t K = 0; K != P; ++K) {
+    if (!Insts[K].definesReg())
+      continue;
+    if ((Consumer[K] != NoConsumer && Consumer[K] >= P) ||
+        T.contains(Insts[K].Dst.getReg()))
+      return K;
+  }
+  return P;
 }
 
 } // namespace
@@ -192,28 +284,27 @@ bool InstructionSelectionPhase::apply(Function &F) const {
   const Cfg C = Cfg::build(F);
   const Liveness LV(F, C);
   bool Changed = false;
+  std::vector<uint32_t> Consumer; // Consumer[K] = consumerOf(block, K).
   for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
-    // After a combine, rescan this block from its top: earlier blocks are
-    // unchanged and still hold no combine.
-    for (bool Progress = true; Progress;) {
-      Progress = false;
-      const BasicBlock &B = F.Blocks[BI];
-      // A combine may give the block a new body (copy-on-write), so B is
-      // not read again once one succeeds.
-      for (size_t P = 0; !Progress && P < B.Insts.size(); ++P) {
-        if (!B.Insts[P].definesReg())
-          continue;
-        for (size_t Q = P + 1; Q < B.Insts.size(); ++Q) {
-          if (tryCombine(F, LV, BI, P, Q)) {
-            Progress = true;
-            Changed = true;
-            break;
-          }
-          // Stop extending the window once d is redefined.
-          if (B.Insts[Q].definesReg() &&
-              B.Insts[Q].Dst.getReg() == B.Insts[P].Dst.getReg())
-            break;
-        }
+    // Earlier blocks are unchanged and still hold no combine. Within this
+    // block the scan makes the combines a rescan from the top after each
+    // one would make, in the same order: every producer before P fails.
+    Consumer.resize(F.Blocks[BI].Insts.size());
+    for (size_t P = 0; P < F.Blocks[BI].Insts.size();) {
+      // A combine may give the block a new body (copy-on-write), so the
+      // instructions are looked up again after one.
+      const std::vector<Rtl> &Insts = F.Blocks[BI].Insts;
+      const uint32_t Q = Consumer[P] = consumerOf(Insts, P);
+      if (Q == NoConsumer) {
+        ++P;
+        continue;
+      }
+      const TouchedRegs T(Insts[P], Insts[Q]);
+      if (tryCombine(F, LV, BI, P, Q)) {
+        Changed = true;
+        P = resumePoint(F.Blocks[BI].Insts, Consumer, P, T);
+      } else {
+        ++P;
       }
     }
   }

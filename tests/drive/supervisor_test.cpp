@@ -384,6 +384,116 @@ TEST(Supervisor, SweepDeadlineKillIsNotQuarantined) {
   EXPECT_EQ(F2->Status, JobStatus::Ok) << F2->Detail;
 }
 
+/// Writes a fake worker that appends its command line to \p Log and exits
+/// 1, and returns its path.
+std::string recordingWorker(const char *Name, const std::string &Log) {
+  const std::string Path =
+      ::testing::TempDir() + "pose-drive-" + Name + ".sh";
+  {
+    std::ofstream Script(Path, std::ios::trunc);
+    Script << "#!/bin/sh\necho \"$@\" >> '" << Log << "'\nexit 1\n";
+  }
+  std::filesystem::permissions(Path, std::filesystem::perms::owner_all);
+  return Path;
+}
+
+std::vector<std::string> readLines(const std::string &Path) {
+  std::vector<std::string> Lines;
+  std::ifstream In(Path);
+  for (std::string L; std::getline(In, L);)
+    Lines.push_back(L);
+  return Lines;
+}
+
+TEST(Supervisor, SweepDeadlineReachesTheWorkerAsItsOwnDeadline) {
+  // Where the sweep's deadline comes before the per-worker timeout, each
+  // worker gets the time left as its own --deadline-ms, so it can stop at
+  // a level barrier and save a checkpoint rather than be killed.
+  const std::string Input = sourceFile("deadline-argv");
+  Module M = compileOrDie(SweepSource);
+  PhaseManager PM;
+  const std::string Log =
+      ::testing::TempDir() + "pose-drive-deadline-argv.log";
+  std::filesystem::remove(Log);
+  SupervisorOptions O = baseOptions(Input, freshDir("deadline-argv"));
+  O.PosecPath = recordingWorker("deadline-argv", Log);
+  O.Retry.MaxRetries = 0;
+  O.SweepDeadlineMs = 20'000;
+  superviseModule(PM, M, O);
+  std::vector<std::string> Lines = readLines(Log);
+  ASSERT_EQ(Lines.size(), 2u); // f and g, one attempt each.
+  for (const std::string &L : Lines) {
+    const size_t At = L.find("--deadline-ms=");
+    ASSERT_NE(At, std::string::npos) << L;
+    const uint64_t N = std::stoull(L.substr(At + 14));
+    EXPECT_GT(N, 0u) << L;
+    EXPECT_LE(N, O.SweepDeadlineMs) << L;
+  }
+
+  // A per-worker timeout shorter than the time left binds instead: the
+  // worker gets no deadline of its own.
+  std::filesystem::remove(Log);
+  O.StoreDir = freshDir("deadline-argv-timer");
+  O.WorkerTimeoutMs = 10'000;
+  superviseModule(PM, M, O);
+  Lines = readLines(Log);
+  ASSERT_EQ(Lines.size(), 2u);
+  for (const std::string &L : Lines)
+    EXPECT_EQ(L.find("--deadline-ms"), std::string::npos) << L;
+}
+
+// One function whose space takes far longer to enumerate than the sweep
+// deadline below: 1643 nodes under these options, about 0.1 s in a
+// release build.
+const char *BigSource =
+    "int crc_table[256];int nibble_table[16];"
+    "void make_crc_table(){int n;for(n=0;n<256;n=n+1){int c=n;int k;"
+    "for(k=0;k<8;k=k+1){if(c&1)c=0xEDB88320^(c>>>1);else c=c>>>1;}"
+    "crc_table[n]=c;}for(n=0;n<16;n=n+1)nibble_table[n]=crc_table[n*16];}";
+
+TEST(Supervisor, SweepDeadlineKeepsThePartialDagForTheNextSweep) {
+  // The real worker cut short by the sweep's deadline saves a checkpoint,
+  // so the job degrades to that partial DAG instead of a batch compile,
+  // and the next sweep, without a deadline, resumes it to the full space.
+  const std::string Input = ::testing::TempDir() + "pose-drive-big.mc";
+  {
+    std::ofstream Out(Input, std::ios::trunc);
+    Out << BigSource;
+  }
+  Module M = compileOrDie(BigSource);
+  const Function &F = functionNamed(M, "make_crc_table");
+  PhaseManager PM;
+  SupervisorOptions O = baseOptions(Input, freshDir("deadline-partial"));
+  O.SweepDeadlineMs = 25;
+  SweepReport R = superviseModule(PM, M, O);
+  const JobOutcome *J = jobNamed(R, "make_crc_table");
+  ASSERT_NE(J, nullptr);
+  EXPECT_EQ(J->Status, JobStatus::Degraded) << J->Detail;
+  EXPECT_EQ(J->Stop, StopReason::Deadline) << J->Detail;
+  EXPECT_FALSE(J->NewlyQuarantined) << J->Detail;
+  EXPECT_NE(J->Detail.find("partial DAG from checkpoint"), std::string::npos)
+      << J->Detail;
+
+  EnumeratorConfig Cfg;
+  Cfg.MaxLevelSequences = O.Budget;
+  const EnumerationResult Whole = Enumerator(PM, Cfg).enumerate(F);
+  EXPECT_LT(J->Nodes, Whole.Nodes.size());
+  store::ArtifactStore Store(O.StoreDir);
+  EnumerationCheckpoint C;
+  std::string Err;
+  ASSERT_EQ(Store.loadCheckpoint(canonicalize(F, false, true).Hash,
+                                 store::configFingerprint(Cfg), C, Err),
+            store::LoadStatus::Hit)
+      << Err;
+
+  SweepReport Again = superviseModule(PM, M, baseOptions(Input, O.StoreDir));
+  const JobOutcome *J2 = jobNamed(Again, "make_crc_table");
+  ASSERT_NE(J2, nullptr);
+  EXPECT_EQ(J2->Status, JobStatus::Ok) << J2->Detail;
+  EXPECT_EQ(J2->Stop, Whole.Stop) << J2->Detail;
+  EXPECT_EQ(J2->Nodes, Whole.Nodes.size()) << J2->Detail;
+}
+
 TEST(Supervisor, HangingWorkerIsKilledAndClassifiedAsTimeout) {
   const std::string Input = sourceFile("hang");
   Module M = compileOrDie(SweepSource);
