@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -137,19 +136,14 @@ uint32_t longestPathLength(const EnumerationResult &R) {
 // is a pool with no workers: every entry expands inline on the calling
 // thread and commits right after its expansion.
 //
-// Three details need care:
+// Every phase application happens in an entry's expansion; the commit
+// only merges the buffered results and applies no phase. Two details
+// need care:
 //  * FaultPlan coordinates ("fail the Nth application of P") must not
 //    depend on which worker wins a race. Attempts are predictable from
 //    pre-level state (legal && !incoming), so per-entry application
 //    numbers are precomputed as prefix sums over the frontier and passed
 //    to PhaseGuard::attemptNth.
-//  * Independence pruning predicts an edge from edges committed earlier
-//    in the *same* level, which a worker cannot rely on seeing. Workers
-//    skip every trained-pair attempt and leave it to the commit, which
-//    resolves it in frontier and phase order — when exactly the edges a
-//    prediction reads are committed — and runs the attempt itself only
-//    when the prediction misses. A deferred attempt keeps its
-//    precomputed ordinal whether it is predicted or run.
 //  * Deadline/Cancelled stops are polled per node (the whole point of
 //    stopping promptly); when one fires the in-flight level is discarded
 //    entirely, committed entries included, leaving the self-consistent
@@ -173,14 +167,12 @@ struct ActiveResult {
 struct TaskResult {
   uint16_t DormantBits = 0;
   uint16_t AttemptedBits = 0;
-  /// Trained-pair attempts left to the commit (independence pruning).
-  uint16_t DeferredBits = 0;
   uint64_t Attempted = 0;
   std::vector<ActiveResult> Active;
   std::vector<PhaseDiagnostic> Diags;
 
   void reset() {
-    DormantBits = AttemptedBits = DeferredBits = 0;
+    DormantBits = AttemptedBits = 0;
     Attempted = 0;
     Active.clear();
     Diags.clear();
@@ -188,8 +180,7 @@ struct TaskResult {
 };
 
 /// The calling thread's canonicalization scratch: every attempt a thread
-/// runs, expanding or committing, reuses the same remap arrays and byte
-/// buffer.
+/// runs reuses the same remap arrays and byte buffer.
 CanonicalScratch &threadScratch() {
   static thread_local CanonicalScratch Scratch;
   return Scratch;
@@ -311,49 +302,10 @@ EnumerationResult Enumerator::run(const Function &Root,
     R.Levels.push_back(L0);
   }
 
-  // One guarded attempt of phase \p PI with application ordinal \p Nth,
-  // recorded in \p T. \p Work is the caller's reusable working copy; it
-  // starts from \p From, a frontier entry's instance or its
-  // register-assigned copy. Workers run these; so does the commit, for a
-  // deferred attempt whose prediction missed.
-  auto Attempt = [&](const Function &From, int PI, uint64_t Nth,
-                     PhaseGuard &Guard, Function &Work, TaskResult &T) {
-    const PhaseId P = phaseByIndex(PI);
-    const uint16_t Bit = static_cast<uint16_t>(1u << PI);
-    // The working copy is a refcounted handle copy of the parent's blocks
-    // — a dormant attempt unshares nothing, an active one materializes
-    // only the blocks it rewrote.
-    Work = From;
-    ++T.Attempted;
-    T.AttemptedBits |= Bit;
-    if (Guard.attemptNth(P, Work, Nth) != PhaseGuard::Outcome::Active) {
-      // Dormant — or rolled back after a verifier failure, which prunes
-      // the edge and ends this branch of the space the same way (the
-      // guard recorded the diagnostic).
-      T.DormantBits |= Bit;
-      return;
-    }
-    ActiveResult A;
-    A.P = P;
-    A.Hash = canonicalize(Work, threadScratch(), /*KeepBytes=*/false,
-                          Config.RemapRegisters)
-                 .Hash;
-    // Only committed nodes are in the table, so a hit is final.
-    if (std::optional<uint32_t> Hit = Table.lookup(A.Hash))
-      A.KnownTarget = *Hit;
-    else
-      A.Instance = std::move(Work);
-    T.Active.push_back(std::move(A));
-  };
-
-  // Working storage reused across levels; the commit's own attempts use
-  // CommitGuard, CommitWork and Inline.
+  // Working storage reused across levels.
   std::vector<uint64_t> Base;
   std::vector<TaskResult> Results;
   std::vector<uint8_t> Done;
-  PhaseGuard CommitGuard(PM, GuardOpts);
-  Function CommitWork;
-  TaskResult Inline;
 
   while (!Frontier.empty()) {
     ++Level;
@@ -381,68 +333,20 @@ EnumerationResult Enumerator::run(const Function &Root,
           ++AppCount[PI];
       }
 
-    // Independence pruning (Section 7 future work) can predict this
-    // attempt from committed edges, so it waits for the commit.
-    auto Deferred = [&](const FrontierEntry &E, int PI) {
-      return Config.UseIndependencePruning && E.Parent != UINT32_MAX &&
-             Config.TrainedIndependence[static_cast<int>(E.ViaPhase)][PI];
-    };
-
     // The commit, in exact frontier order. The next-level frontier is
     // keyed by node id, merging sequence counts and incoming-phase masks
     // when several edges reach the same instance.
     std::unordered_map<uint32_t, size_t> NextIndex;
     std::vector<FrontierEntry> Next;
 
-    // Appends the edge E --P--> Child. A child interned by this edge
-    // (\p New, carrying its instance) joins the next frontier; one already
-    // discovered at this level merges into its entry. Returns false after
-    // recording a diagnostic on a broken internal invariant.
-    auto Link = [&](const FrontierEntry &E, PhaseId P, uint32_t Child,
-                    ActiveResult *New) {
-      const uint16_t Bit = static_cast<uint16_t>(1u << static_cast<int>(P));
-      ++LS.Active;
-      R.Nodes[E.Node].ActiveMask |= Bit;
-      R.Nodes[E.Node].Edges.push_back({P, Child});
-      Gov.charge(sizeof(DagEdge));
-      if (New) {
-        FrontierEntry NE;
-        NE.Node = Child;
-        NE.Instance = std::move(New->Instance);
-        NE.IncomingMask = Bit;
-        NE.Parent = E.Node;
-        NE.ViaPhase = P;
-        NE.Sequences = E.Sequences;
-        NextIndex[Child] = Next.size();
-        Next.push_back(std::move(NE));
-        return true;
-      }
-      // A cross edge to an earlier-level node is already expanded;
-      // nothing to enqueue. Any cycle it may close is detected during
-      // weight computation.
-      if (R.Nodes[Child].Level != Level)
-        return true;
-      auto It = NextIndex.find(Child);
-      if (It == NextIndex.end()) {
-        // A same-level node must be in the frontier. A release-mode
-        // assert would silently read garbage here; surface it as a
-        // diagnosed partial result instead.
-        PhaseDiagnostic D;
-        D.Phase = P;
-        D.Func = Root.Name;
-        D.Message =
-            "internal error: same-level node missing from the frontier";
-        R.Diagnostics.push_back(std::move(D));
-        return false;
-      }
-      Next[It->second].IncomingMask |= Bit;
-      Next[It->second].Sequences += E.Sequences;
-      return true;
-    };
-
-    // Resolves a buffered active result to its node, interning an
-    // instance first seen at this level, and links the edge.
+    // Commits one buffered active result \p A of entry \p E: resolves
+    // its target, interning an instance first seen at this level, and
+    // appends the edge. A child interned by this edge joins the next
+    // frontier with its instance; one already discovered at this level
+    // merges into its entry. Returns false after recording a diagnostic on
+    // a broken internal invariant.
     auto Commit = [&](const FrontierEntry &E, ActiveResult &A) {
+      const uint16_t Bit = static_cast<uint16_t>(1u << static_cast<int>(A.P));
       uint32_t Child = A.KnownTarget;
       bool Inserted = false;
       if (Child == UINT32_MAX) {
@@ -459,68 +363,55 @@ EnumerationResult Enumerator::run(const Function &Root,
         Nd.Level = Level;
         R.Nodes.push_back(Nd);
         Gov.charge(sizeof(DagNode));
+        FrontierEntry NE;
+        NE.Node = Child;
+        NE.Instance = std::move(A.Instance);
+        NE.IncomingMask = Bit;
+        NE.Sequences = E.Sequences;
+        NextIndex[Child] = Next.size();
+        Next.push_back(std::move(NE));
       }
-      return Link(E, A.P, Child, Inserted ? &A : nullptr);
+      ++LS.Active;
+      R.Nodes[E.Node].ActiveMask |= Bit;
+      R.Nodes[E.Node].Edges.push_back({A.P, Child});
+      Gov.charge(sizeof(DagEdge));
+      // A new child is already enqueued, and a cross edge to an
+      // earlier-level node is already expanded: nothing to merge. Any
+      // cycle a cross edge may close is detected during weight
+      // computation.
+      if (Inserted || R.Nodes[Child].Level != Level)
+        return true;
+      auto It = NextIndex.find(Child);
+      if (It == NextIndex.end()) {
+        // A same-level node must be in the frontier. A release-mode
+        // assert would silently read garbage here; surface it as a
+        // diagnosed partial result instead.
+        PhaseDiagnostic D;
+        D.Phase = A.P;
+        D.Func = Root.Name;
+        D.Message =
+            "internal error: same-level node missing from the frontier";
+        R.Diagnostics.push_back(std::move(D));
+        return false;
+      }
+      Next[It->second].IncomingMask |= Bit;
+      Next[It->second].Sequences += E.Sequences;
+      return true;
     };
 
-    // Resolves a deferred attempt of phase \p PI on entry \p I. The
-    // incoming phase x and the candidate y always commute, so y here
-    // reaches what x reaches from the parent's y-child — once both of
-    // those edges are committed. Otherwise the attempt runs here.
-    auto ResolveDeferred = [&](size_t I, int PI, TaskResult &T) {
-      const FrontierEntry &E = Frontier[I];
-      const PhaseId P = phaseByIndex(PI);
-      const uint32_t D = R.Nodes[E.Parent].childVia(P);
-      const uint32_t Predicted =
-          D == UINT32_MAX ? UINT32_MAX : R.Nodes[D].childVia(E.ViaPhase);
-      if (Predicted != UINT32_MAX) {
-        ++R.PredictedEdges;
-        return Link(E, P, Predicted, nullptr);
-      }
-      Inline.reset();
-      Attempt(E.Instance, PI, Base[I * NumPhases + PI] + 1, CommitGuard,
-              CommitWork, Inline);
-      T.DormantBits |= Inline.DormantBits;
-      T.AttemptedBits |= Inline.AttemptedBits;
-      T.Attempted += Inline.Attempted;
-      for (PhaseDiagnostic &Diag : CommitGuard.takeDiagnostics())
-        T.Diags.push_back(std::move(Diag));
-      return Inline.Active.empty() || Commit(E, Inline.Active.front());
-    };
-
-    // Commits everything entry \p I produced. Returns false on a broken
-    // internal invariant.
+    // Commits everything entry \p I produced: its results in the phase
+    // order they were buffered, then its masks, counts and diagnostics.
+    // Returns false on a broken internal invariant.
     auto CommitEntry = [&](size_t I) {
       const FrontierEntry &E = Frontier[I];
       TaskResult &T = Results[I];
-      // Edges are appended in phase order: buffered results interleave
-      // with deferred phases.
-      size_t K = 0;
-      for (uint16_t Left = T.DeferredBits; Left; Left &= Left - 1) {
-        const int PI = std::countr_zero(Left);
-        for (; K != T.Active.size() && static_cast<int>(T.Active[K].P) < PI;
-             ++K)
-          if (!Commit(E, T.Active[K]))
-            return false;
-        if (!ResolveDeferred(I, PI, T))
+      for (ActiveResult &A : T.Active)
+        if (!Commit(E, A))
           return false;
-      }
-      for (; K != T.Active.size(); ++K)
-        if (!Commit(E, T.Active[K]))
-          return false;
-
       R.Nodes[E.Node].DormantMask |= T.DormantBits;
       R.Nodes[E.Node].AttemptedMask |= T.AttemptedBits;
       R.AttemptedPhases += T.Attempted;
       LS.Attempted += T.Attempted;
-      // Diagnostics in attempt order; those of inline attempts arrived
-      // after the worker's.
-      if (T.DeferredBits)
-        std::stable_sort(T.Diags.begin(), T.Diags.end(),
-                         [](const PhaseDiagnostic &A,
-                            const PhaseDiagnostic &B) {
-                           return A.Phase < B.Phase;
-                         });
       for (PhaseDiagnostic &D : T.Diags)
         R.Diagnostics.push_back(std::move(D));
       return true;
@@ -530,7 +421,6 @@ EnumerationResult Enumerator::run(const Function &Root,
     const size_t NodesBefore = R.Nodes.size();
     const size_t DiagsBefore = R.Diagnostics.size();
     const uint64_t AttemptedBefore = R.AttemptedPhases;
-    const uint64_t PredictedBefore = R.PredictedEdges;
     const uint64_t ChargedBefore = Gov.chargedBytes();
 
     // Entries are committed as soon as every earlier one is, by whichever
@@ -580,10 +470,6 @@ EnumerationResult Enumerator::run(const Function &Root,
           T.DormantBits |= Bit;
           continue;
         }
-        if (Deferred(E, PI)) {
-          T.DeferredBits |= Bit;
-          continue;
-        }
         const Function *From = &E.Instance;
         if (!E.Instance.State.RegsAssigned && PM.requiresRegAssignment(P)) {
           if (!Assigned.State.RegsAssigned) {
@@ -592,7 +478,31 @@ EnumerationResult Enumerator::run(const Function &Root,
           }
           From = &Assigned;
         }
-        Attempt(*From, PI, Base[I * NumPhases + PI] + 1, Guard, Work, T);
+        // The working copy is a refcounted handle copy of the parent's
+        // blocks — a dormant attempt unshares nothing, an active one
+        // materializes only the blocks it rewrote.
+        Work = *From;
+        ++T.Attempted;
+        T.AttemptedBits |= Bit;
+        if (Guard.attemptNth(P, Work, Base[I * NumPhases + PI] + 1) !=
+            PhaseGuard::Outcome::Active) {
+          // Dormant — or rolled back after a verifier failure, which
+          // prunes the edge and ends this branch of the space the same
+          // way (the guard recorded the diagnostic).
+          T.DormantBits |= Bit;
+          continue;
+        }
+        ActiveResult A;
+        A.P = P;
+        A.Hash = canonicalize(Work, threadScratch(), /*KeepBytes=*/false,
+                              Config.RemapRegisters)
+                     .Hash;
+        // Only committed nodes are in the table, so a hit is final.
+        if (std::optional<uint32_t> Hit = Table.lookup(A.Hash))
+          A.KnownTarget = *Hit;
+        else
+          A.Instance = std::move(Work);
+        T.Active.push_back(std::move(A));
       }
       T.Diags = Guard.takeDiagnostics();
 
@@ -631,7 +541,6 @@ EnumerationResult Enumerator::run(const Function &Root,
       }
       R.Diagnostics.resize(DiagsBefore);
       R.AttemptedPhases = AttemptedBefore;
-      R.PredictedEdges = PredictedBefore;
       Gov.release(Gov.chargedBytes() - ChargedBefore);
       Finish(Why);
       if (isResumableStop(Why))

@@ -22,6 +22,8 @@
 /// Figure 6's naive baseline, which re-applies the whole phase prefix from
 /// the unoptimized function for every evaluation, is not an engine mode:
 /// bench_fig6_enhancements computes it by replaying the enumerated DAG.
+/// Neither is the independence-based pruning Section 7 proposes:
+/// bench_ablation replays that over the exhaustive DAG too.
 ///
 /// Enumeration is embarrassingly parallel within a BFS level: every
 /// frontier instance attempts its phases independently, the only shared
@@ -121,26 +123,6 @@ struct EnumeratorConfig {
   /// differ only in register numbering count as distinct (ablation of the
   /// "more aggressive pruning" claim; see bench_ablation).
   bool RemapRegisters = true;
-  /// Independence-based pruning (the paper's Section 7 future work:
-  /// "independence relationships could also be used to more aggressively
-  /// prune the enumeration space"). When phases x and y are recorded as
-  /// always-independent by \ref TrainedIndependence, the enumerator
-  /// predicts the result of applying y after x instead of running the
-  /// optimizer: from parent P with P--x-->C and P--y-->D where D's x-edge
-  /// is already known to reach E, the y edge from C is completed to E
-  /// directly. Predictions are counted in PredictedEdges; correctness is
-  /// validated against ground truth in the tests.
-  ///
-  /// A prediction reads edges committed earlier in the same level, so
-  /// workers defer trained-pair attempts to the commit, which predicts
-  /// them in frontier order and runs the attempt itself only when the
-  /// prediction misses. The result is the same for every Jobs. A
-  /// deferred attempt keeps its application ordinal (the FaultPlan
-  /// coordinate) whether it is predicted or run.
-  bool UseIndependencePruning = false;
-  /// Pairs treated as independent when UseIndependencePruning is on:
-  /// Trained[x][y] true means x and y always commute. Symmetric.
-  bool TrainedIndependence[NumPhases][NumPhases] = {};
   /// Wall-clock deadline in milliseconds, measured from the start of
   /// enumerate(); 0 = unlimited. Polled before expanding each node; when
   /// it fires, the in-flight level is discarded and the result (and
@@ -183,9 +165,6 @@ struct EnumerationResult {
   /// Largest active sequence length (the "Len" column of Table 3).
   uint32_t MaxActiveLength = 0;
   std::vector<LevelStat> Levels;
-  /// Independence pruning: edges completed by prediction instead of
-  /// running the optimizer.
-  uint64_t PredictedEdges = 0;
   /// Guarded failures: one entry per rolled-back phase application (and
   /// per internal error). Empty on a clean run.
   std::vector<PhaseDiagnostic> Diagnostics;
@@ -217,9 +196,6 @@ struct FrontierEntry {
   /// Phases along incoming edges; known dormant without attempting (an
   /// active phase is never successful twice consecutively).
   uint16_t IncomingMask = 0;
-  /// First-discovery provenance, for independence-based prediction.
-  uint32_t Parent = UINT32_MAX;
-  PhaseId ViaPhase = PhaseId::BranchChaining;
   /// Number of distinct active sequences reaching this node.
   uint64_t Sequences = 1;
 };

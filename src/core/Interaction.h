@@ -57,8 +57,8 @@ public:
   /// True when \p X and \p Y were consecutively active at least once and
   /// every observed occurrence commuted — the "completely independent"
   /// case whose consequence the paper spells out: "we would never have to
-  /// evaluate them in different orders" (Section 5.3). Feeds the
-  /// enumerator's independence pruning.
+  /// evaluate them in different orders" (Section 5.3). bench_ablation
+  /// replays Section 7's independence pruning over it.
   bool alwaysIndependent(PhaseId X, PhaseId Y) const;
 
   /// Average code-size benefit of one active application of \p X:

@@ -105,9 +105,11 @@ struct FaultPlan {
         return true;
     return false;
   }
-  /// True when every fault is a crash class (required by the worker's
-  /// attempt-gated injection, which drops the whole plan after the
-  /// configured number of faulty attempts).
+  /// True when every fault is a crash class. `posec --supervise` requires
+  /// it: the supervisor may forward a plan to some workers and attempts
+  /// only (`--fault-func`, `--fault-attempts`), which is sound for
+  /// execution-only crash faults, not for faults that shape the DAG and
+  /// key the store.
   bool allCrashFaults() const {
     for (const Fault &F : Faults)
       if (!isCrashKind(F.Kind))

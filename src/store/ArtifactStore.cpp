@@ -205,10 +205,6 @@ uint64_t configFingerprint(const EnumeratorConfig &Config) {
   H.word(Config.MaxLevelSequences);
   H.word(Config.MaxTotalNodes);
   H.word(Config.RemapRegisters);
-  H.word(Config.UseIndependencePruning);
-  for (int X = 0; X != NumPhases; ++X)
-    for (int Y = 0; Y != NumPhases; ++Y)
-      H.word(Config.TrainedIndependence[X][Y]);
   H.word(Config.VerifyIr);
   // Injected verifier faults prune edges and wrong-code faults mutate
   // instances, so both shape the DAG like any other config switch; an

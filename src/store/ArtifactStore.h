@@ -70,7 +70,10 @@ namespace store {
 /// dropped the phase-application counter, checkpoint frontier entries
 /// their replay path and separate phase state (the instance carries it),
 /// and configFingerprint the mode's mix.
-constexpr uint32_t kFormatVersion = 7;
+/// Version 8: the enumerator's independence-pruning mode was removed, so
+/// results dropped the predicted-edge counter, checkpoint frontier entries
+/// their discovery parent and phase, and configFingerprint the mode's mix.
+constexpr uint32_t kFormatVersion = 8;
 
 /// What an artifact file contains.
 enum class ArtifactKind : uint32_t {
@@ -116,8 +119,8 @@ FrameVerdict checkArtifact(const std::string &Path, const HashTriple &Root,
 bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Bytes);
 
 /// Fingerprint of the EnumeratorConfig fields that determine the DAG:
-/// budgets, pruning switches, the trained independence matrix, verifier
-/// and fault-injection settings. Execution-only knobs (Jobs, DeadlineMs,
+/// budgets, the register-remapping switch, verifier and fault-injection
+/// settings. Execution-only knobs (Jobs, DeadlineMs,
 /// MaxMemoryBytes, the stop token) are excluded on purpose — a DAG
 /// enumerated with four workers under a deadline is the same DAG, and a
 /// resumed run may legitimately use different resources than the run that

@@ -81,9 +81,6 @@ template <class Io> void io(Io &S, FrontierEntry &E, size_t Nodes) {
   S.check(E.Node < Nodes);
   io(S, E.Instance);
   S.u16(E.IncomingMask);
-  S.u32(E.Parent);
-  S.check(E.Parent < Nodes || E.Parent == UINT32_MAX);
-  io(S, E.ViaPhase);
   S.u64(E.Sequences);
 }
 
@@ -126,7 +123,6 @@ template <class Io> bool io(Io &S, EnumerationResult &Res) {
     S.u64(L.Attempted);
     S.u64(L.Active);
   });
-  S.u64(Res.PredictedEdges);
   S.seq(Res.Diagnostics, [&](PhaseDiagnostic &D) { io(S, D); });
   S.u64(Res.ApproxMemoryBytes);
   return S.ok();

@@ -138,9 +138,9 @@ TEST(Enumerator, LeafInstancesPreserveSemantics) {
   RunResult Base = Sim.run("f", {9});
   ASSERT_TRUE(Base.Ok) << Base.Error;
 
-  // Find a path (phase sequence) to every leaf via BFS over edges.
-  std::vector<int> From(R.Nodes.size(), -1);
-  std::vector<PhaseId> Via(R.Nodes.size(), PhaseId::BranchChaining);
+  // Find a path (phase sequence) to every leaf via BFS over edges: the
+  // node and phase each node was first reached from.
+  std::vector<std::pair<int, PhaseId>> From(R.Nodes.size());
   std::vector<uint32_t> Work{0};
   std::set<uint32_t> Visited{0};
   while (!Work.empty()) {
@@ -148,8 +148,7 @@ TEST(Enumerator, LeafInstancesPreserveSemantics) {
     Work.pop_back();
     for (const DagEdge &E : R.Nodes[Id].Edges)
       if (Visited.insert(E.To).second) {
-        From[E.To] = static_cast<int>(Id);
-        Via[E.To] = E.Phase;
+        From[E.To] = {static_cast<int>(Id), E.Phase};
         Work.push_back(E.To);
       }
   }
@@ -158,8 +157,8 @@ TEST(Enumerator, LeafInstancesPreserveSemantics) {
     if (!R.Nodes[Id].isLeaf())
       continue;
     std::vector<PhaseId> Path;
-    for (int Cur = static_cast<int>(Id); Cur != 0; Cur = From[Cur])
-      Path.push_back(Via[Cur]);
+    for (int Cur = static_cast<int>(Id); Cur != 0; Cur = From[Cur].first)
+      Path.push_back(From[Cur].second);
     Function Instance = Root;
     for (size_t K = Path.size(); K-- > 0;)
       EXPECT_TRUE(PM.attempt(Path[K], Instance));

@@ -261,4 +261,10 @@ TEST(Interaction, RealEnumerationHasSaneProbabilities) {
   EXPECT_DOUBLE_EQ(IA.startProbability(PhaseId::RegisterAllocation), 0.0);
 }
 
+TEST(Interaction, AlwaysIndependentRequiresObservations) {
+  InteractionAnalysis Empty;
+  EXPECT_FALSE(Empty.alwaysIndependent(PhaseId::BranchChaining,
+                                       PhaseId::Cse));
+}
+
 } // namespace

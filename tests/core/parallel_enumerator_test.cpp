@@ -8,9 +8,9 @@
 // node ids, edge order, every statistic, every diagnostic, the accounted
 // memory and the stop reason. This suite enforces that differentially —
 // over every workload function under enumeration budgets, without
-// register remapping, with injected verifier faults and with independence
-// pruning — and checks that Deadline/Cancelled stops, which discard the
-// in-flight level, still yield self-consistent partial DAGs.
+// register remapping and with injected verifier faults — and checks that
+// Deadline/Cancelled stops, which discard the in-flight level, still
+// yield self-consistent partial DAGs.
 //
 // The Jobs=1 results are also pinned to recorded digests. They were taken
 // from the separate sequential engine the enumerator had before the
@@ -23,7 +23,6 @@
 
 #include "src/core/Enumerator.h"
 
-#include "src/core/Interaction.h"
 #include "src/frontend/Compile.h"
 #include "src/opt/PhaseManager.h"
 #include "src/workloads/Workloads.h"
@@ -55,7 +54,6 @@ void expectIdentical(const EnumerationResult &A, const EnumerationResult &B,
   EXPECT_EQ(A.Cyclic, B.Cyclic) << What;
   EXPECT_EQ(A.AttemptedPhases, B.AttemptedPhases) << What;
   EXPECT_EQ(A.MaxActiveLength, B.MaxActiveLength) << What;
-  EXPECT_EQ(A.PredictedEdges, B.PredictedEdges) << What;
   EXPECT_EQ(A.ApproxMemoryBytes, B.ApproxMemoryBytes) << What;
 
   ASSERT_EQ(A.Nodes.size(), B.Nodes.size()) << What;
@@ -130,10 +128,11 @@ uint64_t resultDigest(const EnumerationResult &R) {
   // digests valid.
   Mix(R.AttemptedPhases);
   Mix(R.MaxActiveLength);
-  // The results once carried a hash-collision count here, always 0 in
-  // these runs; mixing the 0 keeps the recorded digests valid.
+  // The results once carried a hash-collision count and a predicted-edge
+  // count here, both 0 in every recorded run; mixing the 0s keeps the
+  // recorded digests valid.
   Mix(0);
-  Mix(R.PredictedEdges);
+  Mix(0);
   Mix(R.ApproxMemoryBytes);
   Mix(R.Nodes.size());
   for (const DagNode &N : R.Nodes) {
@@ -190,9 +189,9 @@ const Golden CappedGoldens[] = {
     {"bitcount/bitcount_recursive", 0x8ae417d18560bce3ull},
     {"bitcount/bitcount_dense", 0x79b8bfe29a169ae3ull},
     {"bitcount/main", 0x8cf666b86784ca94ull},
-    {"dijkstra/build_graph", 0x81e6422352ab1401ull},
+    {"dijkstra/build_graph", 0xe6d0ee9c1d42f6beull},
     {"dijkstra/pick_nearest", 0x4b43bcf05cb80295ull},
-    {"dijkstra/dijkstra", 0xccc29d3139289929ull},
+    {"dijkstra/dijkstra", 0xa9084fbea3d86fa5ull},
     {"dijkstra/enqueue", 0x412e9b0bb02cbb23ull},
     {"dijkstra/dequeue", 0xad1fca3babf37d1full},
     {"dijkstra/qcount", 0x0249d118c682a52eull},
@@ -203,10 +202,10 @@ const Golden CappedGoldens[] = {
     {"fft/sin_q", 0x309274783ee488a2ull},
     {"fft/cos_q", 0xed5d845a8ee5887full},
     {"fft/load_signal", 0x88dc342380123571ull},
-    {"fft/bit_reverse", 0xb417e0025b428573ull},
+    {"fft/bit_reverse", 0xb18b326e87a7704dull},
     {"fft/fix_fft", 0x6408a030869d35d9ull},
     {"fft/isqrt", 0xa890bba5c2c705c2ull},
-    {"fft/window_signal", 0xd62fb192258b071eull},
+    {"fft/window_signal", 0x894ec344213836c2ull},
     {"fft/spectrum_checksum", 0x851f81d1ed5aa793ull},
     {"fft/main", 0xfa4f4a502cdee74cull},
     {"jpeg/rgb_ycc_setup", 0xcc30a47398b0f7afull},
@@ -214,16 +213,16 @@ const Golden CappedGoldens[] = {
     {"jpeg/fill_block", 0xb794acfc0dee2f60ull},
     {"jpeg/forward_dct_rows", 0x7d7c0b8619fa62a9ull},
     {"jpeg/forward_dct_cols", 0xe0ad2f7086a7b4d3ull},
-    {"jpeg/quantize_block", 0x2a5af608ad839b90ull},
+    {"jpeg/quantize_block", 0xc40331a0e0c768b6ull},
     {"jpeg/zigzag_order", 0xc3072c35fd994bacull},
     {"jpeg/dequantize_block", 0x5e72338f433e7c14ull},
     {"jpeg/reconstruction_error", 0x06049a46bd910978ull},
     {"jpeg/emit_bits", 0x0402264af2a428eaull},
     {"jpeg/flush_bits", 0x23a5d80e67c64e5full},
-    {"jpeg/magnitude_bits", 0x1b5b6cff285641adull},
-    {"jpeg/encode_block", 0xd240e98f8c8dcaf6ull},
+    {"jpeg/magnitude_bits", 0xc515fb90b45d2cacull},
+    {"jpeg/encode_block", 0xb722ecc30eea06e1ull},
     {"jpeg/packed_checksum", 0xefc735944c1e9df3ull},
-    {"jpeg/run_length_checksum", 0x60872732e5d82409ull},
+    {"jpeg/run_length_checksum", 0x7dbf7b086da93fefull},
     {"jpeg/main", 0x98eef2742ee19be0ull},
     {"sha/rotl", 0x421b6f6f804fde36ull},
     {"sha/sha_init", 0x390cba2d295a1567ull},
@@ -235,18 +234,18 @@ const Golden CappedGoldens[] = {
     {"stringsearch/str_len", 0x8daf93561e1176d9ull},
     {"stringsearch/bmh_init", 0xb91f5c3160fad0a1ull},
     {"stringsearch/text_len", 0xdff2a1769cdfd258ull},
-    {"stringsearch/bmh_search", 0x24cfe6778930098eull},
+    {"stringsearch/bmh_search", 0xcfcbe734cb5efc27ull},
     {"stringsearch/to_lower", 0xb947092902f407c6ull},
-    {"stringsearch/naive_search", 0x634ab84f4a124617ull},
-    {"stringsearch/count_matches", 0xc52f2dab432babc7ull},
-    {"stringsearch/count_naive", 0xaf1177fd902c6319ull},
+    {"stringsearch/naive_search", 0x7f99759c0bc6be84ull},
+    {"stringsearch/count_matches", 0xa6bb18cf40ed303eull},
+    {"stringsearch/count_naive", 0xbe406a38617298e2ull},
     {"stringsearch/main", 0x02abed4325286252ull},
-    {"crc32/make_crc_table", 0xa9a4bbf244b4a39cull},
-    {"crc32/crc_bitwise", 0x625526b16766504bull},
+    {"crc32/make_crc_table", 0x0530a5c311c01c20ull},
+    {"crc32/crc_bitwise", 0x31ac285fe300f72bull},
     {"crc32/crc_byte", 0x05c37d1e62497c2full},
     {"crc32/crc_nibble", 0x06c604036c74c7d7ull},
     {"crc32/fill_stream", 0xf0a0904c468b02e5ull},
-    {"crc32/crc_of_stream", 0x54b56b0e31fa2dedull},
+    {"crc32/crc_of_stream", 0x8a0b55f8673e9cf2ull},
     {"crc32/main", 0xccd278f8eb196cbdull},
 };
 
@@ -395,7 +394,7 @@ TEST(ParallelEnumerator, MemoryBudgetStopIdentical) {
   Cfg.MaxMemoryBytes = 50'000;
   EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
   EXPECT_EQ(Seq.Stop, StopReason::MemoryBudget);
-  EXPECT_EQ(resultDigest(Seq), 0x7c855be063dc9296ull);
+  EXPECT_EQ(resultDigest(Seq), 0x5c974791efd10e6eull);
   EnumerationResult Par = enumerateWithJobs(F, Cfg, 4);
   expectIdentical(Seq, Par, "memory budget");
 }
@@ -432,114 +431,6 @@ TEST(ParallelEnumerator, DeadlineStopsMidRunWithConsistentResult) {
     EXPECT_FALSE(R.complete());
     EXPECT_GE(R.Nodes.size(), 1u);
     expectSelfConsistent(R);
-  }
-}
-
-/// \p Cfg with independence pruning trained on \p Truth, the way
-/// bench_ablation trains it.
-EnumeratorConfig trainedOn(const EnumerationResult &Truth,
-                           EnumeratorConfig Cfg) {
-  InteractionAnalysis IA;
-  IA.addFunction(Truth);
-  Cfg.UseIndependencePruning = true;
-  for (int X = 0; X != NumPhases; ++X)
-    for (int Y = 0; Y != NumPhases; ++Y)
-      Cfg.TrainedIndependence[X][Y] =
-          IA.alwaysIndependent(phaseByIndex(X), phaseByIndex(Y));
-  return Cfg;
-}
-
-/// Pruning only skips optimizer runs: node ids, edges, active/dormant
-/// masks, weights and level shapes must equal the unpruned run's.
-void expectSameDag(const EnumerationResult &Truth,
-                   const EnumerationResult &Pruned, const std::string &What) {
-  EXPECT_EQ(Truth.Stop, Pruned.Stop) << What;
-  ASSERT_EQ(Truth.Nodes.size(), Pruned.Nodes.size()) << What;
-  for (size_t I = 0; I != Truth.Nodes.size(); ++I) {
-    const DagNode &A = Truth.Nodes[I];
-    const DagNode &B = Pruned.Nodes[I];
-    EXPECT_EQ(A.Hash, B.Hash) << What << " node " << I;
-    EXPECT_EQ(A.ActiveMask, B.ActiveMask) << What << " node " << I;
-    EXPECT_EQ(A.DormantMask, B.DormantMask) << What << " node " << I;
-    EXPECT_EQ(A.Weight, B.Weight) << What << " node " << I;
-    ASSERT_EQ(A.Edges.size(), B.Edges.size()) << What << " node " << I;
-    for (size_t E = 0; E != A.Edges.size(); ++E) {
-      EXPECT_EQ(A.Edges[E].Phase, B.Edges[E].Phase) << What << " node " << I;
-      EXPECT_EQ(A.Edges[E].To, B.Edges[E].To) << What << " node " << I;
-    }
-  }
-  ASSERT_EQ(Truth.Levels.size(), Pruned.Levels.size()) << What;
-  for (size_t I = 0; I != Truth.Levels.size(); ++I) {
-    EXPECT_EQ(Truth.Levels[I].NewNodes, Pruned.Levels[I].NewNodes) << What;
-    EXPECT_EQ(Truth.Levels[I].ActiveSequences,
-              Pruned.Levels[I].ActiveSequences)
-        << What;
-    EXPECT_EQ(Truth.Levels[I].Active, Pruned.Levels[I].Active) << What;
-  }
-}
-
-TEST(ParallelEnumerator, IndependencePruningIdenticalAcrossJobCounts) {
-  // Predictions read edges committed earlier in the same level, so
-  // workers defer them to the barrier. Trained on the ground truth, the
-  // predictions must fire, reproduce the unpruned DAG exactly, and give
-  // the same result for every job count.
-  const Workload *W = findWorkload("bitcount");
-  ASSERT_NE(W, nullptr);
-  Module MW = compileOrDie(W->Source);
-  Module MS = compileOrDie(SumSource);
-  const struct {
-    const Function *F;
-    uint64_t Digest;
-  } Cases[] = {{&functionNamed(MS, "f"), 0x2e488674c01f0685ull},
-               {&functionNamed(MW, "bit_count"), 0x39a4866a1f4cd9f9ull}};
-  for (const auto &C : Cases) {
-    const Function &F = *C.F;
-    EnumerationResult Truth = enumerateWithJobs(F, {}, 1);
-    ASSERT_TRUE(Truth.complete()) << F.Name;
-    const EnumeratorConfig Cfg = trainedOn(Truth, {});
-    EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
-    EXPECT_GT(Seq.PredictedEdges, 0u) << F.Name;
-    EXPECT_EQ(Seq.AttemptedPhases + Seq.PredictedEdges, Truth.AttemptedPhases)
-        << F.Name;
-    EXPECT_EQ(resultDigest(Seq), C.Digest) << F.Name;
-    expectSameDag(Truth, Seq, F.Name);
-    for (unsigned Jobs : {2u, 4u, 8u}) {
-      EnumerationResult Par = enumerateWithJobs(F, Cfg, Jobs);
-      expectIdentical(Seq, Par,
-                      F.Name + " pruned jobs=" + std::to_string(Jobs));
-    }
-  }
-}
-
-TEST(ParallelEnumerator, IndependencePruningKeepsFaultOrdinals) {
-  // A deferred attempt keeps its precomputed application ordinal whether
-  // it is predicted or run, so a FaultPlan names the same application
-  // with or without pruning, for every job count. Both faults land after
-  // predicted attempts of their phase, so ordinals that skipped
-  // predictions would move them.
-  Module M = compileOrDie(SumSource);
-  Function &F = functionNamed(M, "f");
-  EnumerationResult Truth = enumerateWithJobs(F, {}, 1);
-  FaultPlan Plan;
-  ASSERT_TRUE(FaultPlan::parse("h:12,s:20", Plan));
-  EnumeratorConfig Faulted;
-  Faulted.VerifyIr = true;
-  Faulted.Faults = &Plan;
-  const EnumerationResult Unpruned = enumerateWithJobs(F, Faulted, 1);
-  const EnumeratorConfig Cfg = trainedOn(Truth, Faulted);
-  EnumerationResult Seq = enumerateWithJobs(F, Cfg, 1);
-  EXPECT_EQ(Seq.Stop, StopReason::VerifierFailure);
-  EXPECT_GT(Seq.PredictedEdges, 0u);
-  ASSERT_EQ(Seq.Diagnostics.size(), Unpruned.Diagnostics.size());
-  for (size_t I = 0; I != Seq.Diagnostics.size(); ++I) {
-    EXPECT_EQ(Seq.Diagnostics[I].Phase, Unpruned.Diagnostics[I].Phase);
-    EXPECT_EQ(Seq.Diagnostics[I].Application,
-              Unpruned.Diagnostics[I].Application);
-  }
-  for (unsigned Jobs : {2u, 4u, 8u}) {
-    EnumerationResult Par = enumerateWithJobs(F, Cfg, Jobs);
-    expectIdentical(Seq, Par,
-                    "pruned faults jobs=" + std::to_string(Jobs));
   }
 }
 

@@ -446,15 +446,9 @@ TEST(FsckCli, OutOfRangeNodeIndicesAreRejected) {
   CheckResult("edge-one-past", BadEdge, store::LoadStatus::Rejected);
 
   CheckCheckpoint("checkpoint-intact", Cp, store::LoadStatus::Hit);
-  EnumerationCheckpoint NoParent = Cp;
-  NoParent.Frontier[0].Parent = UINT32_MAX;
-  CheckCheckpoint("checkpoint-no-parent", NoParent, store::LoadStatus::Hit);
   EnumerationCheckpoint BadNode = Cp;
   BadNode.Frontier[0].Node = 0x7FFFFFFFu;
   CheckCheckpoint("frontier-node", BadNode, store::LoadStatus::Rejected);
-  EnumerationCheckpoint BadParent = Cp;
-  BadParent.Frontier[0].Parent = Known;
-  CheckCheckpoint("frontier-parent", BadParent, store::LoadStatus::Rejected);
   EnumerationCheckpoint BadPartial = Cp;
   BadPartial.Partial.Nodes.back().Edges.push_back(
       {PhaseId::Cse, Known + 5});

@@ -154,12 +154,12 @@ TEST(FormatPin, EveryEncodedFormatIsByteIdenticalToItsRecording) {
   }
 
   expectPin("instances", Instances, 67, 130332, 0x723b515);
-  expectPin("results", Results, 67, 827785, 0x964d8d6b);
-  expectPin("checkpoints", Checkpoints, 38, 600990, 0x22bbc543);
+  expectPin("results", Results, 67, 827249, 0xafe9905f);
+  expectPin("checkpoints", Checkpoints, 38, 599206, 0xd0eaa637);
   expectPin("equivalence records", Equivs, 33, 16002, 0x5c6b4ee3);
   expectPin("quarantine record", Quarantine, 1, 50, 0xd0906537);
   expectPin("posed payloads", Posed, 4, 383, 0x96e01e79);
-  expectPin("config fingerprints", Fingerprints, 2, 32, 0xeed99604);
+  expectPin("config fingerprints", Fingerprints, 2, 32, 0xc6bbcef5);
   expectPin("shard assignments", Shards, 67, 469, 0xb2128853);
 }
 
