@@ -7,8 +7,9 @@
 // Two implementations of the same serialization live here. The fast path
 // (canonicalize with a CanonicalScratch) serializes into a reusable flat
 // buffer through dense, epoch-stamped remap arrays and folds the CRC over
-// the finished buffer with the slicing-by-8 walk; it is what every hot
-// caller uses. The reference path (canonicalizeReference) is the original
+// the finished buffer in one bulk pass (src/support/Crc32.cpp: carry-less
+// multiplication where the CPU has it); it is what every hot caller uses.
+// The reference path (canonicalizeReference) is the original
 // std::map + byte-at-a-time implementation, kept verbatim as the
 // differential oracle — the fast path must produce byte-identical output,
 // which tests/core/canonical_fastpath_test.cpp enforces property-style.

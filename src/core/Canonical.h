@@ -67,7 +67,8 @@ struct CanonicalForm {
 /// remap arrays indexed by register number / label value instead of the
 /// reference implementation's std::map lookups, plus a preallocated byte
 /// buffer the whole serialization lands in (so the CRC runs once over the
-/// finished buffer with the slicing-by-8 table walk instead of per byte).
+/// finished buffer through the bulk CRC-32 path, a carry-less
+/// multiplication fold, instead of per byte).
 ///
 /// Contract: a scratch may be reused across any number of canonicalize()
 /// calls — every call produces the same result as a fresh scratch — but a

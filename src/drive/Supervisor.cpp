@@ -309,10 +309,13 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
   };
   const bool Sharded = Opts.ShardCount > 1;
   std::vector<JobState> Jobs(NumJobs);
+  CanonicalScratch RootScratch; // One for every root of the sweep.
   for (size_t I = 0; I != NumJobs; ++I) {
     JobState &S = Jobs[I];
     S.J.Func = M.Functions[I].Name;
-    S.Root = canonicalize(M.Functions[I], false, KeyCfg.RemapRegisters).Hash;
+    S.Root = canonicalize(M.Functions[I], RootScratch, false,
+                          KeyCfg.RemapRegisters)
+                 .Hash;
     for (size_t P = I; P-- > 0;)
       if (Jobs[P].Root == S.Root) {
         S.PrevSameRoot = P;

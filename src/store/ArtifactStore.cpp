@@ -16,7 +16,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 namespace fs = std::filesystem;
 
@@ -269,17 +272,34 @@ std::vector<std::string> ArtifactStore::reclaimTmp() const {
 }
 
 bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Bytes) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return false;
-  // Block reads: a character iterator costs more than the payload decode.
-  Bytes.clear();
-  char Chunk[16384];
-  do {
-    In.read(Chunk, sizeof(Chunk));
-    Bytes.insert(Bytes.end(), Chunk, Chunk + In.gcount());
-  } while (In);
-  return In.eof() && !In.bad();
+  struct Closer {
+    int Fd;
+    ~Closer() { ::close(Fd); }
+  } Close{Fd};
+  // One buffer sized from fstat, then read to EOF: a file that grew since,
+  // or one that reports st_size 0 (procfs), is still read whole. A
+  // directory opens but fails its first read with EISDIR.
+  struct stat St;
+  const size_t Expected = ::fstat(Fd, &St) == 0 && St.st_size > 0
+                              ? static_cast<size_t>(St.st_size)
+                              : 0;
+  Bytes.resize(Expected + 1); // The spare byte lets one read see EOF.
+  size_t Len = 0;
+  for (;;) {
+    if (Len == Bytes.size())
+      Bytes.resize(2 * Len);
+    const ssize_t N = ::read(Fd, Bytes.data() + Len, Bytes.size() - Len);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0) {
+      Bytes.resize(Len);
+      return N == 0;
+    }
+    Len += static_cast<size_t>(N);
+  }
 }
 
 FrameVerdict checkArtifact(const std::string &Path, const HashTriple &Root,

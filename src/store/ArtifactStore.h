@@ -114,8 +114,9 @@ FrameVerdict checkArtifact(const std::string &Path, const HashTriple &Root,
                            ArtifactKind Kind, std::vector<uint8_t> &Bytes,
                            std::string &Error);
 
-/// Reads the whole file at \p Path; false when it cannot be opened or
-/// read.
+/// Reads the whole file at \p Path into \p Bytes with one open, fstat and
+/// read-to-EOF loop; false when it cannot be opened or read (a missing
+/// path, a directory).
 bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Bytes);
 
 /// Fingerprint of the EnumeratorConfig fields that determine the DAG:

@@ -33,11 +33,13 @@ public:
   /// Folds \p Byte into the running checksum.
   void update(uint8_t Byte);
 
-  /// Folds \p Size bytes at \p Data into the running checksum. Uses the
-  /// slicing-by-8 table walk (eight table lookups per eight input bytes
-  /// instead of eight dependent per-byte steps), so bulk updates over a
-  /// whole serialized buffer run several times faster than streaming the
-  /// same bytes one at a time.
+  /// Folds \p Size bytes at \p Data into the running checksum. From 64
+  /// bytes on, on a CPU with PCLMULQDQ and SSE4.1, the largest multiple of
+  /// 16 bytes is folded by carry-less multiplication and a slicing-by-8
+  /// table walk (eight independent lookups per eight bytes) finishes the
+  /// tail; shorter inputs and other CPUs take the walk alone. Every path
+  /// gives the same value as streaming the bytes one at a time through
+  /// update(uint8_t).
   void update(const uint8_t *Data, size_t Size);
 
   /// Returns the finalized checksum for the bytes seen so far.

@@ -358,6 +358,43 @@ TEST(ArtifactStore, SavingAResultSupersedesTheCheckpoint) {
       << "checkpoint must be removed once a result exists";
 }
 
+TEST(ReadFileBytes, MissingPathAndDirectoryAreNotRead) {
+  const std::string Dir = freshDir("read-missing");
+  std::filesystem::create_directories(Dir);
+  std::vector<uint8_t> Bytes;
+  EXPECT_FALSE(readFileBytes(Dir + "/absent.pose", Bytes));
+  EXPECT_FALSE(readFileBytes(Dir, Bytes));
+}
+
+TEST(ReadFileBytes, EmptyFileIsReadAsZeroBytes) {
+  const std::string Dir = freshDir("read-empty");
+  std::filesystem::create_directories(Dir);
+  writeFile(Dir + "/empty", {});
+  std::vector<uint8_t> Bytes = {1, 2, 3};
+  ASSERT_TRUE(readFileBytes(Dir + "/empty", Bytes));
+  EXPECT_TRUE(Bytes.empty());
+}
+
+TEST(ReadFileBytes, LargeFileComesBackByteForByte) {
+  const std::string Dir = freshDir("read-large");
+  std::filesystem::create_directories(Dir);
+  std::vector<uint8_t> Want(1 << 20);
+  for (size_t I = 0; I != Want.size(); ++I)
+    Want[I] = static_cast<uint8_t>(I * 131 + (I >> 9));
+  writeFile(Dir + "/large", Want);
+  std::vector<uint8_t> Bytes;
+  ASSERT_TRUE(readFileBytes(Dir + "/large", Bytes));
+  EXPECT_EQ(Bytes, Want);
+}
+
+TEST(ReadFileBytes, FileReportingSizeZeroIsReadToEof) {
+  // procfs reports st_size 0 for a file with content: the read must not
+  // trust the size.
+  std::vector<uint8_t> Bytes;
+  ASSERT_TRUE(readFileBytes("/proc/self/status", Bytes));
+  EXPECT_FALSE(Bytes.empty());
+}
+
 TEST(ArtifactStore, UnwritableDirectoryReportsAnError) {
   ArtifactStore Store("/proc/definitely/not/writable");
   std::string Error;
