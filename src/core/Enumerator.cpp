@@ -19,6 +19,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 using namespace pose;
 
@@ -27,7 +28,7 @@ namespace {
 /// Frontier memory accounting. Instances use copy-on-write storage, so
 /// blocks (and slot vectors) shared across frontier entries must be
 /// charged once — but the key has to be *content*, never an address:
-/// pointer sharing does not survive a checkpoint resume, and the
+/// pointer sharing does not survive a resume from the store, and the
 /// accounting is part of the byte-identical determinism contract across
 /// job counts and interrupted runs. Content hashing is deterministic
 /// by construction; a (vanishingly rare) 64-bit collision merely
@@ -188,23 +189,19 @@ CanonicalScratch &threadScratch() {
 
 } // namespace
 
-EnumerationResult
-Enumerator::enumerate(const Function &Root,
-                      EnumerationCheckpoint *Checkpoint) const {
-  return run(Root, nullptr, Checkpoint);
+EnumerationResult Enumerator::enumerate(const Function &Root) const {
+  return run(Root, nullptr);
 }
 
-EnumerationResult
-Enumerator::resume(const Function &Root, EnumerationCheckpoint From,
-                   EnumerationCheckpoint *Checkpoint) const {
-  // An unfilled checkpoint resumes as a fresh run, so callers can use one
-  // code path whether or not a prior session left state behind.
-  return run(Root, From.Valid ? &From : nullptr, Checkpoint);
+EnumerationResult Enumerator::resume(const Function &Root,
+                                     EnumerationResult From) const {
+  if (!isResumableStop(From.Stop))
+    return From;
+  return run(Root, &From);
 }
 
 EnumerationResult Enumerator::run(const Function &Root,
-                                  EnumerationCheckpoint *From,
-                                  EnumerationCheckpoint *Out) const {
+                                  EnumerationResult *From) const {
   EnumerationResult R;
   ResourceGovernor Gov;
   Gov.setDeadline(Config.DeadlineMs);
@@ -217,63 +214,52 @@ EnumerationResult Enumerator::run(const Function &Root,
   ThreadPool Pool(Threads - 1);
   const PhaseGuard::Options GuardOpts{Config.VerifyIr, Config.Faults};
 
-  // Seals the result: resolves the stop reason (a run that finished but
-  // pruned edges after rollbacks is not the complete space) and weights
-  // the — possibly partial — DAG.
-  auto Finish = [&](StopReason Why) {
-    if (Why == StopReason::Complete && !R.Diagnostics.empty())
-      Why = StopReason::VerifierFailure;
-    R.Stop = Why;
-    R.ApproxMemoryBytes = Gov.chargedBytes();
-    computeWeights(R);
-  };
-
   // Per-phase application counts so far: the FaultPlan coordinate space.
-  // Persisted across levels and sessions.
   uint64_t AppCount[NumPhases] = {};
 
   std::vector<FrontierEntry> Frontier;
   uint64_t FrontierBytes = 0;
   uint32_t Level = 0;
 
-  // Captures the continuation for a transient stop: the pending frontier,
-  // the level counter, the application numbering valid at that barrier
-  // (a discarded in-flight level hands back the pre-level snapshot).
-  // Call after Finish() so Partial carries the final stop reason and
-  // weights.
-  auto Capture = [&](std::vector<FrontierEntry> &&Pending,
-                     uint64_t PendingBytes, uint32_t LevelCounter,
-                     const uint64_t (&Counts)[NumPhases]) {
-    if (!Out)
-      return;
-    Out->Valid = true;
-    Out->Partial = R;
-    Out->Frontier = std::move(Pending);
-    Out->LevelCounter = LevelCounter;
-    for (int P = 0; P != NumPhases; ++P)
-      Out->AppCount[P] = Counts[P];
-    Out->FrontierBytes = PendingBytes;
+  // Seals the result: resolves the stop reason (a run that finished but
+  // pruned edges after rollbacks is not the complete space) and weights
+  // the — possibly partial — DAG. A transient stop hands \p Pending, the
+  // frontier of the last committed barrier, to the caller with it.
+  auto Finish = [&](StopReason Why, std::vector<FrontierEntry> &&Pending) {
+    if (Why == StopReason::Complete && !R.Diagnostics.empty())
+      Why = StopReason::VerifierFailure;
+    R.Stop = Why;
+    R.ApproxMemoryBytes = Gov.chargedBytes();
+    if (isResumableStop(Why))
+      R.Frontier = std::move(Pending);
+    computeWeights(R);
   };
 
   if (From) {
-    // Continue from the checkpoint barrier: the node hashes rebuild the
-    // instance table, the saved frontier becomes the working frontier,
-    // and the governor re-charges exactly what was accounted at capture.
-    R = std::move(From->Partial);
-    for (uint32_t I = 0; I != R.Nodes.size(); ++I)
+    // Continue from the barrier \p From stopped at. The node hashes rebuild
+    // the instance table and its frontier becomes the working one. The
+    // rest is what the DAG already says: the level counter is the
+    // frontier's level, each phase has been applied once per node that
+    // attempted it (a discarded level cleared its entries' masks), and the
+    // governor re-charges what was accounted, the frontier's share
+    // included.
+    R = std::move(*From);
+    for (uint32_t I = 0; I != R.Nodes.size(); ++I) {
       Table.tryEmplace(R.Nodes[I].Hash, I);
-    Frontier = std::move(From->Frontier);
-    Level = From->LevelCounter;
-    FrontierBytes = From->FrontierBytes;
+      for (int P = 0; P != NumPhases; ++P)
+        AppCount[P] += (R.Nodes[I].AttemptedMask >> P) & 1;
+    }
+    Frontier = std::exchange(R.Frontier, {});
+    FootprintDedup Seen;
+    for (const FrontierEntry &E : Frontier)
+      FrontierBytes += entryFootprint(E, Seen);
+    if (!Frontier.empty())
+      Level = R.Nodes[Frontier.front().Node].Level;
     Gov.charge(R.ApproxMemoryBytes);
-    for (int P = 0; P != NumPhases; ++P)
-      AppCount[P] = From->AppCount[P];
     // A still-violated limit (e.g. resuming under the same memory budget)
     // must stop here, exactly where the interrupted run stopped.
     if (StopReason Why = Gov.check(); Why != StopReason::Complete) {
-      Finish(Why);
-      if (isResumableStop(Why))
-        Capture(std::move(Frontier), FrontierBytes, Level, AppCount);
+      Finish(Why, std::move(Frontier));
       return R;
     }
   } else {
@@ -313,13 +299,6 @@ EnumerationResult Enumerator::run(const Function &Root,
     LS.Level = Level;
 
     const size_t N = Frontier.size();
-
-    // Pre-level snapshot of the application numbering: a Deadline or
-    // Cancelled stop discards the in-flight level, and its checkpoint
-    // must restart the numbering from here.
-    uint64_t AppSnapshot[NumPhases];
-    for (int P = 0; P != NumPhases; ++P)
-      AppSnapshot[P] = AppCount[P];
 
     // Precompute the application number every would-be attempt gets in
     // frontier order: entry I attempts phase P iff P is legal for its
@@ -523,7 +502,7 @@ EnumerationResult Enumerator::run(const Function &Root,
     });
 
     if (Broken) {
-      Finish(StopReason::InternalError);
+      Finish(StopReason::InternalError, {});
       return R;
     }
     if (StopReason Why = static_cast<StopReason>(
@@ -532,7 +511,7 @@ EnumerationResult Enumerator::run(const Function &Root,
       // Discard the in-flight level wholesale, committed entries
       // included: the DAG goes back to the previous barrier, where it is
       // self-consistent (frontier nodes have no edges or masks before
-      // their expansion), and the checkpoint re-expands this level.
+      // their expansion), and a resume re-expands this level.
       R.Nodes.resize(NodesBefore);
       for (const FrontierEntry &E : Frontier) {
         DagNode &Nd = R.Nodes[E.Node];
@@ -542,9 +521,7 @@ EnumerationResult Enumerator::run(const Function &Root,
       R.Diagnostics.resize(DiagsBefore);
       R.AttemptedPhases = AttemptedBefore;
       Gov.release(Gov.chargedBytes() - ChargedBefore);
-      Finish(Why);
-      if (isResumableStop(Why))
-        Capture(std::move(Frontier), FrontierBytes, Level - 1, AppSnapshot);
+      Finish(Why, std::move(Frontier));
       return R;
     }
 
@@ -577,15 +554,13 @@ EnumerationResult Enumerator::run(const Function &Root,
     else
       Why = Gov.check();
     if (Why != StopReason::Complete) {
-      Finish(Why);
-      if (isResumableStop(Why))
-        Capture(std::move(Next), NextBytes, Level, AppCount);
+      Finish(Why, std::move(Next));
       return R;
     }
     Frontier = std::move(Next);
   }
 
-  Finish(StopReason::Complete);
+  Finish(StopReason::Complete, {});
   // Keep the BFS depth when the space is cyclic.
   if (!R.Cyclic)
     R.MaxActiveLength = longestPathLength(R);

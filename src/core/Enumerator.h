@@ -125,8 +125,8 @@ struct EnumeratorConfig {
   bool RemapRegisters = true;
   /// Wall-clock deadline in milliseconds, measured from the start of
   /// enumerate(); 0 = unlimited. Polled before expanding each node; when
-  /// it fires, the in-flight level is discarded and the result (and
-  /// checkpoint) is the DAG of the previous level boundary.
+  /// it fires, the in-flight level is discarded and the result is the DAG
+  /// of the previous level boundary, with that boundary's frontier.
   uint64_t DeadlineMs = 0;
   /// Approximate memory budget in bytes, tracked by node, edge and
   /// frontier-instance accounting; 0 = unlimited. Checked at level
@@ -152,6 +152,22 @@ struct EnumeratorConfig {
   unsigned Jobs = 1;
 };
 
+/// Frontier entry: a node discovered at the current BFS level, waiting to
+/// be expanded, with its function instance. Exposed (rather than kept
+/// private to the engine) because an interrupted result carries its
+/// committed frontier, which the store persists across process lifetimes
+/// (see EnumerationResult::Frontier and src/store).
+struct FrontierEntry {
+  uint32_t Node = 0;
+  /// The instance itself; its State decides which phases are legal.
+  Function Instance;
+  /// Phases along incoming edges; known dormant without attempting (an
+  /// active phase is never successful twice consecutively).
+  uint16_t IncomingMask = 0;
+  /// Number of distinct active sequences reaching this node.
+  uint64_t Sequences = 1;
+};
+
 /// Result of one exhaustive enumeration.
 struct EnumerationResult {
   std::vector<DagNode> Nodes; ///< Node 0 is the unoptimized instance.
@@ -170,6 +186,12 @@ struct EnumerationResult {
   std::vector<PhaseDiagnostic> Diagnostics;
   /// Bytes accounted against MaxMemoryBytes when the run ended.
   uint64_t ApproxMemoryBytes = 0;
+  /// The committed but unexpanded frontier at the barrier where a
+  /// transient limit (see isResumableStop) stopped the run: with the DAG
+  /// so far, everything Enumerator::resume needs to continue it. Empty
+  /// for every other stop. Its nodes all belong to the last committed
+  /// level.
+  std::vector<FrontierEntry> Frontier;
 
   /// Derived from Stop: true only for a fully exhausted, failure-free
   /// space (the old Complete flag, with pruned-by-rollback runs now
@@ -184,50 +206,10 @@ struct EnumerationResult {
   }
 };
 
-/// Frontier entry: a node discovered at the current BFS level, waiting to
-/// be expanded, with its function instance. Exposed (rather than kept
-/// private to the engine) because the checkpoint/resume machinery must
-/// persist the committed frontier across process lifetimes (see
-/// EnumerationCheckpoint and src/store).
-struct FrontierEntry {
-  uint32_t Node = 0;
-  /// The instance itself; its State decides which phases are legal.
-  Function Instance;
-  /// Phases along incoming edges; known dormant without attempting (an
-  /// active phase is never successful twice consecutively).
-  uint16_t IncomingMask = 0;
-  /// Number of distinct active sequences reaching this node.
-  uint64_t Sequences = 1;
-};
-
-/// A resumable continuation of an interrupted enumeration: everything the
-/// engine needs to pick up at the last committed level barrier and produce
-/// a DAG byte-identical to an uninterrupted run. Checkpoints are taken
-/// only for *transient* stops (Deadline, MemoryBudget, Cancelled) — a
-/// budget stop (LevelBudget/NodeBudget) is a final verdict about the
-/// configured space and resuming past it would change its meaning.
-struct EnumerationCheckpoint {
-  /// True once the engine has filled the checkpoint in.
-  bool Valid = false;
-  /// The partial result as returned to the caller (stop reason set,
-  /// weights computed). Node hashes double as the instance table: resume
-  /// rebuilds the table from them.
-  EnumerationResult Partial;
-  /// The committed-but-unexpanded frontier at the stop barrier.
-  std::vector<FrontierEntry> Frontier;
-  /// Value of the engine's level counter at the barrier; the resumed loop
-  /// continues with LevelCounter + 1.
-  uint32_t LevelCounter = 0;
-  /// Per-phase application counts in frontier order (the FaultPlan and
-  /// diagnostic coordinate space).
-  uint64_t AppCount[NumPhases] = {};
-  /// Governor accounting of the saved frontier (already included in
-  /// Partial.ApproxMemoryBytes; split out so the resumed engine can
-  /// release it at its first barrier).
-  uint64_t FrontierBytes = 0;
-};
-
-/// True for stop reasons that leave a resumable checkpoint behind.
+/// True for the transient stops (Deadline, MemoryBudget, Cancelled), whose
+/// results carry their frontier and can be resumed. A budget stop
+/// (LevelBudget/NodeBudget) is a final verdict about the configured space:
+/// resuming past it would change its meaning.
 inline bool isResumableStop(StopReason R) {
   return R == StopReason::Deadline || R == StopReason::MemoryBudget ||
          R == StopReason::Cancelled;
@@ -242,30 +224,20 @@ public:
   /// Enumerates all reachable instances of \p Root (which is copied;
   /// typically the unoptimized function straight out of the front end).
   /// The result does not depend on Config.Jobs (differentially tested in
-  /// tests/core/parallel_enumerator_test.cpp).
-  EnumerationResult enumerate(const Function &Root) const {
-    return enumerate(Root, nullptr);
-  }
+  /// tests/core/parallel_enumerator_test.cpp). A run stopped by a
+  /// transient limit returns its frontier with the partial DAG.
+  EnumerationResult enumerate(const Function &Root) const;
 
-  /// Same, but when the run is stopped by a transient limit (Deadline,
-  /// MemoryBudget, Cancelled) and \p Checkpoint is non-null, the
-  /// continuation state is captured there (Checkpoint->Valid set). Other
-  /// stop reasons leave \p Checkpoint invalid.
-  EnumerationResult enumerate(const Function &Root,
-                              EnumerationCheckpoint *Checkpoint) const;
-
-  /// Continues an enumeration of \p Root from \p From (which must have
-  /// been produced by an enumerate()/resume() of the same root under the
-  /// same DAG-affecting configuration — the artifact store enforces this
-  /// with its cache key). The final result is byte-identical to an
-  /// uninterrupted run, for any mix of job counts across the sessions.
-  /// Stops again are captured in \p Checkpoint like enumerate().
-  EnumerationResult resume(const Function &Root, EnumerationCheckpoint From,
-                           EnumerationCheckpoint *Checkpoint = nullptr) const;
+  /// Continues \p From, an interrupted result of an enumerate()/resume()
+  /// of the same root under the same DAG-affecting configuration (the
+  /// artifact store enforces this with its cache key), from its frontier.
+  /// The final result is byte-identical to an uninterrupted run, for any
+  /// mix of job counts across the sessions. A result whose stop is not
+  /// resumable is returned as it is.
+  EnumerationResult resume(const Function &Root, EnumerationResult From) const;
 
 private:
-  EnumerationResult run(const Function &Root, EnumerationCheckpoint *From,
-                        EnumerationCheckpoint *Out) const;
+  EnumerationResult run(const Function &Root, EnumerationResult *From) const;
 
   const PhaseManager &PM;
   EnumeratorConfig Config;

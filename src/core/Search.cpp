@@ -82,10 +82,16 @@ private:
 
 namespace {
 
-/// Arms the search governor from the config's deadline and token.
+/// Attempted sequence length (the GA chromosome length). The paper's
+/// batch compiler actively applies ~9 phases; attempted sequences need
+/// slack for dormant genes.
+constexpr int SequenceLength = 16;
+/// Per-gene mutation probability, in ten-thousandths (0.05).
+constexpr uint64_t MutationPer10k = 500;
+
+/// Arms the search governor from the config's stop token.
 ResourceGovernor makeGovernor(const SearchConfig &Config) {
   ResourceGovernor Gov;
-  Gov.setDeadline(Config.DeadlineMs);
   Gov.setStopToken(Config.Stop);
   return Gov;
 }
@@ -105,7 +111,7 @@ SearchResult SequenceSearch::geneticSearch(const Function &Root,
   ResourceGovernor Gov = makeGovernor(Config);
   Rng R(Config.Seed);
 
-  const int Len = Config.SequenceLength;
+  const int Len = SequenceLength;
   const int Pop = std::max(4, Config.PopulationSize);
   std::vector<std::vector<int>> Population(Pop, std::vector<int>(Len));
   for (auto &Genes : Population)
@@ -139,8 +145,7 @@ SearchResult SequenceSearch::geneticSearch(const Function &Root,
       for (int I = 0; I != Len; ++I)
         Child[I] = static_cast<size_t>(I) < Cut ? A[I] : B[I];
       for (int &G : Child)
-        if (R.below(10'000) <
-            static_cast<uint64_t>(Config.MutationRate * 10'000))
+        if (R.below(10'000) < MutationPer10k)
           G = static_cast<int>(R.below(NumPhases));
       Next.push_back(std::move(Child));
     }
@@ -163,7 +168,7 @@ SearchResult SequenceSearch::hillClimb(const Function &Root, Objective Obj,
   ResourceGovernor Gov = makeGovernor(Config);
   Rng R(Config.Seed);
 
-  const int Len = Config.SequenceLength;
+  const int Len = SequenceLength;
   std::vector<int> Current(Len);
   for (int &G : Current)
     G = static_cast<int>(R.below(NumPhases));
@@ -211,7 +216,7 @@ SearchResult SequenceSearch::randomSearch(const Function &Root,
   Evaluator Eval(*this, Root, Obj);
   ResourceGovernor Gov = makeGovernor(Config);
   Rng R(Config.Seed);
-  const int Len = Config.SequenceLength;
+  const int Len = SequenceLength;
   while (Stats.Evaluations < Config.MaxEvaluations) {
     if ((Stats.Stop = Gov.check()) != StopReason::Complete)
       return Stats;

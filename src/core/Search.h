@@ -45,20 +45,12 @@ enum class Objective : uint8_t {
 /// Search tuning knobs.
 struct SearchConfig {
   uint64_t Seed = 1;
-  /// Attempted sequence length (the GA chromosome length). The paper's
-  /// batch compiler actively applies ~9 phases; attempted sequences need
-  /// slack for dormant genes.
-  int SequenceLength = 16;
   int PopulationSize = 20;
   int Generations = 25;
-  /// Per-gene mutation probability.
-  double MutationRate = 0.05;
   /// Evaluation budget for random search and the hill climber.
   uint64_t MaxEvaluations = 500;
-  /// Wall-clock deadline in milliseconds for the whole search; 0 =
-  /// unlimited. Checked between fitness evaluations.
-  uint64_t DeadlineMs = 0;
-  /// Cooperative cancellation (not owned; may be nullptr).
+  /// Cooperative cancellation (not owned; may be nullptr). Checked
+  /// between fitness evaluations.
   const StopToken *Stop = nullptr;
 };
 
@@ -70,8 +62,8 @@ struct SearchResult {
   uint64_t Evaluations = 0; ///< Distinct fitness evaluations performed.
   uint64_t CacheHits = 0;   ///< Evaluations avoided by hash dedup.
   uint64_t PhaseAttempts = 0;
-  /// Complete when the strategy ran to its natural end; Deadline or
-  /// Cancelled when the governor stopped it early. The best-so-far
+  /// Complete when the strategy ran to its natural end; Cancelled when
+  /// the stop token stopped it early. The best-so-far
   /// fields above stay valid either way.
   StopReason Stop = StopReason::Complete;
 };

@@ -7,13 +7,13 @@
 /// \file
 /// The process exit-code contract of `posec --worker` and
 /// `posec --supervise`. A worker reports through its exit status and the
-/// artifact store only: the status tells the supervisor which artifact
-/// to load (the result after Ok or VerifyFailure, the checkpoint after a
+/// artifact store only: the status tells the supervisor what the stored
+/// result must be (final after Ok or VerifyFailure, partial after a
 /// resumable stop). So every code below has exactly one meaning and
 /// scripts (CI, the supervisor itself) may match on them. Legacy
 /// invocations (plain --enumerate and friends) keep their historical
-/// 0/1/2 behavior — a deadline-stopped run that saved a checkpoint still
-/// exits 0 there, because existing callers treat that as success.
+/// 0/1/2 behavior — a deadline-stopped run that stored its partial DAG
+/// still exits 0 there, because existing callers treat that as success.
 ///
 /// The `posed` daemon (tools/posed.cpp, docs/SERVICE.md) shares this
 /// table: it exits Ok after a graceful SIGTERM/SIGINT drain, Usage for a
@@ -43,11 +43,12 @@ enum ExitCode : int {
   Usage = 2,           ///< Bad command line; nothing ran.
   VerifyFailure = 3,   ///< Enumeration finished but a phase broke the IR;
                        ///< the surviving space is sound, not exhaustive.
-  Deadline = 4,        ///< Stopped by the wall-clock deadline; a
-                       ///< checkpoint was saved (resume to continue).
-  MemoryBudget = 5,    ///< Stopped by the memory budget; checkpoint saved.
-  Cancelled = 6,       ///< Stopped by cooperative cancellation;
-                       ///< checkpoint saved.
+  Deadline = 4,        ///< Stopped by the wall-clock deadline; the
+                       ///< partial DAG was stored (rerun to continue).
+  MemoryBudget = 5,    ///< Stopped by the memory budget; partial DAG
+                       ///< stored.
+  Cancelled = 6,       ///< Stopped by cooperative cancellation; partial
+                       ///< DAG stored.
   WorkerCrash = 7,     ///< Supervisor only: a job exhausted its retries
                        ///< crashing and was quarantined/degraded.
   QuarantinedSkip = 8, ///< Supervisor only: at least one job was skipped

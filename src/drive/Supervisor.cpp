@@ -41,7 +41,7 @@ EnumeratorConfig keyingConfig(const SupervisorOptions &O) {
 }
 
 /// How long after a worker's own --deadline-ms its kill timer fires: the
-/// time the worker has to stop at a level barrier, write its checkpoint
+/// time the worker has to stop at a level barrier, store its partial DAG
 /// and exit. A sweep's last worker can outlast the sweep deadline by this
 /// much.
 constexpr uint64_t DeadlineGraceMs = 500;
@@ -57,7 +57,6 @@ std::vector<std::string> workerArgv(const SupervisorOptions &O,
       "--worker",
       "--enumerate=" + Func,
       "--store=" + O.StoreDir,
-      "--resume",
       "--budget=" + u64Str(O.Budget),
       "--jobs=" + u64Str(O.Jobs),
   };
@@ -87,7 +86,7 @@ std::vector<std::string> workerArgv(const SupervisorOptions &O,
 /// What one worker spawn taught us.
 enum class AttemptClass {
   Done,      ///< Final result in the store.
-  Transient, ///< Resumable stop with a stored checkpoint; retry resumes.
+  Transient, ///< Resumable stop with a stored partial DAG; retry resumes.
   Crash,     ///< Crash-class failure (signal, timeout, protocol, exit).
   Spawn,     ///< fork/exec failed; the job cannot run at all.
   Deadline,  ///< Killed when the sweep's deadline ran out; no retry.
@@ -101,8 +100,28 @@ struct AttemptOutcome {
   std::string Note;          ///< Spawn error / crash description.
 };
 
+/// Loads the result stored for \p Root under \p Fp into \p Res and
+/// requires its stop to be final (\p Final) or resumable (!\p Final). A
+/// stored result that fails validation appends why to \p Note.
+bool loadStored(const store::ArtifactStore &Store, const HashTriple &Root,
+                uint64_t Fp, bool Final, EnumerationResult &Res,
+                std::string &Note) {
+  std::string Err;
+  switch (Store.loadResult(Root, Fp, Res, Err)) {
+  case store::LoadStatus::Hit:
+    return isResumableStop(Res.Stop) != Final;
+  case store::LoadStatus::Rejected:
+    Note += " (stored result rejected: " + Err + ")";
+    return false;
+  case store::LoadStatus::Miss:
+    return false;
+  }
+  return false;
+}
+
 /// Classifies a finished worker by its exit status and, where the status
-/// promises one, by the artifact it stored for \p Root under \p Fp.
+/// promises one, by the result it stored for \p Root under \p Fp: a final
+/// one after exit 0 or 3, a partial one after a resumable stop.
 /// \p SweepTimer says the kill timer was the sweep's remaining budget,
 /// shorter than the per-worker timeout: its firing is the sweep's
 /// deadline, not a hung worker.
@@ -146,11 +165,10 @@ AttemptOutcome classifyAttempt(const SubprocessResult &R, uint64_t TimeoutMs,
     break;
   }
 
-  std::string Err;
+  EnumerationResult Res;
+  std::string Rejected;
   if (R.ExitCode == ExitCode::Ok || R.ExitCode == ExitCode::VerifyFailure) {
-    EnumerationResult Res;
-    const store::LoadStatus St = Store.loadResult(Root, Fp, Res, Err);
-    if (St == store::LoadStatus::Hit) {
+    if (loadStored(Store, Root, Fp, /*Final=*/true, Res, Rejected)) {
       A.Class = AttemptClass::Done;
       A.Stop = Res.Stop;
       A.Nodes = Res.Nodes.size();
@@ -160,19 +178,16 @@ AttemptOutcome classifyAttempt(const SubprocessResult &R, uint64_t TimeoutMs,
     A.Q.Failure = store::WorkerFailure::Protocol;
     A.Q.ExitCode = R.ExitCode;
     A.Q.Message = "worker exited " + std::to_string(R.ExitCode) +
-                  " without storing a result";
-    if (St == store::LoadStatus::Rejected)
-      A.Q.Message += " (stored result rejected: " + Err + ")";
+                  " without storing a result" + Rejected;
     A.Note = A.Q.Message;
     return A;
   }
-  EnumerationCheckpoint C;
   if ((R.ExitCode == ExitCode::Deadline ||
        R.ExitCode == ExitCode::MemoryBudget ||
        R.ExitCode == ExitCode::Cancelled) &&
-      Store.loadCheckpoint(Root, Fp, C, Err) == store::LoadStatus::Hit) {
+      loadStored(Store, Root, Fp, /*Final=*/false, Res, Rejected)) {
     A.Class = AttemptClass::Transient;
-    A.Stop = C.Partial.Stop;
+    A.Stop = Res.Stop;
     A.Note = std::string("worker stopped: ") + stopReasonName(A.Stop) +
              " (checkpoint saved)";
     return A;
@@ -180,24 +195,24 @@ AttemptOutcome classifyAttempt(const SubprocessResult &R, uint64_t TimeoutMs,
   A.Class = AttemptClass::Crash;
   A.Q.Failure = store::WorkerFailure::BadExit;
   A.Q.ExitCode = R.ExitCode;
-  A.Q.Message = "worker exited " + std::to_string(R.ExitCode);
+  A.Q.Message = "worker exited " + std::to_string(R.ExitCode) + Rejected;
   A.Note = A.Q.Message;
   return A;
 }
 
 /// Fills the degradation part of \p J after retries are exhausted: the
-/// newest checkpoint when one survived, else an in-process fixed-order
-/// batch compilation. Never persists anything as a Result — a degraded
+/// newest stored partial DAG when one survived, else an in-process
+/// fixed-order batch compilation. Never persists anything — a degraded
 /// DAG must not poison the cache.
 void degradeJob(JobOutcome &J, const PhaseManager &PM, const Function &F,
                 const store::ArtifactStore &Store, const HashTriple &Root,
                 uint64_t Fp, StopReason Stop) {
   J.Status = JobStatus::Degraded;
   J.Stop = Stop;
-  EnumerationCheckpoint C;
-  std::string Err;
-  if (Store.loadCheckpoint(Root, Fp, C, Err) == store::LoadStatus::Hit) {
-    J.Nodes = C.Partial.Nodes.size();
+  EnumerationResult Partial;
+  std::string Rejected;
+  if (loadStored(Store, Root, Fp, /*Final=*/false, Partial, Rejected)) {
+    J.Nodes = Partial.Nodes.size();
     J.Detail += "; partial DAG from checkpoint (" + u64Str(J.Nodes) +
                 " nodes)";
     return;
@@ -207,7 +222,8 @@ void degradeJob(JobOutcome &J, const PhaseManager &PM, const Function &F,
   J.Nodes = 0;
   J.Detail += "; batch-compile fallback (" + u64Str(S.Attempted) +
               " attempted, " + u64Str(S.Active) + " active: " +
-              (S.ActiveSequence.empty() ? "-" : S.ActiveSequence) + ")";
+              (S.ActiveSequence.empty() ? "-" : S.ActiveSequence) + ")" +
+              Rejected;
 }
 
 } // namespace
@@ -375,7 +391,8 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
       EnumerationResult Res;
       std::string Err;
       const store::LoadStatus St = Store.loadResult(S.Root, Fp, Res, Err);
-      if (St == store::LoadStatus::Hit) {
+      // An interrupted result is not a cached one: the worker resumes it.
+      if (St == store::LoadStatus::Hit && !isResumableStop(Res.Stop)) {
         bool EquivReady = true;
         if (Opts.Equiv) {
           sem::EquivRecord E;
@@ -511,7 +528,7 @@ SweepReport superviseModule(const PhaseManager &PM, const Module &M,
       ++S.Attempt;
       // Where the sweep's deadline comes before the per-worker timeout,
       // the worker gets the time left as its own --deadline-ms: it stops
-      // at a level barrier, saves its checkpoint and exits 4, and the job
+      // at a level barrier, stores its partial DAG and exits 4, and the job
       // degrades to that partial DAG. The kill timer stays as the
       // backstop, DeadlineGraceMs later (never past the worker timeout).
       S.SweepTimer = HasDeadline && (Opts.WorkerTimeoutMs == 0 ||

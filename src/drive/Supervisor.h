@@ -21,19 +21,19 @@
 ///    job's own artifact store): a job that exhausts its retries crashing
 ///    is recorded, and later sweeps skip it with a diagnostic instead of
 ///    burning the retry ladder again; the worker's saveResult clears the
-///    record once the job succeeds;
+///    record once the job stores a final result;
 ///  - graceful degradation: an exhausted job falls back to the newest
-///    checkpoint artifact when one exists (a partial DAG marked
+///    stored partial DAG when one exists (marked
 ///    \ref StopReason::WorkerCrash), else to an in-process fixed-order
 ///    batch compilation — the job is reported Degraded and the sweep
 ///    carries on.
 ///
 /// A sweep deadline (SweepDeadlineMs) that comes before the per-worker
 /// timeout reaches the worker as its own --deadline-ms, the time left:
-/// the worker stops at a level barrier, saves its checkpoint and exits 4,
-/// and the job degrades to that partial DAG, which a later sweep resumes.
-/// The worker's kill timer is shortened to the time left plus a grace for
-/// that checkpoint write. When such a shortened timer fires,
+/// the worker stops at a level barrier, stores its partial DAG and exits
+/// 4, and the job degrades to that partial DAG, which a later sweep
+/// resumes. The worker's kill timer is shortened to the time left plus a
+/// grace for that store write. When such a shortened timer fires,
 /// the sweep ran out of time; the worker did not hang. The job then
 /// degrades at once as a \ref StopReason::Deadline stop, with no retry
 /// and no quarantine record.
@@ -42,11 +42,12 @@
 /// (src/drive/ExitCodes.h) and the artifact store, which both sides key
 /// identically (crash-class injected faults are execution-only and
 /// excluded from the config fingerprint, so a fault-injected worker
-/// shares artifacts with a clean one). After exit 0 or 3 the supervisor
-/// loads the job's result from the store, after a resumable stop its
-/// checkpoint. A clean exit with no stored result — a child that never
+/// shares artifacts with a clean one). The job has one artifact, its
+/// result: after exit 0 or 3 it must be final, after a resumable stop
+/// partial. A clean exit with no stored final result — a child that never
 /// reached the enumerator, or a worker keying the store differently — is
-/// a protocol failure, classified like a crash.
+/// a protocol failure, classified like a crash. A stored result found
+/// but rejected is named in the job's detail.
 ///
 /// Every worker gets the same command line for its job, built by the
 /// supervisor alone: the only per-attempt difference is that injected
@@ -84,8 +85,8 @@ struct SupervisorOptions {
   /// instead of an input path when set. Exactly one of InputPath/Workload
   /// is nonempty.
   std::string Workload;
-  /// Artifact store; required. It holds the results and checkpoints the
-  /// workers write and the quarantine records the supervisor writes.
+  /// Artifact store; required. It holds the results, final or partial,
+  /// the workers write and the quarantine records the supervisor writes.
   std::string StoreDir;
 
   // Enumeration knobs forwarded to workers (fingerprint-relevant ones
@@ -134,7 +135,7 @@ struct SupervisorOptions {
   uint64_t WorkerTimeoutMs = 60'000; ///< Wall-clock kill timer per spawn.
   uint64_t WorkerRlimitMb = 0;       ///< RLIMIT_AS cap per worker (0 = off).
   /// Whole-sweep budget (0 = none). The sweep can end up to 500 ms past
-  /// it, the grace a worker cut short by it gets to write its checkpoint,
+  /// it, the grace a worker cut short by it gets to store its partial DAG,
   /// plus the in-process fallback of the jobs it left unfinished.
   uint64_t SweepDeadlineMs = 0;
   RetryPolicy Retry;                 ///< Backoff schedule between attempts.

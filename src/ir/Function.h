@@ -376,7 +376,7 @@ public:
   int32_t labelLimit() const { return NextLabel; }
 
   /// Restores both allocation counters exactly. Deserialized instances
-  /// (checkpoint resume) must hand out the same fresh registers and
+  /// (a resumed frontier) must hand out the same fresh registers and
   /// labels the original would have; recomputeCounters() only guarantees
   /// "past every number still used", which is weaker when an allocated
   /// number was later optimized away.

@@ -188,45 +188,6 @@ bool tryCombine(Function &F, const Liveness &LV, size_t BI, size_t P,
   return true;
 }
 
-/// Registers whose mentions one combine can change: those its producer
-/// and consumer read or write. The rewritten instruction mentions only
-/// registers of the two it replaces. Up to eight are kept; a larger set,
-/// such as a call with many arguments, reads as unbounded.
-class TouchedRegs {
-public:
-  TouchedRegs(const Rtl &A, const Rtl &Use) {
-    add(A);
-    add(Use);
-  }
-  bool bounded() const { return !Overflow; }
-  bool contains(RegNum R) const {
-    for (unsigned K = 0; K != N; ++K)
-      if (Regs[K] == R)
-        return true;
-    return false;
-  }
-
-private:
-  static constexpr unsigned Capacity = 8;
-  RegNum Regs[Capacity] = {};
-  unsigned N = 0;
-  bool Overflow = false;
-
-  void add(const Rtl &I) {
-    if (I.definesReg())
-      push(I.Dst.getReg());
-    I.forEachUsedReg([&](RegNum R) { push(R); });
-  }
-  void push(RegNum R) {
-    if (contains(R))
-      return;
-    if (N == Capacity)
-      Overflow = true;
-    else
-      Regs[N++] = R;
-  }
-};
-
 /// Consumer[] value of a position without a consumer.
 constexpr uint32_t NoConsumer = UINT32_MAX;
 
@@ -250,27 +211,21 @@ uint32_t consumerOf(const std::vector<Rtl> &Insts, size_t P) {
   return NoConsumer;
 }
 
-/// Where the scan of a block resumes after a combine at producer \p P that
-/// touched the registers \p T. Every producer before P failed, and its
-/// outcome depends only on the instructions from it to its consumer, on
-/// the later mentions of its destination (usedBeyond) and on the block's
-/// live-out set, which no combine changes. The combine rewrote only
-/// positions from P on, so an earlier producer can now succeed only if
-/// its consumer lies at or after P, or its destination is in \p T. A
-/// producer without a consumer stays without one unless its destination
-/// is in \p T.
-size_t resumePoint(const std::vector<Rtl> &Insts,
-                   const std::vector<uint32_t> &Consumer, size_t P,
-                   const TouchedRegs &T) {
-  if (!T.bounded())
-    return 0;
-  for (size_t K = 0; K != P; ++K) {
-    if (!Insts[K].definesReg())
-      continue;
-    if ((Consumer[K] != NoConsumer && Consumer[K] >= P) ||
-        T.contains(Insts[K].Dst.getReg()))
+/// Where the scan of a block resumes after a combine at producer \p P.
+/// Every producer before P failed, and its outcome depends only on the
+/// instructions from it to its consumer, on the later mentions of its
+/// destination (usedBeyond) and on the block's live-out set, which no
+/// combine changes. The combine rewrote only positions from P on, so an
+/// earlier producer can now succeed only if its consumer lies at or after
+/// P. Its destination's later mentions do not matter: for every register,
+/// the kind of its first mention at or after P (a use, a definition, or
+/// none) is the same before and after a combine of the current shapes, so
+/// a producer without a consumer also stays without one
+/// (docs/PERFORMANCE.md has the argument).
+size_t resumePoint(const std::vector<uint32_t> &Consumer, size_t P) {
+  for (size_t K = 0; K != P; ++K)
+    if (Consumer[K] != NoConsumer && Consumer[K] >= P)
       return K;
-  }
   return P;
 }
 
@@ -299,10 +254,9 @@ bool InstructionSelectionPhase::apply(Function &F) const {
         ++P;
         continue;
       }
-      const TouchedRegs T(Insts[P], Insts[Q]);
       if (tryCombine(F, LV, BI, P, Q)) {
         Changed = true;
-        P = resumePoint(F.Blocks[BI].Insts, Consumer, P, T);
+        P = resumePoint(Consumer, P);
       } else {
         ++P;
       }

@@ -172,8 +172,6 @@ bool payloadDecodes(ArtifactKind Kind, const std::vector<uint8_t> &File) {
   switch (Kind) {
   case ArtifactKind::Result:
     return As(EnumerationResult());
-  case ArtifactKind::Checkpoint:
-    return As(EnumerationCheckpoint());
   case ArtifactKind::Quarantine:
     return As(QuarantineRecord());
   case ArtifactKind::Equivalence:
@@ -193,8 +191,6 @@ const char *artifactKindName(ArtifactKind K) {
   switch (K) {
   case ArtifactKind::Result:
     return "result";
-  case ArtifactKind::Checkpoint:
-    return "checkpoint";
   case ArtifactKind::Quarantine:
     return "quarantine";
   case ArtifactKind::Equivalence:
@@ -391,8 +387,10 @@ bool ArtifactStore::saveResult(const HashTriple &Root, uint64_t Fingerprint,
                                std::string &Error) const {
   if (!save(Root, ArtifactKind::Result, Fingerprint, Res, Error))
     return false;
-  removeCheckpoint(Root);
-  removeQuarantine(Root);
+  // A job whose worker kept crashing may still leave partial progress;
+  // only a final result settles it.
+  if (!isResumableStop(Res.Stop))
+    removeQuarantine(Root);
   // A fresh result invalidates any equivalence record: the behavior
   // digests are indexed by the DAG's node ids.
   removeEquivalence(Root);
@@ -404,24 +402,6 @@ LoadStatus ArtifactStore::loadResult(const HashTriple &Root,
                                      EnumerationResult &Res,
                                      std::string &Error) const {
   return load(Root, ArtifactKind::Result, Fingerprint, Res, Error);
-}
-
-bool ArtifactStore::saveCheckpoint(const HashTriple &Root,
-                                   uint64_t Fingerprint,
-                                   const EnumerationCheckpoint &C,
-                                   std::string &Error) const {
-  return save(Root, ArtifactKind::Checkpoint, Fingerprint, C, Error);
-}
-
-LoadStatus ArtifactStore::loadCheckpoint(const HashTriple &Root,
-                                         uint64_t Fingerprint,
-                                         EnumerationCheckpoint &C,
-                                         std::string &Error) const {
-  return load(Root, ArtifactKind::Checkpoint, Fingerprint, C, Error);
-}
-
-void ArtifactStore::removeCheckpoint(const HashTriple &Root) const {
-  Io->remove(pathFor(Root, ArtifactKind::Checkpoint));
 }
 
 bool ArtifactStore::saveQuarantine(const HashTriple &Root,

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A directory of versioned, checksummed enumeration artifacts: completed
-/// DAGs (\ref ArtifactKind::Result), resumable checkpoints of interrupted
-/// runs (\ref ArtifactKind::Checkpoint), and quarantine records of jobs
-/// whose out-of-process workers kept crashing
-/// (\ref ArtifactKind::Quarantine). Exhaustive
+/// A directory of versioned, checksummed enumeration artifacts: DAGs
+/// (\ref ArtifactKind::Result; an interrupted run's carries the frontier
+/// it resumes from), quarantine records of jobs whose out-of-process
+/// workers kept crashing (\ref ArtifactKind::Quarantine), and equivalence
+/// records (\ref ArtifactKind::Equivalence). Exhaustive
 /// enumerations are expensive — hours for the larger functions of the
 /// paper's benchmarks — while the analyses that consume them (interaction
 /// mining, the probabilistic compiler, DOT export) are cheap; the store
@@ -73,18 +73,22 @@ namespace store {
 /// Version 8: the enumerator's independence-pruning mode was removed, so
 /// results dropped the predicted-edge counter, checkpoint frontier entries
 /// their discovery parent and phase, and configFingerprint the mode's mix.
-constexpr uint32_t kFormatVersion = 8;
+/// Version 9: an interrupted result carries its frontier after the memory
+/// accounting and replaces the checkpoint kind, which went with the level
+/// counter, application counts and frontier charge the DAG already implies;
+/// a final result encodes as in version 8.
+constexpr uint32_t kFormatVersion = 9;
 
-/// What an artifact file contains.
+/// What an artifact file contains. The values are the frame's kind field;
+/// 2 was the checkpoint of format version 8 and earlier.
 enum class ArtifactKind : uint32_t {
-  Result = 1,      ///< A finished EnumerationResult (any stop reason).
-  Checkpoint = 2,  ///< A resumable EnumerationCheckpoint.
+  Result = 1,      ///< An EnumerationResult (any stop reason).
   Quarantine = 3,  ///< A QuarantineRecord for a crashing worker job.
   Equivalence = 4, ///< A sem::EquivRecord: behavior digests per DAG node.
 };
 
-/// File-name suffix and report name of \p K ("result", "checkpoint",
-/// "quarantine", "equiv").
+/// File-name suffix and report name of \p K ("result", "quarantine",
+/// "equiv").
 const char *artifactKindName(ArtifactKind K);
 
 /// Size of the fixed frame header: magic, version, kind, root triple,
@@ -125,10 +129,11 @@ bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Bytes);
 /// MaxMemoryBytes, the stop token) are excluded on purpose — a DAG
 /// enumerated with four workers under a deadline is the same DAG, and a
 /// resumed run may legitimately use different resources than the run that
-/// wrote the checkpoint. Crash-class injected faults (FaultKind::Segv and
+/// was interrupted. Crash-class injected faults (FaultKind::Segv and
 /// friends) are execution-only too: they kill the process instead of
 /// shaping the DAG, so a run with crash injection shares artifacts —
-/// checkpoints, results, quarantine records — with a clean run.
+/// results, partial ones included, and quarantine records — with a clean
+/// run.
 uint64_t configFingerprint(const EnumeratorConfig &Config);
 
 /// Fingerprint for an equivalence record: the DAG's config fingerprint
@@ -171,29 +176,18 @@ public:
   /// temp file must not be reclaimed under it.
   std::vector<std::string> reclaimTmp() const;
 
-  /// Persists \p Res for \p Root. Returns false with \p Error set on I/O
-  /// failure. A finished result supersedes any checkpoint or quarantine
-  /// record for the same key, which are removed.
+  /// Persists \p Res for \p Root, replacing the stored one. Returns false
+  /// with \p Error set on I/O failure. Any equivalence record for the key
+  /// is removed (its digests are indexed by the old DAG's node ids), and
+  /// a final result also supersedes the quarantine record; an interrupted
+  /// one leaves it.
   bool saveResult(const HashTriple &Root, uint64_t Fingerprint,
                   const EnumerationResult &Res, std::string &Error) const;
 
-  /// Persists \p C for \p Root (C.Valid must be true).
-  bool saveCheckpoint(const HashTriple &Root, uint64_t Fingerprint,
-                      const EnumerationCheckpoint &C,
-                      std::string &Error) const;
-
-  /// Looks up a finished result for (\p Root, \p Fingerprint).
+  /// Looks up the result for (\p Root, \p Fingerprint): a final one, or
+  /// an interrupted one to resume (isResumableStop(Res.Stop)).
   LoadStatus loadResult(const HashTriple &Root, uint64_t Fingerprint,
                         EnumerationResult &Res, std::string &Error) const;
-
-  /// Looks up a resumable checkpoint for (\p Root, \p Fingerprint).
-  LoadStatus loadCheckpoint(const HashTriple &Root, uint64_t Fingerprint,
-                            EnumerationCheckpoint &C,
-                            std::string &Error) const;
-
-  /// Removes the checkpoint for \p Root, if any (used after the resumed
-  /// run finishes).
-  void removeCheckpoint(const HashTriple &Root) const;
 
   /// Persists a quarantine record: this (root, fingerprint) job's worker
   /// keeps dying and must be skipped until something changes.

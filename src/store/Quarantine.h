@@ -10,10 +10,10 @@
 /// dying — by signal, hang timeout, protocol violation, or unexplained
 /// exit — until its retry budget ran out. A supervised sweep consults the
 /// record before spawning a worker and skips known-bad jobs with a
-/// diagnostic instead of burning the retry ladder again; a later
-/// successful enumeration for the same key (e.g. after a fix) clears it.
+/// diagnostic instead of burning the retry ladder again; a later final
+/// result for the same key (e.g. after a fix) clears it.
 ///
-/// Records live in the ArtifactStore next to results and checkpoints,
+/// Records live in the ArtifactStore next to results,
 /// under the same frame, keying, and fingerprint discipline (see
 /// ArtifactStore.h); this header is separate only to keep the store's
 /// public surface free of supervisor types.
@@ -35,7 +35,7 @@ enum class WorkerFailure : uint8_t {
   Signal = 0, ///< Died by signal (SIGSEGV, OOM SIGKILL, ...).
   Timeout,    ///< Exceeded the supervisor's wall-clock kill timer.
   BadExit,    ///< Exited with an unrecognized nonzero status.
-  Protocol,   ///< Exited 0 or 3 without storing the job's result.
+  Protocol,   ///< Exited 0 or 3 without storing the job's final result.
 };
 
 /// Short lower-case name ("signal", "timeout", "bad-exit", "protocol").

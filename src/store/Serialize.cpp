@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 
 namespace pose {
 namespace store {
@@ -75,10 +76,17 @@ template <class Io> void io(Io &S, PhaseDiagnostic &D) {
   S.flag(D.Injected);
 }
 
-/// A frontier entry of a checkpoint whose partial DAG has \p Nodes nodes.
-template <class Io> void io(Io &S, FrontierEntry &E, size_t Nodes) {
+/// A frontier entry of an interrupted result: it names one of the partial
+/// DAG's \p Nodes, at the frontier's level \p Level, which the first entry
+/// sets (the frontier is one BFS level).
+template <class Io>
+void io(Io &S, FrontierEntry &E, const std::vector<DagNode> &Nodes,
+        std::optional<uint32_t> &Level) {
   S.u32(E.Node);
-  S.check(E.Node < Nodes);
+  const bool Named = E.Node < Nodes.size();
+  if (Named && !Level)
+    Level = Nodes[E.Node].Level;
+  S.check(Named && Nodes[E.Node].Level == *Level);
   io(S, E.Instance);
   S.u16(E.IncomingMask);
   S.u64(E.Sequences);
@@ -125,21 +133,13 @@ template <class Io> bool io(Io &S, EnumerationResult &Res) {
   });
   S.seq(Res.Diagnostics, [&](PhaseDiagnostic &D) { io(S, D); });
   S.u64(Res.ApproxMemoryBytes);
-  return S.ok();
-}
-
-template <class Io> bool io(Io &S, EnumerationCheckpoint &C) {
-  // Only a filled-in checkpoint is ever persisted or resumed.
-  S.flag(C.Valid);
-  S.check(C.Valid);
-  io(S, C.Partial);
-  S.seq(C.Frontier, [&](FrontierEntry &E) {
-    io(S, E, C.Partial.Nodes.size());
-  });
-  S.u32(C.LevelCounter);
-  for (uint64_t &Count : C.AppCount)
-    S.u64(Count);
-  S.u64(C.FrontierBytes);
+  // Only an interrupted result has a frontier; a final result encodes
+  // without the field.
+  if (isResumableStop(Res.Stop)) {
+    std::optional<uint32_t> Level;
+    S.seq(Res.Frontier,
+          [&](FrontierEntry &E) { io(S, E, Res.Nodes, Level); });
+  }
   return S.ok();
 }
 
@@ -180,7 +180,6 @@ template <class Io> bool io(Io &S, sem::EquivRecord &E) {
   template bool io(ByteReader &, T &);
 POSE_STORE_INSTANTIATE(Function)
 POSE_STORE_INSTANTIATE(EnumerationResult)
-POSE_STORE_INSTANTIATE(EnumerationCheckpoint)
 POSE_STORE_INSTANTIATE(QuarantineRecord)
 POSE_STORE_INSTANTIATE(sem::EquivRecord)
 #undef POSE_STORE_INSTANTIATE

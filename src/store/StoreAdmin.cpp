@@ -75,17 +75,13 @@ bool parseArtifactName(const std::string &Name, HashTriple &Root,
       !parseHex32(Name, 18, T.Crc))
     return false;
   const std::string Rest = Name.substr(26);
-  for (uint32_t K = static_cast<uint32_t>(ArtifactKind::Result);
-       K <= static_cast<uint32_t>(ArtifactKind::Equivalence); ++K) {
-    const std::string Want = std::string(".") +
-                             artifactKindName(static_cast<ArtifactKind>(K)) +
-                             ".pose";
-    if (Rest == Want) {
+  for (ArtifactKind K : {ArtifactKind::Result, ArtifactKind::Quarantine,
+                         ArtifactKind::Equivalence})
+    if (Rest == std::string(".") + artifactKindName(K) + ".pose") {
       Root = T;
-      Kind = static_cast<ArtifactKind>(K);
+      Kind = K;
       return true;
     }
-  }
   return false;
 }
 

@@ -11,8 +11,8 @@ namespace store {
 
 DriveResult driveEnumeration(const PhaseManager &PM,
                              const EnumeratorConfig &Config,
-                             const Function &Root, const std::string &StoreDir,
-                             bool Resume) {
+                             const Function &Root,
+                             const std::string &StoreDir) {
   DriveResult D;
   // The cache key must equal node 0's hash, so canonicalize exactly the
   // way the enumerator interns the root.
@@ -24,38 +24,23 @@ DriveResult driveEnumeration(const PhaseManager &PM,
   const uint64_t Fp = configFingerprint(Config);
 
   std::string Note;
-  LoadStatus S = Store.loadResult(D.Root, Fp, D.Result, Note);
-  if (S == LoadStatus::Hit) {
-    D.Ok = true;
-    D.Source = DriveSource::Cached;
-    return D;
-  }
+  EnumerationResult Stored;
+  const LoadStatus S = Store.loadResult(D.Root, Fp, Stored, Note);
   if (S == LoadStatus::Rejected)
     D.RejectionNotes.push_back(Note);
-
   Enumerator E(PM, Config);
-  EnumerationCheckpoint Checkpoint;
-  D.Source = DriveSource::Fresh;
-  if (Resume) {
-    EnumerationCheckpoint From;
-    S = Store.loadCheckpoint(D.Root, Fp, From, Note);
-    if (S == LoadStatus::Rejected)
-      D.RejectionNotes.push_back(Note);
-    if (S == LoadStatus::Hit) {
-      D.Result = E.resume(Root, std::move(From), &Checkpoint);
-      D.Source = DriveSource::Resumed;
-    }
-  }
-  if (D.Source == DriveSource::Fresh)
-    D.Result = E.enumerate(Root, &Checkpoint);
-
-  if (Checkpoint.Valid) {
-    if (!Store.saveCheckpoint(D.Root, Fp, Checkpoint, D.Error))
-      return D;
-    D.CheckpointSaved = true;
+  if (S != LoadStatus::Hit) {
+    D.Result = E.enumerate(Root);
+  } else if (isResumableStop(Stored.Stop)) {
+    D.Result = E.resume(Root, std::move(Stored));
+    D.Source = DriveSource::Resumed;
+  } else {
+    D.Result = std::move(Stored);
+    D.Source = DriveSource::Cached;
     D.Ok = true;
     return D;
   }
+
   if (!Store.saveResult(D.Root, Fp, D.Result, D.Error))
     return D;
   D.Ok = true;

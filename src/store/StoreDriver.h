@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The one entry point tools use to enumerate *through* the artifact
-/// store: look up a cached DAG, otherwise resume from a checkpoint when
-/// one exists (and resuming was requested), otherwise enumerate from
-/// scratch — and persist whatever the run produced, a finished result or
-/// a fresh checkpoint for the next attempt. Downstream consumers
-/// (interaction mining, the probabilistic compiler, DOT export) call this
-/// instead of Enumerator::enumerate and become restartable for free.
+/// store: reuse a stored final DAG, otherwise continue a stored
+/// interrupted one from its frontier, otherwise enumerate from scratch —
+/// and persist whatever the run produced, final or interrupted again, for
+/// the next run. Downstream consumers (interaction mining, the
+/// probabilistic compiler, DOT export) call this instead of
+/// Enumerator::enumerate and become restartable for free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +30,8 @@ namespace store {
 
 /// How DriveResult.Result was obtained.
 enum class DriveSource {
-  Cached,   ///< Loaded from a stored result; no enumeration ran.
-  Resumed,  ///< Continued from a stored checkpoint.
+  Cached,   ///< Loaded from a stored final result; no enumeration ran.
+  Resumed,  ///< Continued from a stored interrupted result.
   Fresh,    ///< Enumerated from scratch.
 };
 
@@ -43,23 +43,17 @@ struct DriveResult {
   DriveSource Source = DriveSource::Fresh;
   /// The cache key used (canonical triple of the unoptimized function).
   HashTriple Root;
-  /// True when the run stopped on a transient limit and its checkpoint
-  /// was written to the store; rerunning with Resume continues it.
-  bool CheckpointSaved = false;
   /// Validation diagnostics for artifacts that were found but rejected
   /// (stale version, wrong fingerprint, corruption). The run proceeds
   /// without them; these are surfaced so the rejection is never silent.
   std::vector<std::string> RejectionNotes;
 };
 
-/// Enumerates \p Root through the store at \p StoreDir. When \p Resume is
-/// false, an existing checkpoint is ignored (but a finished cached result
-/// is still used — results are total, checkpoints are a continuation
-/// contract the caller must opt into).
+/// Enumerates \p Root through the store at \p StoreDir.
 DriveResult driveEnumeration(const PhaseManager &PM,
                              const EnumeratorConfig &Config,
-                             const Function &Root, const std::string &StoreDir,
-                             bool Resume);
+                             const Function &Root,
+                             const std::string &StoreDir);
 
 } // namespace store
 } // namespace pose

@@ -84,7 +84,7 @@ enum class IoFaultKind : uint8_t {
                      ///< the temp file is orphaned, the target untouched.
   CrashAfterRename,  ///< Process dies right after the Nth rename: the
                      ///< new artifact is committed, everything later
-                     ///< (checkpoint cleanup, ...) never runs.
+                     ///< (quarantine cleanup, ...) never runs.
 };
 
 /// Spec-syntax names, indexed by IoFaultKind.

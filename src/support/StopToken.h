@@ -39,7 +39,7 @@ enum class StopReason : uint8_t {
   InternalError,   ///< An internal invariant failed; partial result only.
   WorkerCrash,     ///< An out-of-process enumeration worker died (signal,
                    ///< OOM kill, or hang timeout); the result is whatever
-                   ///< checkpoint survived (see src/drive/Supervisor.h).
+                   ///< partial DAG survived (see src/drive/Supervisor.h).
 };
 
 /// Short lower-case name for messages and CLI output ("deadline", ...).

@@ -73,8 +73,8 @@ TEST(QuarantineCli, ListShowsPersistedRecordWithoutSweeping) {
   quarantineF(Input, Store);
 
   // Quarantine records are keyed by the enumerator configuration (like
-  // --resume and --analyze-store), so the listing passes the same budget
-  // the sweep ran under.
+  // stored results and --analyze-store), so the listing passes the same
+  // budget the sweep ran under.
   SubprocessResult R = runPosec(
       {Input, "--list-quarantine", "--store=" + Store, "--budget=2000"});
   ASSERT_EQ(R.Kind, ExitKind::Exited) << R.Error;

@@ -370,9 +370,10 @@ TEST(MergeCli, ConflictExitsTenAndNamesTheKey) {
 }
 
 // A node index is trusted as a subscript by every reader of a DAG
-// (interaction mining, checkpoint resume), so an artifact whose indices
-// point past its node array is damaged even when its checksums hold: the
-// load is Rejected and --fsck exits StoreCorrupt (9).
+// (interaction mining, resume), so an artifact whose indices point past
+// its node array is damaged even when its checksums hold: the load is
+// Rejected and --fsck exits StoreCorrupt (9). So is a frontier that is
+// not one level of its partial DAG, which a resume would expand as one.
 TEST(FsckCli, OutOfRangeNodeIndicesAreRejected) {
   Module M = compileOrDie(SweepSource);
   Function &F = functionNamed(M, "f");
@@ -385,11 +386,11 @@ TEST(FsckCli, OutOfRangeNodeIndicesAreRejected) {
   ASSERT_TRUE(Res.complete());
   EnumeratorConfig Budgeted = Cfg;
   Budgeted.MaxMemoryBytes = 20'000;
-  EnumerationCheckpoint Cp;
-  Enumerator(PM, Budgeted).enumerate(F, &Cp);
-  ASSERT_TRUE(Cp.Valid);
-  ASSERT_FALSE(Cp.Frontier.empty());
-  const uint32_t Known = static_cast<uint32_t>(Cp.Partial.Nodes.size());
+  const EnumerationResult Partial = Enumerator(PM, Budgeted).enumerate(F);
+  ASSERT_TRUE(isResumableStop(Partial.Stop));
+  ASSERT_GE(Partial.Frontier.size(), 2u);
+  ASSERT_NE(Partial.Nodes[Partial.Frontier[0].Node].Level, 0u);
+  const uint32_t Known = static_cast<uint32_t>(Partial.Nodes.size());
 
   // Each damaged artifact goes into a store of its own; the unmodified
   // ones are the control.
@@ -421,20 +422,6 @@ TEST(FsckCli, OutOfRangeNodeIndicesAreRejected) {
         },
         Want);
   };
-  auto CheckCheckpoint = [&](const std::string &Name,
-                             const EnumerationCheckpoint &C,
-                             store::LoadStatus Want) {
-    Check(
-        Name,
-        [&](const store::ArtifactStore &S, std::string &E) {
-          return S.saveCheckpoint(Root, Fp, C, E);
-        },
-        [&](const store::ArtifactStore &S, std::string &E) {
-          EnumerationCheckpoint Out;
-          return S.loadCheckpoint(Root, Fp, Out, E);
-        },
-        Want);
-  };
 
   CheckResult("result-intact", Res, store::LoadStatus::Hit);
   EnumerationResult BadEdge = Res;
@@ -445,14 +432,18 @@ TEST(FsckCli, OutOfRangeNodeIndicesAreRejected) {
       static_cast<uint32_t>(BadEdge.Nodes.size());
   CheckResult("edge-one-past", BadEdge, store::LoadStatus::Rejected);
 
-  CheckCheckpoint("checkpoint-intact", Cp, store::LoadStatus::Hit);
-  EnumerationCheckpoint BadNode = Cp;
+  CheckResult("partial-intact", Partial, store::LoadStatus::Hit);
+  EnumerationResult BadNode = Partial;
   BadNode.Frontier[0].Node = 0x7FFFFFFFu;
-  CheckCheckpoint("frontier-node", BadNode, store::LoadStatus::Rejected);
-  EnumerationCheckpoint BadPartial = Cp;
-  BadPartial.Partial.Nodes.back().Edges.push_back(
-      {PhaseId::Cse, Known + 5});
-  CheckCheckpoint("partial-edge", BadPartial, store::LoadStatus::Rejected);
+  CheckResult("frontier-node", BadNode, store::LoadStatus::Rejected);
+  BadNode.Frontier[0].Node = Known;
+  CheckResult("frontier-one-past", BadNode, store::LoadStatus::Rejected);
+  EnumerationResult MixedLevels = Partial;
+  MixedLevels.Frontier.back().Node = 0; // The root, at level 0.
+  CheckResult("frontier-level", MixedLevels, store::LoadStatus::Rejected);
+  EnumerationResult BadPartial = Partial;
+  BadPartial.Nodes.back().Edges.push_back({PhaseId::Cse, Known + 5});
+  CheckResult("partial-edge", BadPartial, store::LoadStatus::Rejected);
 }
 
 } // namespace

@@ -259,7 +259,7 @@ TEST(Supervisor, CleanExitWithoutAStoredResultIsAProtocolFailure) {
 
 TEST(Supervisor, ResumableExitIsTransientOnlyWithAStoredCheckpoint) {
   // A worker that exits MemoryBudget (5) has stopped resumably only if
-  // the job's checkpoint is in the store: f's is staged, g has none.
+  // the job's partial result is in the store: f's is staged, g has none.
   const std::string Input = sourceFile("transient");
   Module M = compileOrDie(SweepSource);
   PhaseManager PM;
@@ -277,9 +277,9 @@ TEST(Supervisor, ResumableExitIsTransientOnlyWithAStoredCheckpoint) {
   StageCfg.MaxLevelSequences = O.Budget;
   StageCfg.MaxMemoryBytes = 20'000; // Execution-only: same fingerprint.
   store::DriveResult Staged = store::driveEnumeration(
-      PM, StageCfg, functionNamed(M, "f"), O.StoreDir, /*Resume=*/false);
+      PM, StageCfg, functionNamed(M, "f"), O.StoreDir);
   ASSERT_TRUE(Staged.Ok) << Staged.Error;
-  ASSERT_TRUE(Staged.CheckpointSaved);
+  ASSERT_TRUE(isResumableStop(Staged.Result.Stop));
 
   SweepReport R = superviseModule(PM, M, O);
   const JobOutcome *F = jobNamed(R, "f");
@@ -287,7 +287,7 @@ TEST(Supervisor, ResumableExitIsTransientOnlyWithAStoredCheckpoint) {
   ASSERT_NE(F, nullptr);
   ASSERT_NE(G, nullptr);
   // f rode the retry ladder as a transient stop, then degraded to the
-  // staged checkpoint's partial DAG without a quarantine record.
+  // staged partial DAG without a quarantine record.
   EXPECT_EQ(F->Status, JobStatus::Degraded) << F->Detail;
   EXPECT_EQ(F->Attempts, 2u);
   EXPECT_EQ(F->Stop, StopReason::MemoryBudget);
@@ -296,7 +296,8 @@ TEST(Supervisor, ResumableExitIsTransientOnlyWithAStoredCheckpoint) {
   EXPECT_NE(F->Detail.find("memory-budget (checkpoint saved)"),
             std::string::npos)
       << F->Detail;
-  // g's exit promised a checkpoint the store does not hold: a bad exit.
+  // g's exit promised a partial result the store does not hold: a bad
+  // exit.
   EXPECT_EQ(G->Status, JobStatus::Degraded) << G->Detail;
   EXPECT_EQ(G->Stop, StopReason::WorkerCrash);
   EXPECT_TRUE(G->NewlyQuarantined);
@@ -452,8 +453,8 @@ const char *BigSource =
     "crc_table[n]=c;}for(n=0;n<16;n=n+1)nibble_table[n]=crc_table[n*16];}";
 
 TEST(Supervisor, SweepDeadlineKeepsThePartialDagForTheNextSweep) {
-  // The real worker cut short by the sweep's deadline saves a checkpoint,
-  // so the job degrades to that partial DAG instead of a batch compile,
+  // The real worker cut short by the sweep's deadline stores its partial
+  // DAG, so the job degrades to it instead of a batch compile,
   // and the next sweep, without a deadline, resumes it to the full space.
   const std::string Input = ::testing::TempDir() + "pose-drive-big.mc";
   {
@@ -479,12 +480,14 @@ TEST(Supervisor, SweepDeadlineKeepsThePartialDagForTheNextSweep) {
   const EnumerationResult Whole = Enumerator(PM, Cfg).enumerate(F);
   EXPECT_LT(J->Nodes, Whole.Nodes.size());
   store::ArtifactStore Store(O.StoreDir);
-  EnumerationCheckpoint C;
+  EnumerationResult Partial;
   std::string Err;
-  ASSERT_EQ(Store.loadCheckpoint(canonicalize(F, false, true).Hash,
-                                 store::configFingerprint(Cfg), C, Err),
+  ASSERT_EQ(Store.loadResult(canonicalize(F, false, true).Hash,
+                             store::configFingerprint(Cfg), Partial, Err),
             store::LoadStatus::Hit)
       << Err;
+  EXPECT_EQ(Partial.Stop, StopReason::Deadline);
+  EXPECT_EQ(Partial.Nodes.size(), J->Nodes);
 
   SweepReport Again = superviseModule(PM, M, baseOptions(Input, O.StoreDir));
   const JobOutcome *J2 = jobNamed(Again, "make_crc_table");
@@ -574,10 +577,10 @@ TEST(Supervisor, CrashTwiceThenSucceedMatchesUninterruptedRun) {
 }
 
 TEST(Supervisor, DegradedJobFallsBackToNewestCheckpoint) {
-  // Stage a checkpoint the way a budget-stopped run would, then make
-  // every supervised attempt crash *after* the checkpoint's progress
-  // point: degradation must surface the checkpoint's partial DAG, not
-  // the batch-compile fallback.
+  // Stage a partial result the way a budget-stopped run would, then make
+  // every supervised attempt crash *after* its progress point:
+  // degradation must surface the stored partial DAG, not the
+  // batch-compile fallback.
   const std::string Input = sourceFile("ckpt");
   Module M = compileOrDie(SweepSource);
   PhaseManager PM;
@@ -588,26 +591,27 @@ TEST(Supervisor, DegradedJobFallsBackToNewestCheckpoint) {
   StageCfg.MaxLevelSequences = O.Budget;
   StageCfg.MaxMemoryBytes = 20'000; // Execution-only: same fingerprint.
   store::DriveResult Staged = store::driveEnumeration(
-      PM, StageCfg, functionNamed(M, "f"), O.StoreDir, /*Resume=*/false);
+      PM, StageCfg, functionNamed(M, "f"), O.StoreDir);
   ASSERT_TRUE(Staged.Ok) << Staged.Error;
   ASSERT_EQ(Staged.Result.Stop, StopReason::MemoryBudget);
-  ASSERT_TRUE(Staged.CheckpointSaved);
 
-  // Pick a coordinate past the checkpoint: application counters persist
-  // across resume, so the (N+1)-th CSE application happens post-resume.
+  // Pick a coordinate past the stop: a resume numbers applications on
+  // from the partial DAG's attempted masks, so the (N+1)-th CSE
+  // application happens post-resume.
   const HashTriple Root =
       canonicalize(functionNamed(M, "f"), false, true).Hash;
   EnumeratorConfig KeyCfg;
   KeyCfg.MaxLevelSequences = O.Budget;
   store::ArtifactStore Store(O.StoreDir);
-  EnumerationCheckpoint C;
+  EnumerationResult Partial;
   std::string Err;
-  ASSERT_EQ(Store.loadCheckpoint(Root, store::configFingerprint(KeyCfg), C,
-                                 Err),
+  ASSERT_EQ(Store.loadResult(Root, store::configFingerprint(KeyCfg), Partial,
+                             Err),
             store::LoadStatus::Hit)
       << Err;
-  const uint64_t Nth =
-      C.AppCount[static_cast<size_t>(PhaseId::Cse)] + 1;
+  uint64_t Nth = 1;
+  for (const DagNode &Nd : Partial.Nodes)
+    Nth += (Nd.AttemptedMask >> static_cast<int>(PhaseId::Cse)) & 1;
   const std::string Spec = "c:" + std::to_string(Nth) + ":segv";
   O.FaultSpec = Spec;
   O.FaultFunc = "f";
@@ -617,8 +621,58 @@ TEST(Supervisor, DegradedJobFallsBackToNewestCheckpoint) {
   ASSERT_NE(F, nullptr);
   EXPECT_EQ(F->Status, JobStatus::Degraded) << F->Detail;
   EXPECT_EQ(F->Stop, StopReason::WorkerCrash);
-  EXPECT_EQ(F->Nodes, C.Partial.Nodes.size());
+  EXPECT_EQ(F->Nodes, Partial.Nodes.size());
   EXPECT_NE(F->Detail.find("checkpoint"), std::string::npos) << F->Detail;
+}
+
+TEST(Supervisor, RejectedStoredPartialIsNamedInTheJobDetail) {
+  // A worker that exits Deadline (4) promises a stored partial result.
+  // When the one in the store fails validation, the job's detail says so
+  // on both paths that read it: the bad exit and the batch-compile
+  // fallback.
+  const std::string Input = sourceFile("rejected");
+  Module M = compileOrDie(SweepSource);
+  PhaseManager PM;
+  SupervisorOptions O = baseOptions(Input, freshDir("rejected"));
+  O.Retry.MaxRetries = 0;
+  O.PosecPath = ::testing::TempDir() + "pose-drive-exit4.sh";
+  {
+    std::ofstream Script(O.PosecPath, std::ios::trunc);
+    Script << "#!/bin/sh\nexit 4\n";
+  }
+  std::filesystem::permissions(O.PosecPath,
+                               std::filesystem::perms::owner_all);
+
+  EnumeratorConfig StageCfg;
+  StageCfg.MaxLevelSequences = O.Budget;
+  StageCfg.MaxMemoryBytes = 20'000; // Execution-only: same fingerprint.
+  store::DriveResult Staged = store::driveEnumeration(
+      PM, StageCfg, functionNamed(M, "f"), O.StoreDir);
+  ASSERT_TRUE(Staged.Ok) << Staged.Error;
+  ASSERT_TRUE(isResumableStop(Staged.Result.Stop));
+  const std::string Path = store::ArtifactStore(O.StoreDir)
+                               .pathFor(Staged.Root,
+                                        store::ArtifactKind::Result);
+  {
+    std::fstream File(Path, std::ios::in | std::ios::out | std::ios::binary);
+    File.seekp(-1, std::ios::end);
+    File.put('\xFF');
+  }
+
+  SweepReport R = superviseModule(PM, M, O);
+  const JobOutcome *F = jobNamed(R, "f");
+  ASSERT_NE(F, nullptr);
+  EXPECT_EQ(F->Status, JobStatus::Degraded) << F->Detail;
+  EXPECT_EQ(F->Stop, StopReason::WorkerCrash) << F->Detail;
+  EXPECT_EQ(F->Nodes, 0u) << F->Detail;
+  EXPECT_NE(F->Detail.find("worker exited 4 (stored result rejected: "),
+            std::string::npos)
+      << F->Detail;
+  EXPECT_NE(F->Detail.find(") (stored result rejected: "), std::string::npos)
+      << "the batch-compile fallback names the rejection too: "
+      << F->Detail;
+  EXPECT_NE(F->Detail.find("payload checksum mismatch"), std::string::npos)
+      << F->Detail;
 }
 
 } // namespace

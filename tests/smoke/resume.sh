@@ -1,11 +1,12 @@
 #!/bin/sh
 # Kill-and-resume smoke of the artifact store, through the posec CLI.
 #
-# A 1 ms deadline interrupts the enumeration; each rerun resumes from the
-# stored checkpoint with the deadline doubled, so even a slow host
-# converges (the deadline is an execution knob, not part of the cache
-# fingerprint). The finished DAG, rendered through the store, must be
-# byte-identical to a storeless run. Done at --jobs=1 and --jobs=4.
+# A 1 ms deadline interrupts the enumeration, which stores its partial
+# DAG; each rerun, with the deadline doubled, must report continuing that
+# partial DAG, so even a slow host converges (the deadline is an execution
+# knob, not part of the cache fingerprint). The finished DAG, rendered
+# through the store, must be byte-identical to a storeless run. Done at
+# --jobs=1 and --jobs=4.
 #
 # Usage: resume.sh POSEC SOURCE.mc WORKDIR
 set -eu
@@ -20,9 +21,14 @@ for jobs in 1 4; do
     tries=$((tries + 1))
     [ "$tries" -le 24 ] || fail "jobs=$jobs: the deadline ladder did not converge"
     out=$("$posec" "$src" --enumerate=squares --jobs=$jobs \
-          --deadline-ms=$deadline --store=$store --resume 2>&1) ||
+          --deadline-ms=$deadline --store=$store 2>&1) ||
       fail "jobs=$jobs: posec failed: $out"
     echo "deadline=${deadline}ms jobs=$jobs:"; echo "$out"
+    if [ "$tries" -gt 1 ]; then
+      case $out in *"continuing the stored partial DAG"*) ;;
+        *) fail "jobs=$jobs: a rerun did not continue the stored partial DAG" ;;
+      esac
+    fi
     case $out in *"exhaustively enumerated"*) break ;; esac
     case $out in *"checkpoint saved"*) ;;
       *) fail "jobs=$jobs: an interrupted run saved no checkpoint" ;; esac

@@ -114,9 +114,11 @@ TEST(ParseArtifactName, RejectsEverythingElse) {
                                  Root, Kind)); // Unknown kind.
   EXPECT_FALSE(parseArtifactName("00000001-00000002-00000003.result.pose2",
                                  Root, Kind));
-  EXPECT_TRUE(parseArtifactName("00000001-00000002-00000003.checkpoint.pose",
+  EXPECT_FALSE(parseArtifactName("00000001-00000002-00000003.checkpoint.pose",
+                                 Root, Kind)); // Gone with format 9.
+  EXPECT_TRUE(parseArtifactName("00000001-00000002-00000003.equiv.pose",
                                 Root, Kind));
-  EXPECT_EQ(Kind, ArtifactKind::Checkpoint);
+  EXPECT_EQ(Kind, ArtifactKind::Equivalence);
   EXPECT_TRUE(parseArtifactName("00000001-00000002-00000003.quarantine.pose",
                                 Root, Kind));
   EXPECT_EQ(Kind, ArtifactKind::Quarantine);

@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The resume contract: an enumeration stopped by a transient limit
-// (Deadline, MemoryBudget, Cancelled) and continued from its checkpoint —
-// in the same process or after a serialize/deserialize round trip through
-// the store — produces a final result byte-identical to an uninterrupted
-// run, for any mix of job counts across the sessions. "Byte-identical" is
-// enforced literally: both results are serialized with the store codec
-// and the byte strings compared.
+// (Deadline, MemoryBudget, Cancelled) and continued from its partial
+// result's frontier — after a serialize/deserialize round trip through
+// the store codec — produces a final result byte-identical to an
+// uninterrupted run, for any mix of job counts across the sessions.
+// "Byte-identical" is enforced literally: both results are serialized
+// with the store codec and the byte strings compared.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,21 +61,22 @@ EnumerationResult cleanRun(const Function &F, EnumeratorConfig Cfg,
   return E.enumerate(F);
 }
 
-/// Round-trips \p Cp through the binary codec, proving the persisted form
-/// carries everything resume needs.
-EnumerationCheckpoint throughCodec(const EnumerationCheckpoint &Cp) {
-  ByteWriter W;
-  store::encode(W, Cp);
-  ByteReader R(W.bytes());
-  EnumerationCheckpoint Out;
-  EXPECT_TRUE(store::decode(R, Out));
+/// Round-trips \p Partial through the binary codec, proving the persisted
+/// form carries everything resume needs.
+EnumerationResult throughCodec(const EnumerationResult &Partial) {
+  EXPECT_TRUE(isResumableStop(Partial.Stop));
+  const std::vector<uint8_t> Bytes = resultBytes(Partial);
+  ByteReader R(Bytes);
+  EnumerationResult Out;
+  EXPECT_TRUE(store::decodeResult(R, Out));
   EXPECT_TRUE(R.atEnd());
+  EXPECT_EQ(Out.Frontier.size(), Partial.Frontier.size());
   return Out;
 }
 
 /// Runs to the first stop under \p StartBudget bytes of memory, then
 /// repeatedly resumes with the budget raised by \p Step until the run no
-/// longer checkpoints. Every intermediate checkpoint crosses the codec.
+/// longer stops resumably. Every intermediate result crosses the codec.
 /// \p ResumeJobs rotates through the job counts used for the resume legs.
 EnumerationResult resumeLadder(const Function &F, EnumeratorConfig Base,
                                uint64_t StartBudget, uint64_t Step,
@@ -86,25 +87,18 @@ EnumerationResult resumeLadder(const Function &F, EnumeratorConfig Base,
   EnumeratorConfig Cfg = Base;
   Cfg.Jobs = FirstJobs;
   Cfg.MaxMemoryBytes = StartBudget;
-  EnumerationCheckpoint Cp;
-  EnumerationResult R;
-  {
-    Enumerator E(PM, Cfg);
-    R = E.enumerate(F, &Cp);
-  }
+  EnumerationResult R = Enumerator(PM, Cfg).enumerate(F);
   Interruptions = 0;
   size_t Leg = 0;
-  while (Cp.Valid) {
+  while (isResumableStop(R.Stop)) {
     if (++Interruptions > 100) {
       ADD_FAILURE() << "resume ladder did not converge";
       break;
     }
-    EnumerationCheckpoint From = throughCodec(Cp);
-    Cp = EnumerationCheckpoint();
+    EnumerationResult From = throughCodec(R);
     Cfg.MaxMemoryBytes += Step;
     Cfg.Jobs = ResumeJobs[Leg++ % ResumeJobs.size()];
-    Enumerator E(PM, Cfg);
-    R = E.resume(F, std::move(From), &Cp);
+    R = Enumerator(PM, Cfg).resume(F, std::move(From));
   }
   return R;
 }
@@ -135,7 +129,7 @@ TEST(CheckpointResume, ParallelMemoryLadderIsByteIdentical) {
 }
 
 TEST(CheckpointResume, MixedJobCountsAcrossSessionsAreByteIdentical) {
-  // A checkpoint written at one job count must resume under another: the
+  // A result interrupted at one job count must resume under another: the
   // saved state is barrier state, which no job count changes.
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
@@ -180,17 +174,45 @@ TEST(CheckpointResume, BudgetCappedWorkloadReachesTheSameVerdict) {
 
 TEST(CheckpointResume, InjectedFaultCoordinatesSurviveResume) {
   // Fault applications are numbered in frontier order across the whole
-  // run; the checkpoint carries the counters so an injection scheduled
-  // after the interruption still fires on the same application.
-  FaultPlan Plan;
-  ASSERT_TRUE(FaultPlan::parse("s:1,c:2,d:3", Plan));
+  // run; a resume counts them again from the partial DAG's attempted
+  // masks, so an injection scheduled after the interruption still fires
+  // on the same application. Besides three early faults, the plan fails
+  // the first c and s applications after the ladder's first stop.
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
+  PhaseManager PM;
+  const std::string Early = "s:1,c:2,d:3";
+  FaultPlan EarlyPlan;
+  ASSERT_TRUE(FaultPlan::parse(Early, EarlyPlan));
   EnumeratorConfig Cfg;
   Cfg.VerifyIr = true;
+  Cfg.Faults = &EarlyPlan;
+  EnumeratorConfig Budgeted = Cfg;
+  Budgeted.MaxMemoryBytes = 20'000;
+  const EnumerationResult First = Enumerator(PM, Budgeted).enumerate(F);
+  ASSERT_TRUE(isResumableStop(First.Stop));
+  auto NextApplication = [&First](PhaseId P) {
+    uint64_t N = 1;
+    for (const DagNode &Nd : First.Nodes)
+      N += (Nd.AttemptedMask >> static_cast<int>(P)) & 1;
+    return N;
+  };
+  const uint64_t LateC = NextApplication(PhaseId::Cse);
+  const uint64_t LateS = NextApplication(PhaseId::InstructionSelection);
+  FaultPlan Plan;
+  ASSERT_TRUE(FaultPlan::parse(Early + ",c:" + std::to_string(LateC) +
+                                   ",s:" + std::to_string(LateS),
+                               Plan));
   Cfg.Faults = &Plan;
   EnumerationResult Clean = cleanRun(F, Cfg, 1);
-  ASSERT_FALSE(Clean.Diagnostics.empty());
+  auto Fired = [&Clean](PhaseId P, uint64_t Nth) {
+    for (const PhaseDiagnostic &D : Clean.Diagnostics)
+      if (D.Phase == P && D.Application == Nth)
+        return true;
+    return false;
+  };
+  ASSERT_TRUE(Fired(PhaseId::Cse, LateC));
+  ASSERT_TRUE(Fired(PhaseId::InstructionSelection, LateS));
 
   int Interruptions = 0;
   EnumerationResult Resumed =
@@ -198,9 +220,11 @@ TEST(CheckpointResume, InjectedFaultCoordinatesSurviveResume) {
   ASSERT_GE(Interruptions, 1);
   expectByteIdentical(Clean, Resumed, "fault ladder");
   ASSERT_EQ(Resumed.Diagnostics.size(), Clean.Diagnostics.size());
-  for (size_t I = 0; I != Clean.Diagnostics.size(); ++I)
+  for (size_t I = 0; I != Clean.Diagnostics.size(); ++I) {
+    EXPECT_EQ(Resumed.Diagnostics[I].Phase, Clean.Diagnostics[I].Phase);
     EXPECT_EQ(Resumed.Diagnostics[I].Application,
               Clean.Diagnostics[I].Application);
+  }
 }
 
 TEST(CheckpointResume, CancelledRunResumesToTheIdenticalResult) {
@@ -215,17 +239,14 @@ TEST(CheckpointResume, CancelledRunResumesToTheIdenticalResult) {
     Cfg.Stop = &Token;
     Cfg.Jobs = Jobs;
     PhaseManager PM;
-    Enumerator E(PM, Cfg);
-    EnumerationCheckpoint Cp;
-    EnumerationResult Partial = E.enumerate(F, &Cp);
+    EnumerationResult Partial = Enumerator(PM, Cfg).enumerate(F);
     ASSERT_EQ(Partial.Stop, StopReason::Cancelled);
-    ASSERT_TRUE(Cp.Valid);
+    ASSERT_EQ(Partial.Frontier.size(), 1u) << "the root, unexpanded";
 
     EnumeratorConfig Free;
     Free.Jobs = Jobs;
-    Enumerator E2(PM, Free);
     EnumerationResult Resumed =
-        E2.resume(F, throughCodec(Cp), nullptr);
+        Enumerator(PM, Free).resume(F, throughCodec(Partial));
     expectByteIdentical(Clean, Resumed,
                         "cancelled jobs=" + std::to_string(Jobs));
   }
@@ -249,22 +270,16 @@ TEST(CheckpointResume, DeadlineInterruptionsResumeToTheIdenticalResult) {
       EnumeratorConfig Cfg = Capped;
       Cfg.Jobs = Jobs;
       Cfg.DeadlineMs = 2;
-      EnumerationCheckpoint Cp;
-      EnumerationResult R;
-      {
-        Enumerator E(PM, Cfg);
-        R = E.enumerate(F, &Cp);
-      }
+      EnumerationResult R = Enumerator(PM, Cfg).enumerate(F);
       int Legs = 0;
-      while (Cp.Valid && Legs < 64) {
+      while (isResumableStop(R.Stop) && Legs < 64) {
         ++Legs;
-        EnumerationCheckpoint From = throughCodec(Cp);
-        Cp = EnumerationCheckpoint();
+        EnumerationResult From = throughCodec(R);
         Cfg.DeadlineMs *= 2;
-        Enumerator E(PM, Cfg);
-        R = E.resume(F, std::move(From), &Cp);
+        R = Enumerator(PM, Cfg).resume(F, std::move(From));
       }
-      ASSERT_FALSE(Cp.Valid) << "deadline ladder did not converge";
+      ASSERT_FALSE(isResumableStop(R.Stop))
+          << "deadline ladder did not converge";
       expectByteIdentical(Clean, R,
                           F.Name + " deadline jobs=" + std::to_string(Jobs));
     }
@@ -272,16 +287,38 @@ TEST(CheckpointResume, DeadlineInterruptionsResumeToTheIdenticalResult) {
 }
 
 TEST(CheckpointResume, NonResumableStopsLeaveNoCheckpoint) {
+  // A final stop carries no frontier, in memory or encoded: its bytes are
+  // those of a result that never had the field. Resuming it changes
+  // nothing.
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
-  EnumeratorConfig Cfg;
-  Cfg.MaxTotalNodes = 10; // NodeBudget: a verdict, not an interruption.
   PhaseManager PM;
-  Enumerator E(PM, Cfg);
-  EnumerationCheckpoint Cp;
-  EnumerationResult R = E.enumerate(F, &Cp);
-  EXPECT_EQ(R.Stop, StopReason::NodeBudget);
-  EXPECT_FALSE(Cp.Valid);
+  EnumeratorConfig Capped;
+  Capped.MaxTotalNodes = 10; // NodeBudget: a verdict, not an interruption.
+  EnumeratorConfig Levels;
+  Levels.MaxLevelSequences = 2;
+  FaultPlan Plan;
+  ASSERT_TRUE(FaultPlan::parse("s:1", Plan));
+  EnumeratorConfig Faulted;
+  Faulted.VerifyIr = true;
+  Faulted.Faults = &Plan;
+  const std::pair<EnumeratorConfig, StopReason> Cases[] = {
+      {Capped, StopReason::NodeBudget},
+      {Levels, StopReason::LevelBudget},
+      {Faulted, StopReason::VerifierFailure},
+      {EnumeratorConfig(), StopReason::Complete}};
+  for (const auto &[Cfg, Stop] : Cases) {
+    const Enumerator E(PM, Cfg);
+    const EnumerationResult R = E.enumerate(F);
+    EXPECT_EQ(R.Stop, Stop);
+    EXPECT_TRUE(R.Frontier.empty()) << stopReasonName(Stop);
+    EnumerationResult Decoded;
+    const std::vector<uint8_t> Bytes = resultBytes(R);
+    ByteReader Rd(Bytes);
+    ASSERT_TRUE(store::decodeResult(Rd, Decoded));
+    EXPECT_TRUE(Rd.atEnd()) << stopReasonName(Stop);
+    expectByteIdentical(R, E.resume(F, R), stopReasonName(Stop));
+  }
 }
 
 TEST(StoreDriver, CachesResumesAndReuses) {
@@ -292,32 +329,33 @@ TEST(StoreDriver, CachesResumesAndReuses) {
   PhaseManager PM;
   EnumerationResult Clean = cleanRun(F, {}, 1);
 
-  // Leg 1: a memory budget interrupts; the driver saves a checkpoint.
+  // Leg 1: a memory budget interrupts; the driver stores the partial DAG
+  // with its frontier.
   EnumeratorConfig Cfg;
   Cfg.MaxMemoryBytes = 20'000;
-  store::DriveResult D1 = store::driveEnumeration(PM, Cfg, F, Dir, false);
+  store::DriveResult D1 = store::driveEnumeration(PM, Cfg, F, Dir);
   ASSERT_TRUE(D1.Ok) << D1.Error;
   ASSERT_EQ(D1.Result.Stop, StopReason::MemoryBudget);
-  ASSERT_TRUE(D1.CheckpointSaved);
   EXPECT_EQ(D1.Source, store::DriveSource::Fresh);
+  ASSERT_FALSE(D1.Result.Frontier.empty());
 
-  // Leg 2 without --resume: the checkpoint is ignored, the fresh run is
-  // interrupted again (resuming is opt-in).
-  store::DriveResult D2 = store::driveEnumeration(PM, Cfg, F, Dir, false);
+  // Leg 2 under the same budget: the stored partial DAG is continued, and
+  // the still-violated budget stops it where it stopped before.
+  store::DriveResult D2 = store::driveEnumeration(PM, Cfg, F, Dir);
   ASSERT_TRUE(D2.Ok) << D2.Error;
-  EXPECT_EQ(D2.Source, store::DriveSource::Fresh);
+  EXPECT_EQ(D2.Source, store::DriveSource::Resumed);
+  expectByteIdentical(D1.Result, D2.Result, "driver stopped again");
 
-  // Leg 3 with --resume and room to finish: completes, byte-identical to
-  // the clean run, and the result is cached.
+  // Leg 3 with room to finish: completes, byte-identical to the clean
+  // run, and the result is cached.
   Cfg.MaxMemoryBytes = 0;
-  store::DriveResult D3 = store::driveEnumeration(PM, Cfg, F, Dir, true);
+  store::DriveResult D3 = store::driveEnumeration(PM, Cfg, F, Dir);
   ASSERT_TRUE(D3.Ok) << D3.Error;
   EXPECT_EQ(D3.Source, store::DriveSource::Resumed);
-  EXPECT_FALSE(D3.CheckpointSaved);
   expectByteIdentical(Clean, D3.Result, "driver resumed");
 
   // Leg 4: served from the cache without enumerating.
-  store::DriveResult D4 = store::driveEnumeration(PM, Cfg, F, Dir, false);
+  store::DriveResult D4 = store::driveEnumeration(PM, Cfg, F, Dir);
   ASSERT_TRUE(D4.Ok) << D4.Error;
   EXPECT_EQ(D4.Source, store::DriveSource::Cached);
   expectByteIdentical(Clean, D4.Result, "driver cached");
@@ -331,7 +369,7 @@ TEST(StoreDriver, StaleArtifactIsRejectedAndRegenerated) {
   PhaseManager PM;
 
   EnumeratorConfig Cfg;
-  store::DriveResult D1 = store::driveEnumeration(PM, Cfg, F, Dir, false);
+  store::DriveResult D1 = store::driveEnumeration(PM, Cfg, F, Dir);
   ASSERT_TRUE(D1.Ok) << D1.Error;
   ASSERT_TRUE(D1.Result.complete());
 
@@ -344,14 +382,14 @@ TEST(StoreDriver, StaleArtifactIsRejectedAndRegenerated) {
     File.seekp(-1, std::ios::end);
     File.put('\xFF');
   }
-  store::DriveResult D2 = store::driveEnumeration(PM, Cfg, F, Dir, false);
+  store::DriveResult D2 = store::driveEnumeration(PM, Cfg, F, Dir);
   ASSERT_TRUE(D2.Ok) << D2.Error;
   EXPECT_EQ(D2.Source, store::DriveSource::Fresh);
   ASSERT_FALSE(D2.RejectionNotes.empty());
   EXPECT_NE(D2.RejectionNotes[0].find("payload checksum mismatch"),
             std::string::npos);
 
-  store::DriveResult D3 = store::driveEnumeration(PM, Cfg, F, Dir, false);
+  store::DriveResult D3 = store::driveEnumeration(PM, Cfg, F, Dir);
   ASSERT_TRUE(D3.Ok) << D3.Error;
   EXPECT_EQ(D3.Source, store::DriveSource::Cached);
   expectByteIdentical(D1.Result, D3.Result, "regenerated artifact");

@@ -56,13 +56,14 @@ void writeFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
             static_cast<std::streamsize>(Bytes.size()));
 }
 
-/// A finished enumeration of the loop function plus a valid mid-flight
-/// checkpoint and a hand-built quarantine record — one artifact of every
-/// kind, under one (root, fingerprint) key.
+/// A finished enumeration of the loop function, the partial result of a
+/// run stopped mid-flight, a hand-built quarantine record and an
+/// equivalence record — one artifact of every kind, and the partial result
+/// a final one replaces, under one (root, fingerprint) key.
 struct Artifacts {
   Module M;
   EnumerationResult Res;
-  EnumerationCheckpoint Cp;
+  EnumerationResult Partial;
   QuarantineRecord Q;
   sem::EquivRecord Eq;
   HashTriple Root;
@@ -80,8 +81,7 @@ struct Artifacts {
     {
       EnumeratorConfig Tight = Cfg;
       Tight.MaxMemoryBytes = 20'000;
-      Enumerator E(PM, Tight);
-      E.enumerate(F, &Cp);
+      Partial = Enumerator(PM, Tight).enumerate(F);
     }
     Q.Failure = WorkerFailure::Signal;
     Q.Signal = 11;
@@ -94,18 +94,18 @@ struct Artifacts {
 
 Artifacts &artifacts() {
   static Artifacts A;
-  EXPECT_TRUE(A.Cp.Valid);
+  EXPECT_TRUE(isResumableStop(A.Partial.Stop));
   return A;
 }
 
-/// Saves the artifact of \p Kind through \p Store; returns success.
+/// Saves the artifact of \p Kind through \p Store; returns success. \p Old
+/// saves the partial result in place of the final one, as the earlier
+/// artifact a final result replaces.
 bool saveKind(const ArtifactStore &Store, const Artifacts &A,
-              ArtifactKind Kind, std::string &Error) {
+              ArtifactKind Kind, std::string &Error, bool Old = false) {
   switch (Kind) {
   case ArtifactKind::Result:
-    return Store.saveResult(A.Root, A.Fp, A.Res, Error);
-  case ArtifactKind::Checkpoint:
-    return Store.saveCheckpoint(A.Root, A.Fp, A.Cp, Error);
+    return Store.saveResult(A.Root, A.Fp, Old ? A.Partial : A.Res, Error);
   case ArtifactKind::Quarantine:
     return Store.saveQuarantine(A.Root, A.Fp, A.Q, Error);
   case ArtifactKind::Equivalence:
@@ -122,10 +122,6 @@ LoadStatus loadKind(const ArtifactStore &Store, const Artifacts &A,
     EnumerationResult R;
     return Store.loadResult(A.Root, A.Fp, R, Error);
   }
-  case ArtifactKind::Checkpoint: {
-    EnumerationCheckpoint C;
-    return Store.loadCheckpoint(A.Root, A.Fp, C, Error);
-  }
   case ArtifactKind::Quarantine: {
     QuarantineRecord Q;
     return Store.loadQuarantine(A.Root, A.Fp, Q, Error);
@@ -139,8 +135,7 @@ LoadStatus loadKind(const ArtifactStore &Store, const Artifacts &A,
 }
 
 constexpr ArtifactKind AllKinds[] = {
-    ArtifactKind::Result, ArtifactKind::Checkpoint, ArtifactKind::Quarantine,
-    ArtifactKind::Equivalence};
+    ArtifactKind::Result, ArtifactKind::Quarantine, ArtifactKind::Equivalence};
 
 TEST(IoFaultSpecParse, AcceptsEveryKindAndLists) {
   std::vector<IoFaultSpec> Out;
@@ -211,7 +206,8 @@ TEST(FaultFsProperty, EveryFaultAtEveryOpIndexLeavesOldOrNone) {
           ArtifactStore Plain(Dir, &StoreIo::system());
           ASSERT_TRUE(Plain.prepare(Error)) << Error;
           if (PreExisting) {
-            ASSERT_TRUE(saveKind(Plain, A, Kind, Error)) << Error;
+            ASSERT_TRUE(saveKind(Plain, A, Kind, Error, /*Old=*/true))
+                << Error;
             OldBytes = readFile(Plain.pathFor(A.Root, Kind));
             ASSERT_FALSE(OldBytes.empty());
           }
@@ -255,7 +251,8 @@ TEST(FaultFsProperty, EveryFaultAtEveryOpIndexLeavesOldOrNone) {
           ArtifactStore Plain(Dir, &StoreIo::system());
           ASSERT_TRUE(Plain.prepare(Error)) << Error;
           if (PreExisting) {
-            ASSERT_TRUE(saveKind(Plain, A, Kind, Error)) << Error;
+            ASSERT_TRUE(saveKind(Plain, A, Kind, Error, /*Old=*/true))
+                << Error;
             OldBytes = readFile(Plain.pathFor(A.Root, Kind));
           }
         }
@@ -292,7 +289,8 @@ TEST(FaultFsProperty, EveryFaultAtEveryOpIndexLeavesOldOrNone) {
           ArtifactStore Plain(Dir, &StoreIo::system());
           ASSERT_TRUE(Plain.prepare(Error)) << Error;
           if (PreExisting) {
-            ASSERT_TRUE(saveKind(Plain, A, Kind, Error)) << Error;
+            ASSERT_TRUE(saveKind(Plain, A, Kind, Error, /*Old=*/true))
+                << Error;
           }
         }
         FaultFs Fs({{IoFaultKind::CrashAfterRename, 1}},
@@ -336,12 +334,12 @@ TEST(FaultFsProperty, SecondWriteFaultSparesTheFirst) {
   ArtifactStore Store(Dir, &Fs);
   std::string Error;
   ASSERT_TRUE(Store.prepare(Error)) << Error;
-  // First write (the checkpoint) succeeds, second (the quarantine record)
-  // hits the injected ENOSPC.
-  ASSERT_TRUE(Store.saveCheckpoint(A.Root, A.Fp, A.Cp, Error)) << Error;
+  // First write (the partial result) succeeds, second (the quarantine
+  // record) hits the injected ENOSPC.
+  ASSERT_TRUE(Store.saveResult(A.Root, A.Fp, A.Partial, Error)) << Error;
   EXPECT_FALSE(Store.saveQuarantine(A.Root, A.Fp, A.Q, Error));
   EXPECT_NE(Error.find("No space left"), std::string::npos) << Error;
-  EXPECT_EQ(loadKind(Store, A, ArtifactKind::Checkpoint, Error),
+  EXPECT_EQ(loadKind(Store, A, ArtifactKind::Result, Error),
             LoadStatus::Hit)
       << Error;
   EXPECT_EQ(loadKind(Store, A, ArtifactKind::Quarantine, Error),
@@ -361,7 +359,9 @@ TEST(FsckDetection, EverySingleByteCorruptionIsDetectedForEveryKind) {
     ArtifactStore Store(Dir, &StoreIo::system());
     std::string Error;
     ASSERT_TRUE(Store.prepare(Error)) << Error;
-    ASSERT_TRUE(saveKind(Store, A, Kind, Error)) << Error;
+    // The interrupted result: its frontier follows every field a final
+    // result has.
+    ASSERT_TRUE(saveKind(Store, A, Kind, Error, /*Old=*/true)) << Error;
     const std::string Path = Store.pathFor(A.Root, Kind);
     const std::vector<uint8_t> Pristine = readFile(Path);
     ASSERT_FALSE(Pristine.empty());

@@ -71,7 +71,7 @@ TEST(FormatPin, EveryEncodedFormatIsByteIdenticalToItsRecording) {
   EnumeratorConfig Budgeted;
   Budgeted.MaxMemoryBytes = 20'000;
 
-  Pin Instances, Results, Checkpoints, Equivs, Shards;
+  Pin Instances, Results, Resumable, Equivs, Shards;
   for (const Workload &W : allWorkloads()) {
     Module M = compileOrDie(W.Source);
     for (const Function &F : M.Functions) {
@@ -81,11 +81,9 @@ TEST(FormatPin, EveryEncodedFormatIsByteIdenticalToItsRecording) {
       const EnumerationResult R = E.enumerate(F);
       Results.add(encoded(R));
 
-      Enumerator EB(PM, Budgeted);
-      EnumerationCheckpoint Cp;
-      EB.enumerate(F, &Cp);
-      if (Cp.Valid)
-        Checkpoints.add(encoded(Cp));
+      const EnumerationResult Partial = Enumerator(PM, Budgeted).enumerate(F);
+      if (isResumableStop(Partial.Stop))
+        Resumable.add(encoded(Partial));
 
       if (R.Nodes.size() < 60)
         Equivs.add(encoded(
@@ -155,7 +153,7 @@ TEST(FormatPin, EveryEncodedFormatIsByteIdenticalToItsRecording) {
 
   expectPin("instances", Instances, 67, 130332, 0x723b515);
   expectPin("results", Results, 67, 827249, 0xafe9905f);
-  expectPin("checkpoints", Checkpoints, 38, 599206, 0xd0eaa637);
+  expectPin("resumable results", Resumable, 38, 594152, 0x5b3308cc);
   expectPin("equivalence records", Equivs, 33, 16002, 0x5c6b4ee3);
   expectPin("quarantine record", Quarantine, 1, 50, 0xd0906537);
   expectPin("posed payloads", Posed, 4, 383, 0x96e01e79);

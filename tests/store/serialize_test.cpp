@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // The store codecs promise exact round trips: decode(encode(X)) == X for
-// function instances, enumeration results, and checkpoints. Because the
-// encoding is canonical (one byte string per value), exactness is proved
-// by re-encoding the decoded value and comparing bytes. The decoders also
+// function instances and enumeration results, final or interrupted.
+// Because the encoding is canonical (one byte string per value),
+// exactness is proved by re-encoding the decoded value and comparing
+// bytes. The decoders also
 // promise strictness: truncated input, out-of-range enums, and oversized
 // length prefixes are rejected, never crashed on.
 //
@@ -119,34 +120,46 @@ TEST(Serialize, ResultWithDiagnosticsRoundTrips) {
 }
 
 TEST(Serialize, CheckpointRoundTripIsExact) {
-  // A real checkpoint from a memory-budget stop, so every field of the
-  // struct is exercised.
+  // A real interrupted result from a memory-budget stop, so the frontier
+  // and its instances are exercised.
   Module M = compileOrDie(SumSource);
   PhaseManager PM;
   EnumeratorConfig Cfg;
   Cfg.MaxMemoryBytes = 20'000;
   Enumerator E(PM, Cfg);
-  EnumerationCheckpoint Cp;
-  EnumerationResult Res = E.enumerate(functionNamed(M, "f"), &Cp);
+  EnumerationResult Res = E.enumerate(functionNamed(M, "f"));
   ASSERT_EQ(Res.Stop, StopReason::MemoryBudget);
-  ASSERT_TRUE(Cp.Valid);
-  ASSERT_FALSE(Cp.Frontier.empty());
+  ASSERT_FALSE(Res.Frontier.empty());
 
   ByteWriter W;
-  store::encode(W, Cp);
+  store::encode(W, Res);
   ByteReader R(W.bytes());
-  EnumerationCheckpoint Out;
+  EnumerationResult Out;
   ASSERT_TRUE(store::decode(R, Out));
   EXPECT_TRUE(R.atEnd());
 
   ByteWriter W2;
   store::encode(W2, Out);
   EXPECT_EQ(W2.bytes(), W.bytes());
-  EXPECT_EQ(Out.LevelCounter, Cp.LevelCounter);
-  EXPECT_EQ(Out.FrontierBytes, Cp.FrontierBytes);
-  EXPECT_EQ(Out.Frontier.size(), Cp.Frontier.size());
-  for (int P = 0; P != NumPhases; ++P)
-    EXPECT_EQ(Out.AppCount[P], Cp.AppCount[P]);
+  ASSERT_EQ(Out.Frontier.size(), Res.Frontier.size());
+  for (size_t I = 0; I != Res.Frontier.size(); ++I) {
+    EXPECT_EQ(Out.Frontier[I].Node, Res.Frontier[I].Node);
+    EXPECT_EQ(Out.Frontier[I].IncomingMask, Res.Frontier[I].IncomingMask);
+    EXPECT_EQ(Out.Frontier[I].Sequences, Res.Frontier[I].Sequences);
+  }
+
+  // Only a resumable stop encodes the frontier, after everything else:
+  // the same result with a final stop encodes as its prefix, apart from
+  // the stop tag.
+  EnumerationResult Final = Res;
+  Final.Stop = StopReason::NodeBudget;
+  ByteWriter W3;
+  store::encode(W3, Final);
+  ASSERT_LT(W3.bytes().size(), W.bytes().size());
+  size_t Differ = 0;
+  for (size_t I = 0; I != W3.bytes().size(); ++I)
+    Differ += W3.bytes()[I] != W.bytes()[I];
+  EXPECT_EQ(Differ, 1u);
 }
 
 TEST(Serialize, TruncatedInputAlwaysRejected) {

@@ -89,9 +89,8 @@ TEST(ArtifactStore, MissingArtifactIsAMissNotAnError) {
   ASSERT_TRUE(Store.prepare(Error)) << Error;
   EnumerationResult Out;
   EXPECT_EQ(Store.loadResult(FX.Root, FX.Fp, Out, Error), LoadStatus::Miss);
-  EnumerationCheckpoint Cp;
-  EXPECT_EQ(Store.loadCheckpoint(FX.Root, FX.Fp, Cp, Error),
-            LoadStatus::Miss);
+  QuarantineRecord Q;
+  EXPECT_EQ(Store.loadQuarantine(FX.Root, FX.Fp, Q, Error), LoadStatus::Miss);
 }
 
 TEST(ArtifactStore, WrongFingerprintRejectedWithDiagnostic) {
@@ -114,7 +113,7 @@ TEST(ArtifactStore, WrongFingerprintRejectedWithDiagnostic) {
 TEST(ArtifactStore, ExecutionOnlyKnobsShareAFingerprint) {
   // Jobs, deadline, memory budget and the stop token do not shape the
   // DAG; artifacts must be shared across them (that is what makes a
-  // jobs=1 checkpoint resumable under jobs=4).
+  // result interrupted at jobs=1 resumable under jobs=4).
   EnumeratorConfig A;
   EnumeratorConfig B;
   B.Jobs = 8;
@@ -139,9 +138,9 @@ TEST(ArtifactStore, ExecutionOnlyKnobsShareAFingerprint) {
 
 TEST(ArtifactStore, CrashClassFaultsShareAFingerprint) {
   // Crash faults kill the worker process; they never shape a persisted
-  // DAG. Results, checkpoints and quarantine records must be shared
-  // between a faulty worker and a clean retry — that is what lets a
-  // supervised retry resume the crashed worker's checkpoint, and a clean
+  // DAG. Results, partial ones included, and quarantine records must be
+  // shared between a faulty worker and a clean retry — that is what lets a
+  // supervised retry resume the crashed worker's partial DAG, and a clean
   // sweep reuse a previously-faulted function's result.
   EnumeratorConfig A;
   EnumeratorConfig B;
@@ -307,55 +306,60 @@ TEST(ArtifactStore, ArtifactForDifferentRootRejected) {
 }
 
 TEST(ArtifactStore, KindConfusionRejected) {
-  // A checkpoint file copied over a result path (or vice versa) must not
-  // decode as the wrong type.
-  Module M = compileOrDie(SumSource);
-  Function &F = functionNamed(M, "f");
-  PhaseManager PM;
-  EnumeratorConfig Cfg;
-  Cfg.MaxMemoryBytes = 20'000;
-  Enumerator E(PM, Cfg);
-  EnumerationCheckpoint Cp;
-  EnumerationResult Res = E.enumerate(F, &Cp);
-  ASSERT_TRUE(Cp.Valid);
-
+  // A quarantine record copied over a result path must not decode as the
+  // wrong type.
+  Fixture FX;
   ArtifactStore Store(freshDir("kind"));
   std::string Error;
   ASSERT_TRUE(Store.prepare(Error)) << Error;
-  HashTriple Root = canonicalize(F, false, Cfg.RemapRegisters).Hash;
-  uint64_t Fp = configFingerprint(Cfg);
-  ASSERT_TRUE(Store.saveCheckpoint(Root, Fp, Cp, Error)) << Error;
-  writeFile(Store.pathFor(Root, ArtifactKind::Result),
-            readFile(Store.pathFor(Root, ArtifactKind::Checkpoint)));
+  QuarantineRecord Q;
+  Q.Message = "worker died: signal 11";
+  ASSERT_TRUE(Store.saveQuarantine(FX.Root, FX.Fp, Q, Error)) << Error;
+  writeFile(Store.pathFor(FX.Root, ArtifactKind::Result),
+            readFile(Store.pathFor(FX.Root, ArtifactKind::Quarantine)));
   EnumerationResult Out;
-  EXPECT_EQ(Store.loadResult(Root, Fp, Out, Error), LoadStatus::Rejected);
+  EXPECT_EQ(Store.loadResult(FX.Root, FX.Fp, Out, Error),
+            LoadStatus::Rejected);
   EXPECT_NE(Error.find("kind"), std::string::npos) << Error;
 }
 
 TEST(ArtifactStore, SavingAResultSupersedesTheCheckpoint) {
+  // One result file per key: a final result replaces the interrupted one
+  // it continued. Only the final one settles a quarantined job.
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
   PhaseManager PM;
   EnumeratorConfig Cfg;
   Cfg.MaxMemoryBytes = 20'000;
-  Enumerator E(PM, Cfg);
-  EnumerationCheckpoint Cp;
-  EnumerationResult Partial = E.enumerate(F, &Cp);
-  ASSERT_TRUE(Cp.Valid);
+  const EnumerationResult Partial = Enumerator(PM, Cfg).enumerate(F);
+  ASSERT_TRUE(isResumableStop(Partial.Stop));
+  Cfg.MaxMemoryBytes = 0;
+  const EnumerationResult Final = Enumerator(PM, Cfg).enumerate(F);
+  ASSERT_TRUE(Final.complete());
 
   ArtifactStore Store(freshDir("supersede"));
   std::string Error;
   ASSERT_TRUE(Store.prepare(Error)) << Error;
   HashTriple Root = canonicalize(F, false, Cfg.RemapRegisters).Hash;
   uint64_t Fp = configFingerprint(Cfg);
-  ASSERT_TRUE(Store.saveCheckpoint(Root, Fp, Cp, Error)) << Error;
-  EnumerationCheckpoint Loaded;
-  ASSERT_EQ(Store.loadCheckpoint(Root, Fp, Loaded, Error), LoadStatus::Hit);
+  QuarantineRecord Q;
+  ASSERT_TRUE(Store.saveQuarantine(Root, Fp, Q, Error)) << Error;
 
   ASSERT_TRUE(Store.saveResult(Root, Fp, Partial, Error)) << Error;
-  EXPECT_EQ(Store.loadCheckpoint(Root, Fp, Loaded, Error),
-            LoadStatus::Miss)
-      << "checkpoint must be removed once a result exists";
+  EnumerationResult Loaded;
+  ASSERT_EQ(Store.loadResult(Root, Fp, Loaded, Error), LoadStatus::Hit);
+  EXPECT_EQ(Loaded.Stop, Partial.Stop);
+  EXPECT_EQ(Loaded.Frontier.size(), Partial.Frontier.size());
+  EXPECT_EQ(Store.loadQuarantine(Root, Fp, Q, Error), LoadStatus::Hit)
+      << "an interrupted result must not clear the quarantine record";
+
+  ASSERT_TRUE(Store.saveResult(Root, Fp, Final, Error)) << Error;
+  ASSERT_EQ(Store.loadResult(Root, Fp, Loaded, Error), LoadStatus::Hit);
+  EXPECT_TRUE(Loaded.complete());
+  EXPECT_TRUE(Loaded.Frontier.empty());
+  EXPECT_EQ(Loaded.Nodes.size(), Final.Nodes.size());
+  EXPECT_EQ(Store.loadQuarantine(Root, Fp, Q, Error), LoadStatus::Miss)
+      << "a final result must clear the quarantine record";
 }
 
 TEST(ReadFileBytes, MissingPathAndDirectoryAreNotRead) {

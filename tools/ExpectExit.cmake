@@ -2,10 +2,10 @@
 # EXIT. With a non-empty STDOUT, its standard output must also match that
 # regular expression. With a non-empty EXPECTED, its standard output must
 # equal that file once wall-clock fields are masked on both sides: Table
-# 3's "in N s total", and Table 7's Time(ms) columns, Prob/Old time ratio
-# and compile-time ratio. On a mismatch the masked texts are written to
-# <EXPECTED's name>.actual and .expected in the working directory, and
-# their diff is printed. A death by signal never matches: execute_process
+# 3's "in N s total", Table 7's Time(ms) columns, Prob/Old time ratio and
+# compile-time ratio, and Figure 6's seconds and speedups. On a mismatch
+# the masked texts are written to <EXPECTED's name>.actual and .expected
+# in the working directory, and their diff is printed. A death by signal never matches: execute_process
 # reports it as a string, not a number.
 #
 #   cmake -DEXIT=2 [-DSTDOUT=regex] [-DEXPECTED=file] -P ExpectExit.cmake
@@ -25,6 +25,14 @@ function(mask_wall_clock Var)
          T "${T}")
   string(REGEX REPLACE "compile-time ratio [0-9]+\\.[0-9]+"
          "compile-time ratio *" T "${T}")
+  # Figure 6 rows: "applies s |" for the naive and the shared column, then
+  # the speedup; and the same three times on the totals line.
+  string(REGEX REPLACE
+         "(\\| +[0-9]+) +[0-9]+\\.[0-9]+ (\\| +[0-9]+) +[0-9]+\\.[0-9]+ \\| +[0-9]+\\.[0-9]+x\n"
+         "\\1 * \\2 * | *x\n" T "${T}")
+  string(REGEX REPLACE
+         "[0-9]+\\.[0-9]+ s vs [0-9]+\\.[0-9]+ s \\([0-9]+\\.[0-9]+x\\)"
+         "* s vs * s (*x)" T "${T}")
   set(${Var} "${T}" PARENT_SCOPE)
 endfunction()
 

@@ -69,7 +69,6 @@ struct Options {
   bool EmitRtl = false;
   bool VerifyIr = false;
   bool ListPhases = false;   // --list-phases: print the phases, exit.
-  bool Resume = false;       // --resume: continue from a stored checkpoint.
   bool AnalyzeStore = false; // --analyze-store: report on cached DAGs.
   bool ListQuarantine = false;  // --list-quarantine: print records, exit.
   bool ClearQuarantine = false; // --clear-quarantine: remove records, exit.
@@ -188,12 +187,10 @@ std::vector<Flag> posecFlags(Options &O) {
                "save the trained model after --opt=prob"),
       textFlag("--store", "DIR", O.StorePath,
                "persistent artifact store: finished DAGs are cached and "
-               "reused; runs stopped by a deadline/memory "
-               "budget/cancellation leave a resumable checkpoint"),
-      switchFlag("--resume", O.Resume,
-                 "continue an interrupted enumeration from its checkpoint "
-                 "(the final DAG is identical to an uninterrupted run)")
-          .needs({"--store"}),
+               "reused; a run stopped by a deadline/memory "
+               "budget/cancellation stores its partial DAG, and the next "
+               "run continues it (the final DAG is identical to an "
+               "uninterrupted run)"),
       switchFlag("--analyze-store", O.AnalyzeStore,
                  "print per-function cache status and the interaction "
                  "tables mined from the cached complete DAGs")
@@ -204,7 +201,7 @@ std::vector<Flag> posecFlags(Options &O) {
                  "jobs, and graceful degradation")
           .needs({"--store"}),
       switchFlag("--worker", O.Worker,
-                 "supervised child mode: leaves the result or checkpoint "
+                 "supervised child mode: leaves the final or partial result "
                  "in the store and uses the exit codes below")
           .needs({"--enumerate"})
           .needs({"--store"})
@@ -406,8 +403,7 @@ EnumerationResult runEnumeration(const Options &O, const PhaseManager &PM,
     Enumerator E(PM, Cfg);
     return E.enumerate(F);
   }
-  store::DriveResult D =
-      store::driveEnumeration(PM, Cfg, F, O.StorePath, O.Resume);
+  store::DriveResult D = store::driveEnumeration(PM, Cfg, F, O.StorePath);
   for (const std::string &Note : D.RejectionNotes)
     std::fprintf(stderr, "warning: %s: rejected stored artifact: %s\n",
                  F.Name.c_str(), Note.c_str());
@@ -420,12 +416,11 @@ EnumerationResult runEnumeration(const Options &O, const PhaseManager &PM,
     std::fprintf(stderr, "%s: reusing cached DAG from %s\n", F.Name.c_str(),
                  O.StorePath.c_str());
   else if (D.Source == store::DriveSource::Resumed)
-    std::fprintf(stderr, "%s: resumed from checkpoint in %s\n",
+    std::fprintf(stderr, "%s: continuing the stored partial DAG from %s\n",
                  F.Name.c_str(), O.StorePath.c_str());
-  if (D.CheckpointSaved)
+  if (isResumableStop(D.Result.Stop))
     std::fprintf(stderr,
-                 "%s: stopped (%s); checkpoint saved, rerun with --resume "
-                 "to continue\n",
+                 "%s: stopped (%s); checkpoint saved, rerun to continue\n",
                  F.Name.c_str(), stopReasonName(D.Result.Stop));
   return std::move(D.Result);
 }
@@ -617,8 +612,7 @@ int enumerateFunction(const Options &O, Module &M) {
 /// --worker: one supervised enumeration job, through the store (--worker
 /// requires --store). Prints nothing on stdout and exits with the
 /// documented code for the stop reason; the supervisor classifies the
-/// exit code and reads the stored result or checkpoint
-/// (src/drive/Supervisor.h).
+/// exit code and reads the stored result (src/drive/Supervisor.h).
 int runWorker(const Options &O, Module &M) {
   int Id = M.findGlobal(O.EnumerateFunc);
   Function *F = Id >= 0 ? M.functionFor(Id) : nullptr;
@@ -817,7 +811,9 @@ int analyzeStore(const Options &O, Module &M) {
       std::printf("%-20s rejected: %s\n", F.Name.c_str(), Error.c_str());
       continue;
     }
-    std::printf("%-20s cached: %llu instances (%s)\n", F.Name.c_str(),
+    // An interrupted DAG is stored to be continued, not reused.
+    std::printf("%-20s %s: %llu instances (%s)\n", F.Name.c_str(),
+                isResumableStop(R.Stop) ? "partial" : "cached",
                 static_cast<unsigned long long>(R.Nodes.size()),
                 R.complete() ? "complete"
                              : stopReasonName(R.Stop));
