@@ -74,18 +74,19 @@ struct FootprintDedup {
 };
 
 /// Approximate heap footprint of one frontier entry, charging each
-/// distinct block/slot-vector payload once per frontier. Deterministic by
-/// construction (derived from instruction/slot content, never from the
-/// allocator).
+/// distinct block/slot-vector payload once per frontier at the declared
+/// MemoryCharge sizes. Deterministic by construction (derived from
+/// instruction/slot content and fixed sizes, never from the allocator or
+/// the standard library's layouts).
 uint64_t entryFootprint(const FrontierEntry &E, FootprintDedup &Seen) {
-  uint64_t Bytes = sizeof(FrontierEntry) + sizeof(Function) +
-                   E.Instance.Blocks.size() * sizeof(void *);
+  uint64_t Bytes = MemoryCharge::FrontierEntry + MemoryCharge::Function +
+                   E.Instance.Blocks.size() * MemoryCharge::BlockPointer;
   if (E.Instance.Slots.size() &&
       Seen.Slots.insert(slotContentKey(E.Instance.Slots)).second)
-    Bytes += E.Instance.Slots.size() * sizeof(StackSlot);
+    Bytes += E.Instance.Slots.size() * MemoryCharge::StackSlot;
   for (const BasicBlock &B : E.Instance.Blocks)
     if (Seen.Blocks.insert(blockContentKey(B)).second)
-      Bytes += sizeof(BasicBlock) + B.Insts.size() * sizeof(Rtl);
+      Bytes += MemoryCharge::Block + B.Insts.size() * MemoryCharge::Rtl;
   return Bytes;
 }
 
@@ -270,7 +271,7 @@ EnumerationResult Enumerator::run(const Function &Root,
     N.CodeSize = CF.Hash.InstCount;
     N.CfHash = controlFlowHash(Root);
     R.Nodes.push_back(N);
-    Gov.charge(sizeof(DagNode));
+    Gov.charge(MemoryCharge::Node);
     Table.tryEmplace(CF.Hash, 0);
 
     FrontierEntry E;
@@ -341,7 +342,7 @@ EnumerationResult Enumerator::run(const Function &Root,
         Nd.CfHash = controlFlowHash(A.Instance);
         Nd.Level = Level;
         R.Nodes.push_back(Nd);
-        Gov.charge(sizeof(DagNode));
+        Gov.charge(MemoryCharge::Node);
         FrontierEntry NE;
         NE.Node = Child;
         NE.Instance = std::move(A.Instance);
@@ -352,8 +353,10 @@ EnumerationResult Enumerator::run(const Function &Root,
       }
       ++LS.Active;
       R.Nodes[E.Node].ActiveMask |= Bit;
-      R.Nodes[E.Node].Edges.push_back({A.P, Child});
-      Gov.charge(sizeof(DagEdge));
+      // Frontier entries commit in ascending node id and every node after
+      // E.Node is unexpanded, so its edges are the array's tail.
+      R.appendEdges(E.Node, 1)[0] = {A.P, Child};
+      Gov.charge(MemoryCharge::Edge);
       // A new child is already enqueued, and a cross edge to an
       // earlier-level node is already expanded: nothing to merge. Any
       // cycle a cross edge may close is detected during weight
@@ -398,6 +401,7 @@ EnumerationResult Enumerator::run(const Function &Root,
 
     // What a discarded level must restore.
     const size_t NodesBefore = R.Nodes.size();
+    const size_t EdgesBefore = R.Edges.size();
     const size_t DiagsBefore = R.Diagnostics.size();
     const uint64_t AttemptedBefore = R.AttemptedPhases;
     const uint64_t ChargedBefore = Gov.chargedBytes();
@@ -513,9 +517,10 @@ EnumerationResult Enumerator::run(const Function &Root,
       // self-consistent (frontier nodes have no edges or masks before
       // their expansion), and a resume re-expands this level.
       R.Nodes.resize(NodesBefore);
+      R.Edges.resize(EdgesBefore);
       for (const FrontierEntry &E : Frontier) {
         DagNode &Nd = R.Nodes[E.Node];
-        Nd.Edges.clear();
+        Nd.Edges = {};
         Nd.ActiveMask = Nd.DormantMask = Nd.AttemptedMask = 0;
       }
       R.Diagnostics.resize(DiagsBefore);
@@ -565,6 +570,25 @@ EnumerationResult Enumerator::run(const Function &Root,
   if (!R.Cyclic)
     R.MaxActiveLength = longestPathLength(R);
   return R;
+}
+
+std::span<DagEdge> EnumerationResult::appendEdges(uint32_t Id,
+                                                 size_t Count) {
+  const bool Moves = Edges.size() + Count > Edges.capacity();
+  Edges.resize(Edges.size() + Count);
+  if (Moves) {
+    // The array moved: re-point every span (node Id's still at its old
+    // size) from the sizes, which sum to the edges before this append.
+    const DagEdge *At = Edges.data();
+    for (DagNode &N : Nodes) {
+      N.Edges = {At, N.Edges.size()};
+      At += N.Edges.size();
+    }
+  }
+  std::span<const DagEdge> &Own = Nodes[Id].Edges;
+  DagEdge *End = Edges.data() + Edges.size();
+  Own = {End - Count - Own.size(), Own.size() + Count};
+  return {End - Count, Count};
 }
 
 void pose::computeWeights(EnumerationResult &R) {

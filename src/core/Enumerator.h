@@ -44,6 +44,7 @@
 #include "src/support/StopToken.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace pose {
@@ -76,8 +77,9 @@ struct DagNode {
   /// Bit i set: phase i was actually attempted (ran the optimizer), the
   /// unit of the paper's "Attempted Phases" statistic.
   uint16_t AttemptedMask = 0;
-  /// Outgoing edges, one per active phase.
-  std::vector<DagEdge> Edges;
+  /// Outgoing edges, one per active phase, in ascending phase order: this
+  /// node's slice of its EnumerationResult's Edges array.
+  std::span<const DagEdge> Edges;
   /// Number of distinct active sequences beyond this node (Section 5,
   /// Figure 7): 1 for leaves, sum over edges of child weights otherwise.
   uint64_t Weight = 0;
@@ -129,8 +131,8 @@ struct EnumeratorConfig {
   /// of the previous level boundary, with that boundary's frontier.
   uint64_t DeadlineMs = 0;
   /// Approximate memory budget in bytes, tracked by node, edge and
-  /// frontier-instance accounting; 0 = unlimited. Checked at level
-  /// boundaries.
+  /// frontier-instance accounting at the declared MemoryCharge sizes;
+  /// 0 = unlimited. Checked at level boundaries.
   uint64_t MaxMemoryBytes = 0;
   /// Cooperative cancellation (not owned; may be nullptr). Polled like
   /// DeadlineMs.
@@ -152,6 +154,25 @@ struct EnumeratorConfig {
   unsigned Jobs = 1;
 };
 
+/// The memory governor's declared charge per object, in bytes (see
+/// EnumeratorConfig::MaxMemoryBytes). They are fixed numbers, not sizeof,
+/// so where a memory-budget run stops depends neither on the standard
+/// library nor on a layout change; they equal the LP64 libstdc++ sizes
+/// they were first measured from (docs/ROBUSTNESS.md).
+struct MemoryCharge {
+  static constexpr uint64_t Node = 72; ///< A DAG node.
+  static constexpr uint64_t Edge = 8;  ///< A DAG edge.
+  /// A frontier entry, with its instance's Function object and one block
+  /// pointer per block; each distinct block (with its RTLs) and slot list
+  /// is charged once per frontier.
+  static constexpr uint64_t FrontierEntry = 112;
+  static constexpr uint64_t Function = 88;
+  static constexpr uint64_t BlockPointer = 8;
+  static constexpr uint64_t Block = 32;
+  static constexpr uint64_t Rtl = 64;
+  static constexpr uint64_t StackSlot = 40;
+};
+
 /// Frontier entry: a node discovered at the current BFS level, waiting to
 /// be expanded, with its function instance. Exposed (rather than kept
 /// private to the engine) because an interrupted result carries its
@@ -168,9 +189,21 @@ struct FrontierEntry {
   uint64_t Sequences = 1;
 };
 
-/// Result of one exhaustive enumeration.
+/// Result of one exhaustive enumeration. Move-only: every node's Edges
+/// views this result's own Edges array, which a copy would not own.
 struct EnumerationResult {
+  EnumerationResult() = default;
+  EnumerationResult(EnumerationResult &&) = default;
+  EnumerationResult &operator=(EnumerationResult &&) = default;
+  EnumerationResult(const EnumerationResult &) = delete;
+  EnumerationResult &operator=(const EnumerationResult &) = delete;
+
   std::vector<DagNode> Nodes; ///< Node 0 is the unoptimized instance.
+  /// Every node's outgoing edges, node by node in id order (CSR). Edges
+  /// are only appended (appendEdges) to a node after which no node has
+  /// edges yet: the engine expands each node once, in id order, and a
+  /// decode reads them in that order.
+  std::vector<DagEdge> Edges;
   /// Why the enumeration ended: Complete for an exhausted space, any
   /// other value for the specific limit (or failure) that stopped it.
   StopReason Stop = StopReason::Complete;
@@ -204,6 +237,13 @@ struct EnumerationResult {
       N += Nd.isLeaf();
     return N;
   }
+
+  /// Appends \p Count edges to node \p Id's and returns them, value-
+  /// initialized, to be filled in. No node after \p Id may have edges yet,
+  /// so that node \p Id's edges stay the tail of the array. When the array
+  /// moves, every node's span is re-pointed from the span sizes, in id
+  /// order.
+  std::span<DagEdge> appendEdges(uint32_t Id, size_t Count);
 };
 
 /// True for the transient stops (Deadline, MemoryBudget, Cancelled), whose

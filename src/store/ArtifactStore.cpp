@@ -16,7 +16,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -249,19 +251,33 @@ std::string ArtifactStore::pathFor(const HashTriple &Root,
 
 std::vector<std::string> ArtifactStore::reclaimTmp() const {
   std::vector<std::string> Removed;
-  std::error_code EC;
-  for (fs::directory_iterator It(Dir, EC), End; !EC && It != End;
-       It.increment(EC)) {
-    if (!It->is_regular_file(EC))
+  DIR *D = ::opendir(Dir.c_str());
+  if (!D)
+    return Removed;
+  struct Closer {
+    DIR *D;
+    ~Closer() { ::closedir(D); }
+  } Close{D};
+  constexpr std::string_view Suffix = ".pose.tmp";
+  while (const dirent *E = ::readdir(D)) {
+    // The name first: it rules out almost every entry without building a
+    // path or asking the file system.
+    const std::string_view Name = E->d_name;
+    if (Name.size() <= Suffix.size() || !Name.ends_with(Suffix))
       continue;
-    const std::string Name = It->path().filename().string();
-    constexpr const char *Suffix = ".pose.tmp";
-    const size_t SufLen = std::strlen(Suffix);
-    if (Name.size() <= SufLen ||
-        Name.compare(Name.size() - SufLen, SufLen, Suffix) != 0)
+    // Regular files only, following a symbolic link; stat only where the
+    // entry's type does not settle it.
+    bool Regular = E->d_type == DT_REG;
+    if (E->d_type == DT_UNKNOWN || E->d_type == DT_LNK) {
+      struct stat St;
+      Regular = ::fstatat(::dirfd(D), E->d_name, &St, 0) == 0 &&
+                S_ISREG(St.st_mode);
+    }
+    if (!Regular)
       continue;
-    if (Io->remove(It->path().string()))
-      Removed.push_back(It->path().string());
+    std::string Path = (fs::path(Dir) / Name).string();
+    if (Io->remove(Path))
+      Removed.push_back(std::move(Path));
   }
   std::sort(Removed.begin(), Removed.end());
   return Removed;

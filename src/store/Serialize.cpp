@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <optional>
 
 namespace pose {
 namespace store {
@@ -18,6 +17,12 @@ namespace store {
 // namespace, whose io() would hide it.
 
 constexpr PhaseId kLastPhase = static_cast<PhaseId>(NumPhases - 1);
+
+/// Encoded sizes of a DAG node without its edges (their count included)
+/// and of one edge. A decode sizes the edge array from them; were they
+/// stale, the array would only grow (and its spans be re-pointed) while
+/// decoding.
+constexpr size_t kNodeBytes = 50, kEdgeBytes = 5;
 
 template <class Io> void io(Io &S, PhaseId &P) {
   S.tag(P, PhaseId{}, kLastPhase);
@@ -51,8 +56,9 @@ template <class Io> void io(Io &S, HashTriple &H) {
   S.u32(H.Crc);
 }
 
-/// A node whose edges must target one of the DAG's \p Nodes nodes.
-template <class Io> void io(Io &S, DagNode &N, size_t Nodes) {
+/// Node \p Id of \p Res, whose edges must target one of its nodes.
+template <class Io> void io(Io &S, EnumerationResult &Res, uint32_t Id) {
+  DagNode &N = Res.Nodes[Id];
   io(S, N.Hash);
   S.u32(N.Level);
   S.u32(N.CodeSize);
@@ -60,11 +66,28 @@ template <class Io> void io(Io &S, DagNode &N, size_t Nodes) {
   S.u16(N.ActiveMask);
   S.u16(N.DormantMask);
   S.u16(N.AttemptedMask);
-  S.seq(N.Edges, [&](DagEdge &E) {
+  auto Edge = [&](DagEdge &E) {
     io(S, E.Phase);
     S.u32(E.To);
-    S.check(E.To < Nodes);
-  });
+    S.check(E.To < Res.Nodes.size());
+  };
+  if constexpr (Io::Reading) {
+    // The edges go into the result's one array, after the previous
+    // node's. At the first node, reserve for as many edges as the rest of
+    // the payload can hold besides the other nodes, so that no append
+    // moves the array.
+    size_t Count = 0;
+    S.count(Count);
+    if (Id == 0) {
+      const size_t Rest = S.remaining(),
+                   Others = (Res.Nodes.size() - 1) * kNodeBytes;
+      Res.Edges.reserve((Rest - std::min(Rest, Others)) / kEdgeBytes);
+    }
+    for (DagEdge &E : Res.appendEdges(Id, Count))
+      Edge(E);
+  } else {
+    S.seq(N.Edges, Edge);
+  }
   S.u64(N.Weight);
 }
 
@@ -76,17 +99,22 @@ template <class Io> void io(Io &S, PhaseDiagnostic &D) {
   S.flag(D.Injected);
 }
 
-/// A frontier entry of an interrupted result: it names one of the partial
-/// DAG's \p Nodes, at the frontier's level \p Level, which the first entry
-/// sets (the frontier is one BFS level).
+/// A frontier entry of an interrupted result, after \p Prev (nullptr for
+/// the first): it names a node of the partial DAG's \p Nodes after \p
+/// Prev's and at its level, and no node from the first entry's on has
+/// edges. So the frontier is one BFS level, in the ascending order in
+/// which a resume appends its nodes' edges, at the end of the edge array.
 template <class Io>
 void io(Io &S, FrontierEntry &E, const std::vector<DagNode> &Nodes,
-        std::optional<uint32_t> &Level) {
+        const FrontierEntry *Prev) {
   S.u32(E.Node);
-  const bool Named = E.Node < Nodes.size();
-  if (Named && !Level)
-    Level = Nodes[E.Node].Level;
-  S.check(Named && Nodes[E.Node].Level == *Level);
+  // The writer evaluates the rule too, on whatever it is given.
+  auto Named = [&](uint32_t Id) { return Id < Nodes.size(); };
+  S.check(Named(E.Node) &&
+          (Prev ? Named(Prev->Node) && Prev->Node < E.Node &&
+                      Nodes[Prev->Node].Level == Nodes[E.Node].Level
+                : std::all_of(Nodes.begin() + E.Node, Nodes.end(),
+                              [](const DagNode &N) { return N.isLeaf(); })));
   io(S, E.Instance);
   S.u16(E.IncomingMask);
   S.u64(E.Sequences);
@@ -119,7 +147,8 @@ template <class Io> bool io(Io &S, Function &F) {
 }
 
 template <class Io> bool io(Io &S, EnumerationResult &Res) {
-  S.seq(Res.Nodes, [&](DagNode &N) { io(S, N, Res.Nodes.size()); });
+  uint32_t Id = 0;
+  S.seq(Res.Nodes, [&](DagNode &) { io(S, Res, Id++); });
   S.tag(Res.Stop, StopReason{}, StopReason::WorkerCrash);
   S.flag(Res.Cyclic);
   S.u64(Res.AttemptedPhases);
@@ -135,11 +164,10 @@ template <class Io> bool io(Io &S, EnumerationResult &Res) {
   S.u64(Res.ApproxMemoryBytes);
   // Only an interrupted result has a frontier; a final result encodes
   // without the field.
-  if (isResumableStop(Res.Stop)) {
-    std::optional<uint32_t> Level;
-    S.seq(Res.Frontier,
-          [&](FrontierEntry &E) { io(S, E, Res.Nodes, Level); });
-  }
+  if (isResumableStop(Res.Stop))
+    S.seq(Res.Frontier, [&](FrontierEntry &E) {
+      io(S, E, Res.Nodes, &E == Res.Frontier.data() ? nullptr : &E - 1);
+    });
   return S.ok();
 }
 

@@ -15,8 +15,11 @@
 /// Each type's format is one io() field list (see ByteIo.h), so the
 /// encoder and the decoder cannot drift apart. Decoding is strict: every
 /// enum value is range-checked, every boolean must be 0 or 1, every node
-/// index must name a node of its DAG, a frontier must be one level of it,
-/// and any violation (or buffer overrun) returns false. Decoders
+/// index must name a node of its DAG, a frontier must list nodes of one
+/// level of it in ascending id with no edges on any node from its first
+/// on, and any violation (or
+/// buffer overrun) returns false. A result's edges decode into its one
+/// edge array (EnumerationResult::Edges). Decoders
 /// deliberately do NOT require the reader to be exhausted, so codecs
 /// compose; the framing layer (ArtifactStore) rejects trailing bytes.
 ///

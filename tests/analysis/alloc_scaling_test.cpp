@@ -9,51 +9,26 @@
 // enumeration. Their per-block storage is inline (CFG edge lists, bit
 // vectors up to BitVector::InlineWords words), which makes each build
 // allocate a small fixed number of times however many blocks the function
-// has. This test pins that with a counting global operator new, which is
-// why it is an executable of its own.
+// has. This test pins that with the counting global operator new of
+// tests/common/CountingNew.cpp, which is why it is an executable of its
+// own.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/analysis/Dominators.h"
 #include "src/analysis/Liveness.h"
 #include "src/workloads/Workloads.h"
+#include "tests/common/CountingNew.h"
 #include "tests/common/Helpers.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <new>
-
-namespace {
-size_t Allocations = 0;
-} // namespace
-
-// GCC 12 at -O2 and above reports the free() below as mismatched with
-// operator new once it inlines both; both sides use malloc and free.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void *operator new(std::size_t N) {
-  ++Allocations;
-  if (void *P = std::malloc(N ? N : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-#pragma GCC diagnostic pop
 
 using namespace pose;
 using namespace pose::testhelpers;
 
 namespace {
-
-/// Allocations made by \p Build.
-template <typename FnT> size_t allocationsOf(FnT Build) {
-  const size_t Before = Allocations;
-  Build();
-  return Allocations - Before;
-}
 
 TEST(AllocScaling, AnalysesAllocateAFixedNumberOfTimesPerBuild) {
   constexpr size_t MaxPerBuild = 8;

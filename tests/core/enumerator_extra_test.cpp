@@ -20,11 +20,9 @@ TEST(EnumeratorExtra, CyclicGraphWeightsFallBack) {
   // Hand-built 2-cycle: computeWeights must flag it and terminate with
   // finite weights rather than looping.
   EnumerationResult R;
-  DagNode A, B;
-  A.Edges.push_back({PhaseId::BranchChaining, 1});
-  B.Edges.push_back({PhaseId::Cse, 0});
-  R.Nodes.push_back(A);
-  R.Nodes.push_back(B);
+  R.Nodes.resize(2);
+  R.appendEdges(0, 1)[0] = {PhaseId::BranchChaining, 1};
+  R.appendEdges(1, 1)[0] = {PhaseId::Cse, 0};
   computeWeights(R);
   EXPECT_TRUE(R.Cyclic);
   EXPECT_GE(R.Nodes[0].Weight, 1u);

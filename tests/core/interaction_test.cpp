@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+
 using namespace pose;
 using namespace pose::testhelpers;
 
@@ -67,12 +70,16 @@ EnumerationResult figure7() {
   uint32_t NABA = AddNode(0, All);
   uint32_t NBCD = AddNode(0, All);
 
-  R.Nodes[Root].Edges = {{A, NA}, {B, NB}, {C, NC}};
-  R.Nodes[NA].Edges = {{B, NAB}, {C, NAC}};
-  R.Nodes[NB].Edges = {{C, NBC}};
-  R.Nodes[NC].Edges = {{A, NAC}, {B, NCB}};
-  R.Nodes[NAB].Edges = {{A, NABA}};
-  R.Nodes[NBC].Edges = {{D, NBCD}};
+  // Edges are appended node by node, in id order.
+  auto AddEdges = [&R](uint32_t From, std::initializer_list<DagEdge> Out) {
+    std::copy(Out.begin(), Out.end(), R.appendEdges(From, Out.size()).begin());
+  };
+  AddEdges(Root, {{A, NA}, {B, NB}, {C, NC}});
+  AddEdges(NA, {{B, NAB}, {C, NAC}});
+  AddEdges(NB, {{C, NBC}});
+  AddEdges(NC, {{A, NAC}, {B, NCB}});
+  AddEdges(NAB, {{A, NABA}});
+  AddEdges(NBC, {{D, NBCD}});
   R.Stop = StopReason::Complete;
   computeWeights(R);
   return R;

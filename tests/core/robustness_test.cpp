@@ -154,24 +154,25 @@ TEST(Robustness, SharedFrontierBytesChargedOnce) {
   ASSERT_GT(R.Frontier.size(), 1u);
   // At the barrier the governor holds the DAG's nodes and edges and the
   // frontier's charge.
-  uint64_t Charged = R.ApproxMemoryBytes - R.Nodes.size() * sizeof(DagNode);
-  for (const DagNode &Nd : R.Nodes)
-    Charged -= Nd.Edges.size() * sizeof(DagEdge);
+  uint64_t Charged = R.ApproxMemoryBytes -
+                     R.Nodes.size() * MemoryCharge::Node -
+                     R.Edges.size() * MemoryCharge::Edge;
 
   uint64_t Full = 0, Identity = 0;
   std::set<const void *> SeenBlocks, SeenSlots;
   for (const FrontierEntry &En : R.Frontier) {
-    uint64_t Fixed = sizeof(FrontierEntry) + sizeof(Function) +
-                     En.Instance.Blocks.size() * sizeof(void *);
+    uint64_t Fixed = MemoryCharge::FrontierEntry + MemoryCharge::Function +
+                     En.Instance.Blocks.size() * MemoryCharge::BlockPointer;
     Full += Fixed;
     Identity += Fixed;
-    uint64_t SlotBytes = En.Instance.Slots.size() * sizeof(StackSlot);
+    uint64_t SlotBytes = En.Instance.Slots.size() * MemoryCharge::StackSlot;
     Full += SlotBytes;
     if (SlotBytes && SeenSlots.insert(En.Instance.Slots.identity()).second)
       Identity += SlotBytes;
     for (size_t BI = 0; BI != En.Instance.Blocks.size(); ++BI) {
       const BasicBlock &B = En.Instance.Blocks[BI];
-      uint64_t BlockBytes = sizeof(BasicBlock) + B.Insts.size() * sizeof(Rtl);
+      uint64_t BlockBytes =
+          MemoryCharge::Block + B.Insts.size() * MemoryCharge::Rtl;
       Full += BlockBytes;
       if (SeenBlocks.insert(En.Instance.Blocks.identity(BI)).second)
         Identity += BlockBytes;

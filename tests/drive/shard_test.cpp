@@ -23,6 +23,7 @@
 #include "src/frontend/Compile.h"
 #include "src/opt/PhaseManager.h"
 #include "src/store/ArtifactStore.h"
+#include "src/store/Serialize.h"
 #include "src/store/StoreAdmin.h"
 #include "src/support/FaultFs.h"
 #include "src/support/Subprocess.h"
@@ -373,7 +374,9 @@ TEST(MergeCli, ConflictExitsTenAndNamesTheKey) {
 // (interaction mining, resume), so an artifact whose indices point past
 // its node array is damaged even when its checksums hold: the load is
 // Rejected and --fsck exits StoreCorrupt (9). So is a frontier that is
-// not one level of its partial DAG, which a resume would expand as one.
+// not one level of its partial DAG, which a resume would expand as one,
+// or that a resume could not append its edges after: its nodes must
+// ascend, with no edges on any node from its first on.
 TEST(FsckCli, OutOfRangeNodeIndicesAreRejected) {
   Module M = compileOrDie(SweepSource);
   Function &F = functionNamed(M, "f");
@@ -423,26 +426,54 @@ TEST(FsckCli, OutOfRangeNodeIndicesAreRejected) {
         Want);
   };
 
+  // Results are move-only; each damaged one starts as a copy made by an
+  // encode/decode round trip.
+  auto CopyOf = [](const EnumerationResult &R) {
+    ByteWriter W;
+    store::encodeResult(W, R);
+    ByteReader Rd(W.bytes());
+    EnumerationResult Copy;
+    EXPECT_TRUE(store::decodeResult(Rd, Copy));
+    return Copy;
+  };
+
   CheckResult("result-intact", Res, store::LoadStatus::Hit);
-  EnumerationResult BadEdge = Res;
+  EnumerationResult BadEdge = CopyOf(Res);
   ASSERT_FALSE(BadEdge.Nodes[0].Edges.empty());
-  BadEdge.Nodes[0].Edges[0].To = 0xFFFFFFF0u;
+  BadEdge.Edges[0].To = 0xFFFFFFF0u; // The root's first edge.
   CheckResult("edge-target", BadEdge, store::LoadStatus::Rejected);
-  BadEdge.Nodes[0].Edges[0].To =
-      static_cast<uint32_t>(BadEdge.Nodes.size());
+  BadEdge.Edges[0].To = static_cast<uint32_t>(BadEdge.Nodes.size());
   CheckResult("edge-one-past", BadEdge, store::LoadStatus::Rejected);
 
   CheckResult("partial-intact", Partial, store::LoadStatus::Hit);
-  EnumerationResult BadNode = Partial;
+  EnumerationResult BadNode = CopyOf(Partial);
   BadNode.Frontier[0].Node = 0x7FFFFFFFu;
   CheckResult("frontier-node", BadNode, store::LoadStatus::Rejected);
   BadNode.Frontier[0].Node = Known;
   CheckResult("frontier-one-past", BadNode, store::LoadStatus::Rejected);
-  EnumerationResult MixedLevels = Partial;
+  EnumerationResult MixedLevels = CopyOf(Partial);
   MixedLevels.Frontier.back().Node = 0; // The root, at level 0.
   CheckResult("frontier-level", MixedLevels, store::LoadStatus::Rejected);
-  EnumerationResult BadPartial = Partial;
-  BadPartial.Nodes.back().Edges.push_back({PhaseId::Cse, Known + 5});
+  // A resume appends the frontier's edges in frontier order after every
+  // edge the DAG has, so the frontier must ascend and be unexpanded.
+  EnumerationResult Unordered = CopyOf(Partial);
+  std::swap(Unordered.Frontier[0], Unordered.Frontier[1]);
+  CheckResult("frontier-order", Unordered, store::LoadStatus::Rejected);
+  EnumerationResult Expanded = CopyOf(Partial);
+  ASSERT_EQ(Expanded.Frontier.back().Node, Known - 1);
+  Expanded.appendEdges(Known - 1, 1)[0] = {PhaseId::Cse, 0};
+  CheckResult("frontier-expanded", Expanded, store::LoadStatus::Rejected);
+  // A node after the frontier's first that is not in the frontier may not
+  // have edges either: a resume would append the frontier's after them.
+  EnumerationResult EdgesAfter = CopyOf(Partial);
+  EdgesAfter.Frontier.pop_back();
+  EdgesAfter.appendEdges(Known - 1, 1)[0] = {PhaseId::Cse, 0};
+  CheckResult("edges-after-frontier", EdgesAfter, store::LoadStatus::Rejected);
+  // An edge past the node array, on the last expanded node (whose edges
+  // end the array).
+  EnumerationResult BadPartial = CopyOf(Partial);
+  BadPartial.appendEdges(Partial.Frontier[0].Node - 1, 1)[0] = {
+      PhaseId::Cse, Known + 5};
   CheckResult("partial-edge", BadPartial, store::LoadStatus::Rejected);
 }
 

@@ -433,4 +433,16 @@ TEST(ReclaimTmp, RemovesOnlyTempFiles) {
   EXPECT_TRUE(fs::exists(Store.pathFor(S.RootF, ArtifactKind::Result)));
 }
 
+TEST(ReclaimTmp, KeepsADirectoryNamedLikeATempFile) {
+  const std::string Dir = freshDir("reclaim-dir");
+  seedStore(Dir);
+  const fs::path Sub = fs::path(Dir) / "x.pose.tmp";
+  fs::create_directory(Sub);
+  writeText((Sub / "inside.pose.tmp").string(), "kept");
+  ArtifactStore Store(Dir, &StoreIo::system());
+  EXPECT_TRUE(Store.reclaimTmp().empty());
+  EXPECT_TRUE(fs::is_directory(Sub));
+  EXPECT_TRUE(fs::exists(Sub / "inside.pose.tmp"));
+}
+
 } // namespace

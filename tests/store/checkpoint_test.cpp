@@ -317,7 +317,8 @@ TEST(CheckpointResume, NonResumableStopsLeaveNoCheckpoint) {
     ByteReader Rd(Bytes);
     ASSERT_TRUE(store::decodeResult(Rd, Decoded));
     EXPECT_TRUE(Rd.atEnd()) << stopReasonName(Stop);
-    expectByteIdentical(R, E.resume(F, R), stopReasonName(Stop));
+    expectByteIdentical(R, E.resume(F, std::move(Decoded)),
+                        stopReasonName(Stop));
   }
 }
 

@@ -151,7 +151,7 @@ TEST(Serialize, CheckpointRoundTripIsExact) {
   // Only a resumable stop encodes the frontier, after everything else:
   // the same result with a final stop encodes as its prefix, apart from
   // the stop tag.
-  EnumerationResult Final = Res;
+  EnumerationResult Final = std::move(Out);
   Final.Stop = StopReason::NodeBudget;
   ByteWriter W3;
   store::encode(W3, Final);
